@@ -11,8 +11,9 @@ Three independent routes to the same spectrum:
   level condition, plus spinor reconstruction
   (:mod:`diracosc.susy_reduction`).
 
-Shared domain types live in :mod:`diracosc.model`, the in-repo symmetric
-eigensolver kernels in :mod:`diracosc.linalg`, and the command-line front end
+Shared domain types live in :mod:`diracosc.model`, the symmetric
+tridiagonal eigensolver kernels (LAPACK in production, an in-repo oracle
+beside it) in :mod:`diracosc.linalg`, and the command-line front end
 in :mod:`diracosc.cli` (installed as ``diracosc``).
 """
 

@@ -49,6 +49,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import (
+    ConvergenceError,
     CriticalFieldError,
     DomainError,
     IndexOutOfRangeError,
@@ -162,7 +163,8 @@ def spectrum_tan(m: float, alpha0: float, kappa: float, idx: LevelIndex) -> TanL
 
     Raises CriticalFieldError for |kappa|>=1, IndexOutOfRangeError when
     n_sigma >= alpha0*sqrt(1-kappa^2) (outside the certified ladder window),
-    NoRealEnergyError if the solved E^2 is negative.
+    NoRealEnergyError if the solved E^2 is negative, ConvergenceError if the
+    two forms disagree.
     """
     n_sigma = idx.n_sigma
     e2 = _tan_E2(m, alpha0, kappa, n_sigma)
@@ -172,9 +174,11 @@ def spectrum_tan(m: float, alpha0: float, kappa: float, idx: LevelIndex) -> TanL
     alpha = alpha0 * math.sqrt(omk)
     beta = kappa * e / math.sqrt(omk)
     eps_ladder = tan_epsilon(alpha, beta, n_sigma)
-    assert abs(eps_ladder - eps) <= 1e-12 * max(1.0, abs(eps)), (
-        "ladder and quadratic forms of the trigonometric level law disagree"
-    )
+    if not abs(eps_ladder - eps) <= 1e-12 * max(1.0, abs(eps)):
+        raise ConvergenceError(
+            "ladder and quadratic forms of the trigonometric level law disagree "
+            f"at n_sigma = {n_sigma}: epsilon {eps_ladder!r} against {eps!r}"
+        )
     return TanLevel(e, -e, eps)
 
 

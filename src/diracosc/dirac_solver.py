@@ -44,7 +44,6 @@ import numpy as np
 
 from .errors import ResourceError
 from .linalg import (
-    SymmetricBanded,
     Tridiagonal,
     _indexed_eigenvalues,
     sturm_count,
@@ -95,15 +94,14 @@ def default_grid(params: PhysicalParams, n: int = DEFAULT_N, L: float | None = N
 
 @dataclass(frozen=True)
 class DiracMatrix:
-    """Assembled lattice operator (interleaved storage, bandwidth 1)."""
+    """Assembled lattice operator (interleaved storage, tridiagonal)."""
 
-    banded: SymmetricBanded
+    matrix: Tridiagonal
     grid: Grid
     params: PhysicalParams
 
     def tridiagonal(self) -> Tridiagonal:
-        n = self.banded.n
-        return Tridiagonal(self.banded.bands[0], self.banded.bands[1][: n - 1])
+        return self.matrix
 
     def offdiag_block(self) -> np.ndarray:
         """Dense N x N upper-right block B = diag(W) - D_forward (for
@@ -141,34 +139,22 @@ def assemble_dirac_matrix(params: PhysicalParams, grid: Grid) -> DiracMatrix:
     e = np.empty(2 * n - 1)
     e[0::2] = w + 1.0 / h
     e[1::2] = -1.0 / h
-    bands = np.zeros((2, 2 * n))
-    bands[0] = d
-    bands[1, : 2 * n - 1] = e
-    return DiracMatrix(
-        banded=SymmetricBanded(n=2 * n, b=1, bands=bands), grid=grid, params=params
-    )
+    return DiracMatrix(matrix=Tridiagonal(d, e), grid=grid, params=params)
 
 
-def _lattice_eigenvalues(params, grid, count, warm=None):
+def _lattice_eigenvalues(params, grid, count):
     """The `count` smallest-|E| eigenvalues of each sign.
 
     Returns (tridiagonal, E_neg, E_pos); E_pos ascending (closest to zero
     first), E_neg descending (closest to zero first). Zero eigenvalues land on
-    the positive side. `warm` = optional (neg, pos) guess arrays, same layout.
+    the positive side.
     """
     t = assemble_dirac_matrix(params, grid).tridiagonal()
     c0 = sturm_count(t, 0.0)
     k_neg = np.arange(max(c0 - count + 1, 1), c0 + 1, dtype=np.int64)
     k_pos = np.arange(c0 + 1, min(c0 + count, t.n) + 1, dtype=np.int64)
     ks = np.concatenate([k_neg, k_pos])
-    warm_vals = None
-    if warm is not None:
-        wneg, wpos = warm
-        if wneg.size >= k_neg.size and wpos.size >= k_pos.size:
-            warm_vals = np.concatenate(
-                [wneg[: k_neg.size][::-1], wpos[: k_pos.size]]
-            )
-    vals = _indexed_eigenvalues(t, ks, warm=warm_vals)
+    vals = _indexed_eigenvalues(t, ks)
     e_neg = vals[: k_neg.size][::-1]
     e_pos = vals[k_neg.size :]
     return t, e_neg, e_pos
@@ -295,12 +281,11 @@ def dirac_spectrum(params: PhysicalParams, grid: Grid, count: int, refine: int =
         records, origins = _build_records(params, e_neg, e_pos)
         states = _states_for(params, grid, t, e_neg, e_pos)
         return [(rec, states[origin]) for rec, origin in zip(records, origins)]
-    warm_map: dict = {}
-    e_neg, e_pos, _ = _richardson_levels(
-        params, grid, count, DEFAULT_DIM_CAP, warm_map, depth=refine + 1
+    e_neg, e_pos, _, raw = _richardson_levels(
+        params, grid, count, DEFAULT_DIM_CAP, depth=refine + 1
     )
-    fine = _refined_grid(grid, refine)
-    raw_neg, raw_pos = warm_map[(fine.half_width, fine.n)]
+    fine = _refined_grid(grid, len(raw) - 1)
+    raw_neg, raw_pos = raw[-1]
     t = assemble_dirac_matrix(params, fine).tridiagonal()
     records, origins = _build_records(params, e_neg, e_pos)
     states = _states_for(
@@ -313,10 +298,11 @@ def dirac_spectrum(params: PhysicalParams, grid: Grid, count: int, refine: int =
 class ConvergeResult:
     """converge_box output: records (converged flags and error estimates set),
     states sampled on the caller's base grid, that grid, and the number of
-    refinement rounds actually run."""
+    refinement rounds actually run. Tuples, since results are cached and
+    shared between callers."""
 
-    records: list
-    states: list
+    records: tuple
+    states: tuple
     base_grid: Grid
     rounds: int
 
@@ -329,25 +315,19 @@ def _refined_grid(grid: Grid, factor_log2: int) -> Grid:
     return Grid(half_width=grid.half_width, n=n)
 
 
-def _richardson_levels(params, grid, count, dim_cap, warm_map, depth=3):
+def _richardson_levels(params, grid, count, dim_cap, depth=3):
     """Eigenvalues on (h, h/2, h/4) grids combined as (8 E3 - 6 E2 + E1)/3,
     which cancels both the h and h^2 error terms of the split-difference
     scheme. Degrades to a two-grid or single-grid estimate near the dimension
-    cap (or when depth < 3). Returns (E_neg, E_pos, scheme_used)."""
+    cap (or when depth < 3). Returns (E_neg, E_pos, scheme_used, raw), raw
+    holding the (E_neg, E_pos) of each grid used, coarsest first."""
     grids = [_refined_grid(grid, k) for k in range(depth)]
     grids = [g for g in grids if 2 * g.n <= dim_cap]
     if not grids:
         raise ResourceError(
             f"grid with 2N = {2 * grid.n} exceeds the dimension cap {dim_cap}"
         )
-    sols = []
-    for g in grids:
-        key = (g.half_width, g.n)
-        warm = warm_map.get(key) or warm_map.get("last")
-        t, e_neg, e_pos = _lattice_eigenvalues(params, g, count, warm=warm)
-        warm_map[key] = (e_neg, e_pos)
-        warm_map["last"] = (e_neg, e_pos)
-        sols.append((e_neg, e_pos))
+    sols = [_lattice_eigenvalues(params, g, count)[1:] for g in grids]
     k = min(min(len(s[0]) for s in sols), count)
     j = min(min(len(s[1]) for s in sols), count)
 
@@ -368,7 +348,7 @@ def _richardson_levels(params, grid, count, dim_cap, warm_map, depth=3):
     else:
         e_neg, e_pos = sols[0][0][:k], sols[0][1][:j]
         scheme = "h1"
-    return e_neg, e_pos, scheme
+    return e_neg, e_pos, scheme, sols
 
 
 # the staggered coupling W + 1/h must keep one sign across the box, or the
@@ -387,7 +367,10 @@ def _doubled_box(params: PhysicalParams, cur: Grid) -> Grid:
     return Grid(half_width=half, n=max(2 * cur.n, n_valid))
 
 
+# a few entries: a session revisits the configuration it is working on, and
+# each entry holds its states, about 1 MB at grid.n 2000
 _CONVERGE_CACHE: dict = {}
+_CONVERGE_CACHE_SIZE = 4
 
 
 def _cache_key(params, count, tol, grid, max_doublings, dim_cap):
@@ -445,11 +428,10 @@ def converge_box_full(
     family = params.superpotential.family
     lo, hi = params.superpotential.domain
     grow_box = math.isinf(hi) and math.isinf(lo)
-    warm_map: dict = {}
 
     cur = base
-    e_neg, e_pos, _ = _richardson_levels(params, cur, count, dim_cap, warm_map)
-    base_vals = warm_map.get((base.half_width, base.n))
+    e_neg, e_pos, _, raw = _richardson_levels(params, cur, count, dim_cap)
+    b_neg, b_pos = raw[0]
     prev_pr = _round_pr(params, cur, e_neg, e_pos) if family is Family.TANGENT else None
     converged = {(-1, j): False for j in range(len(e_neg))}
     converged.update({(1, j): False for j in range(len(e_pos))})
@@ -465,7 +447,7 @@ def converge_box_full(
         if 2 * _refined_grid(nxt, 2).n > dim_cap:
             break
         try:
-            n_neg, n_pos, _ = _richardson_levels(params, nxt, count, dim_cap, warm_map)
+            n_neg, n_pos, _, _ = _richardson_levels(params, nxt, count, dim_cap)
         except ResourceError:
             break
         rounds += 1
@@ -490,12 +472,13 @@ def converge_box_full(
 
     records, origins = _build_records(params, e_neg, e_pos, converged, err)
     t_base = assemble_dirac_matrix(params, base).tridiagonal()
-    b_neg, b_pos = base_vals
     state_map = _states_for(params, base, t_base, b_neg, b_pos)
-    states = [state_map.get(origin) for origin in origins]
-    result = ConvergeResult(records=records, states=states, base_grid=base, rounds=rounds)
+    states = tuple(state_map.get(origin) for origin in origins)
+    result = ConvergeResult(
+        records=tuple(records), states=states, base_grid=base, rounds=rounds
+    )
     if key is not None:
-        if len(_CONVERGE_CACHE) >= 32:
+        if len(_CONVERGE_CACHE) >= _CONVERGE_CACHE_SIZE:
             _CONVERGE_CACHE.pop(next(iter(_CONVERGE_CACHE)))
         _CONVERGE_CACHE[key] = result
     return result

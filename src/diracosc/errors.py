@@ -19,7 +19,9 @@ class ConfigError(DiracOscError, ValueError):
 
 
 class ConvergenceError(DiracOscError, RuntimeError):
-    """An iterative eigensolver exceeded its sweep cap (pathological input)."""
+    """A numerical routine failed: an eigensolver exceeded its sweep cap or
+    reported failure (pathological input), or two derivations of one
+    quantity disagree beyond rounding."""
 
 
 class CriticalFieldError(DiracOscError, ValueError):

@@ -229,27 +229,19 @@ def squared_form_potential(
     return omk * w * w + 2.0 * E * kappa * w + sigma * math.sqrt(omk) * wp
 
 
-def _reduced_level(params, sigma, n, grid, E, track=None):
+def _reduced_level(params, sigma, n, grid, E):
     """epsilon level n of the operator instantiated at energy E, fetched by
-    its sorted index (Sturm-verified). Near the top of the admissible window
-    the level moves faster in E than the ladder spacing, so picking by value
-    continuity can slide onto a neighbor between root-finder steps; the index
-    cannot. The previous value only warm-starts the bisection."""
+    its sorted index. Near the top of the admissible window the level moves
+    faster in E than the ladder spacing, so picking by value continuity can
+    slide onto a neighbor between root-finder steps; the index cannot."""
     weff = effective_superpotential(params.superpotential, params.kappa, E)
     t = schrodinger_operator(weff, sigma, grid)
-    ks = np.asarray([n + 1], dtype=np.int64)
-    warm = None
-    if track is not None and track[1] is not None and track[1].size == ks.size:
-        warm = track[1]
-    vals = _indexed_eigenvalues(t, ks, warm=warm)
-    return float(vals[0]), vals
+    return float(_indexed_eigenvalues(t, [n + 1])[0])
 
 
-def _level_f(params, sigma, n, grid, E, track):
-    eps, vals = _reduced_level(params, sigma, n, grid, E, track)
+def _level_f(params, sigma, n, grid, E):
     omk = 1.0 - params.kappa**2
-    f = eps - (E * E / omk - params.mass**2)
-    return f, (eps, vals)
+    return _reduced_level(params, sigma, n, grid, E) - (E * E / omk - params.mass**2)
 
 
 def _bracket_root(params, sigma, n, grid, branch):
@@ -257,25 +249,24 @@ def _bracket_root(params, sigma, n, grid, branch):
     from the closed form +-25%; otherwise scan outward in steps of m/4."""
     sp = params.superpotential
     n_sigma = n + (1 + sigma) // 2
-    track = (None, None)
     if sp.family in (Family.LINEAR, Family.TANGENT):
         ep, em = analytic.level_energies(params, n_sigma)
         seed = ep if branch > 0 else em
         if seed == 0.0:
             # the E=0 level: the condition must already hold there up to
             # lattice bias, with no second root nearby to confuse it with
-            f0, track = _level_f(params, sigma, n, grid, 0.0, track)
+            f0 = _level_f(params, sigma, n, grid, 0.0)
             if abs(f0) <= 1e-4:
-                return 0.0, 0.0, 0.0, 0.0, track
+                return 0.0, 0.0, 0.0, 0.0
             raise BracketError(
                 f"level condition fails at the E=0 seed for (sigma={sigma}, "
                 f"n={n}): f(0) = {f0:.3g}"
             )
         a, b = sorted((0.75 * seed, 1.25 * seed))
-        fa, track = _level_f(params, sigma, n, grid, a, track)
-        fb, track = _level_f(params, sigma, n, grid, b, track)
+        fa = _level_f(params, sigma, n, grid, a)
+        fb = _level_f(params, sigma, n, grid, b)
         if fa * fb <= 0.0:
-            return a, b, fa, fb, track
+            return a, b, fa, fb
         raise BracketError(
             f"no sign change around the closed-form seed {seed:.6g} for "
             f"(sigma={sigma}, n={n}); no such bound level"
@@ -283,13 +274,13 @@ def _bracket_root(params, sigma, n, grid, branch):
     step = params.mass / 4.0 if params.mass > 0.0 else 0.25
     e_max = 100.0 * max(params.mass, 1.0)
     a = branch * 1e-6
-    fa, track = _level_f(params, sigma, n, grid, a, track)
+    fa = _level_f(params, sigma, n, grid, a)
     k = 1
     while k * step <= e_max:
         b = branch * k * step
-        fb, track = _level_f(params, sigma, n, grid, b, track)
+        fb = _level_f(params, sigma, n, grid, b)
         if fa * fb <= 0.0:
-            return (a, b, fa, fb, track) if a < b else (b, a, fb, fa, track)
+            return (a, b, fa, fb) if a < b else (b, a, fb, fa)
         a, fa = b, fb
         k += 1
     raise BracketError(
@@ -298,24 +289,24 @@ def _bracket_root(params, sigma, n, grid, branch):
     )
 
 
-def _illinois(params, sigma, n, grid, a, b, fa, fb, track, tol=1e-12):
+def _illinois(params, sigma, n, grid, a, b, fa, fb, tol=1e-12):
     """Regula falsi with the Illinois weighting; falls back to bisection
     steps when the secant stalls."""
     if fa == 0.0:
-        return a, track
+        return a
     if fb == 0.0:
-        return b, track
+        return b
     if a == b:
-        return a, track
+        return a
     side = 0
     for _ in range(120):
         denom = fb - fa
         c = (a * fb - b * fa) / denom if denom != 0.0 else 0.5 * (a + b)
         if not (min(a, b) < c < max(a, b)):
             c = 0.5 * (a + b)
-        fc, track = _level_f(params, sigma, n, grid, c, track)
+        fc = _level_f(params, sigma, n, grid, c)
         if fc == 0.0 or abs(b - a) <= tol * max(1.0, abs(c)):
-            return c, track
+            return c
         if fa * fc < 0.0:
             b, fb = c, fc
             if side == -1:
@@ -326,32 +317,31 @@ def _illinois(params, sigma, n, grid, a, b, fa, fb, track, tol=1e-12):
             if side == 1:
                 fb *= 0.5
             side = 1
-    return 0.5 * (a + b), track
+    return 0.5 * (a + b)
 
 
 def _solve_branch(params, sigma, n, grid, branch):
-    a, b, fa, fb, track = _bracket_root(params, sigma, n, grid, branch)
-    e1, track = _illinois(params, sigma, n, grid, a, b, fa, fb, track)
+    a, b, fa, fb = _bracket_root(params, sigma, n, grid, branch)
+    e1 = _illinois(params, sigma, n, grid, a, b, fa, fb)
     # second pass on a nested half-spacing grid; the paired extrapolation
     # (4 E2 - E1)/3 cancels the O(h^2) lattice bias of the 3-point Laplacian
     fine = Grid(half_width=grid.half_width, n=2 * grid.n + 1)
     delta = max(1e-4 * max(abs(e1), 1.0), 1e-9)
-    # coarse-grid eigenvalues shift only O(h^2) on the nested grid, well
-    # inside the warm-bracket width, so they seed the fine solves too
-    track_f = (track[0], track[1])
     for _ in range(4):
         aa, bb = e1 - delta, e1 + delta
-        faa, track_f = _level_f(params, sigma, n, fine, aa, track_f)
-        fbb, track_f = _level_f(params, sigma, n, fine, bb, track_f)
+        faa = _level_f(params, sigma, n, fine, aa)
+        fbb = _level_f(params, sigma, n, fine, bb)
         if faa * fbb <= 0.0:
-            e2, _ = _illinois(params, sigma, n, fine, aa, bb, faa, fbb, track_f)
+            e2 = _illinois(params, sigma, n, fine, aa, bb, faa, fbb)
             e = (4.0 * e2 - e1) / 3.0
             return e, abs(e2 - e1) / 3.0
         delta *= 4.0
     return e1, abs(b - a)
 
 
+# enough for the levels of the configuration a session is working on
 _SOLVE_CACHE: dict = {}
+_SOLVE_CACHE_SIZE = 16
 
 
 def _solve_key(params, sigma, n, grid):
@@ -372,7 +362,7 @@ def solve_nonlinear_level(
         f(E) = epsilon_n(operator at Weff(E)) - (E^2/(1-kappa^2) - m^2).
 
     epsilon_n is the n-th ascending eigenvalue of the instantiated operator,
-    fetched by Sturm-verified sorted index at every E so the root-finder
+    fetched by sorted index at every E so the root-finder
     always sees the same level regardless of step size. The two energy
     branches are solved independently (they coincide in magnitude for the
     certified families, where f is even in E) and returned as (plus, minus)
@@ -413,7 +403,7 @@ def solve_nonlinear_level(
         )
     result = (records[0], records[1])
     if key is not None:
-        if len(_SOLVE_CACHE) >= 128:
+        if len(_SOLVE_CACHE) >= _SOLVE_CACHE_SIZE:
             _SOLVE_CACHE.pop(next(iter(_SOLVE_CACHE)))
         _SOLVE_CACHE[key] = result
     return result

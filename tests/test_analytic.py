@@ -23,7 +23,9 @@ from diracosc.analytic import (
     spectrum_tan,
     tan_epsilon,
 )
+from diracosc import analytic
 from diracosc.errors import (
+    ConvergenceError,
     CriticalFieldError,
     DomainError,
     IndexOutOfRangeError,
@@ -117,6 +119,14 @@ def test_spectrum_tan_certified_window():
         spectrum_tan(1.0, 2.5, 0.9, LevelIndex(2, -1))
     with pytest.raises(CriticalFieldError):
         spectrum_tan(1.0, 5.0, 1.0, LevelIndex(0, -1))
+
+
+def test_spectrum_tan_forms_disagreeing_raise(monkeypatch):
+    # the ladder/quadratic cross-check is an invariant, enforced under -O too
+    ladder = analytic.tan_epsilon
+    monkeypatch.setattr(analytic, "tan_epsilon", lambda a, b, n: ladder(a, b, n) + 1e-9)
+    with pytest.raises(ConvergenceError, match="disagree"):
+        spectrum_tan(1.0, 5.0, 0.5, LevelIndex(1, -1))
 
 
 def test_level_energies_dispatch():

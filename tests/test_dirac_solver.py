@@ -17,7 +17,7 @@ from diracosc.errors import DomainError, ResourceError
 from diracosc.model import Grid, PhysicalParams, Superpotential
 from diracosc import analytic
 
-from conftest import linear_params
+from conftest import linear_params, tan_params
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +64,7 @@ def test_matrix_equals_transpose_exactly(kappa, family):
             mass=1.0, kappa=kappa, superpotential=Superpotential.tangent(5.0)
         )
         grid = default_grid(params, n=37)
-    dense = assemble_dirac_matrix(params, grid).banded.to_dense()
+    dense = assemble_dirac_matrix(params, grid).tridiagonal().to_dense()
     assert np.array_equal(dense, dense.T)
 
 
@@ -194,6 +194,17 @@ def test_plus_minus_pairing_after_convergence(converged_k06):
     assert max(abs(ep + en) for ep, en in mirrored) <= 5e-6
 
 
+def test_cached_result_cannot_be_emptied_by_a_caller():
+    params = tan_params(0.3)
+    grid = default_grid(params, n=300)
+    res = converge_box_full(params, count=2, grid=grid)
+    assert isinstance(res.records, tuple) and isinstance(res.states, tuple)
+    assert len(res.records) == 7
+    with pytest.raises(AttributeError):
+        res.records.clear()
+    assert len(converge_box_full(params, count=2, grid=grid).records) == 7
+
+
 def test_supercritical_levels_all_unbound():
     res = converge_box_full(linear_params(1.2), count=3, tol=1e-6)
     assert res.records and all(not r.converged for r in res.records)
@@ -242,9 +253,11 @@ def test_tabulated_family_refines_in_place():
 
 def test_ground_state_width_is_unit_oscillator(converged_k0):
     res = converged_k0
+    # the positive-branch ground level; the lattice also has a wall mode at
+    # E = -1, equal in |E| up to rounding
     idx = min(
-        range(len(res.records)),
-        key=lambda i: (abs(res.records[i].E), -res.records[i].branch),
+        (i for i, r in enumerate(res.records) if r.branch > 0),
+        key=lambda i: abs(res.records[i].E),
     )
     st = res.states[idx]
     assert res.records[idx].E == pytest.approx(1.0, rel=1e-5)

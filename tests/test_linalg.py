@@ -1,62 +1,33 @@
-"""Tridiagonal eigensolver kernels: reduction, QL, Sturm counts, bisection,
-inverse iteration. Dual-route checks (QL vs bisection) plus an independent
-LAPACK oracle on small dense matrices."""
+"""Tridiagonal eigensolver kernels: QL, Sturm counts, bisection, inverse
+iteration. Dual-route checks (QL vs bisection), and the production LAPACK
+path checked against that in-repo oracle on lattice matrices."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import diracosc
+from diracosc.dirac_solver import assemble_dirac_matrix, default_grid
 from diracosc.linalg import (
-    SymmetricBanded,
     Tridiagonal,
     _indexed_eigenvalues,
-    _logdet_newton,
     _sturm_counts,
     eigen_bisect,
     eigen_ql,
     sturm_count,
     tridiagonal_eigenvectors,
-    tridiagonalize,
 )
+from diracosc.susy_reduction import effective_superpotential, schrodinger_operator
+
+from conftest import linear_params, tan_params
 
 
 def laplacian(n: int) -> Tridiagonal:
     return Tridiagonal(d=np.full(n, 2.0), e=np.full(n - 1, -1.0))
-
-
-def test_tridiagonalize_keeps_tridiagonal_input():
-    t = Tridiagonal(d=np.array([1.0, 2.0, 3.0]), e=np.array([0.5, -0.5]))
-    a = SymmetricBanded.from_dense(t.to_dense())
-    out, q = tridiagonalize(a, want_q=True)
-    assert np.array_equal(out.d, t.d)
-    assert np.array_equal(out.e, t.e)
-    assert np.array_equal(q, np.eye(3))
-
-
-def test_tridiagonalize_pauli_x():
-    a = SymmetricBanded.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    t, _ = tridiagonalize(a)
-    assert np.array_equal(t.d, [0.0, 0.0])
-    assert np.array_equal(t.e, [1.0])
-
-
-def test_tridiagonalize_bandwidth2_preserves_spectrum():
-    rng = np.random.default_rng(421)
-    for _ in range(10):
-        dense = np.zeros((8, 8))
-        for j in range(3):
-            vals = rng.uniform(-1.0, 1.0, 8 - j)
-            dense += np.diag(vals, j)
-            if j:
-                dense += np.diag(vals, -j)
-        t, q = tridiagonalize(SymmetricBanded.from_dense(dense), want_q=True)
-        ref = np.linalg.eigvalsh(dense)
-        got = eigen_ql(t)[0]
-        assert np.max(np.abs(got - ref)) <= 1e-10
-        # similarity: Q^T A Q = T, and Q orthogonal
-        assert np.max(np.abs(q.T @ dense @ q - t.to_dense())) <= 1e-12 * 8
-        assert np.max(np.abs(q.T @ q - np.eye(8))) <= 1e-10 * 8
 
 
 def test_eigen_ql_pinned_examples():
@@ -136,19 +107,6 @@ def test_ql_vs_bisection_on_200_random_matrices():
     assert worst <= 1e-10
 
 
-def test_accumulated_q_orthogonality():
-    rng = np.random.default_rng(5)
-    for n, b in ((12, 3), (25, 2), (40, 5)):
-        dense = np.zeros((n, n))
-        for j in range(b + 1):
-            vals = rng.uniform(-1.0, 1.0, n - j)
-            dense += np.diag(vals, j)
-            if j:
-                dense += np.diag(vals, -j)
-        _, q = tridiagonalize(SymmetricBanded.from_dense(dense), want_q=True)
-        assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-10 * n
-
-
 def test_scalar_and_batched_sturm_paths_agree():
     rng = np.random.default_rng(77)
     for _ in range(25):
@@ -158,30 +116,6 @@ def test_scalar_and_batched_sturm_paths_agree():
         small = _sturm_counts(t, lams)  # scalar path (batch <= 4)
         big = _sturm_counts(t, np.concatenate([lams, rng.uniform(-4, 4, 4)]))[:3]
         assert np.array_equal(small, big)
-
-
-def test_logdet_newton_refines_warm_guesses():
-    rng = np.random.default_rng(13)
-    for _ in range(15):
-        n = int(rng.integers(8, 40))
-        t = Tridiagonal(d=np.sort(rng.uniform(-3, 3, n)), e=rng.uniform(-0.5, 0.5, n - 1))
-        full = eigen_bisect(t, 1, n)
-        ks = np.array([1, n // 2, n - 1])
-        guesses = full[ks - 1] + rng.uniform(-1e-3, 1e-3, 3)
-        out = _logdet_newton(t, guesses, iters=12)
-        assert np.max(np.abs(out - full[ks - 1])) <= 1e-9 * (np.max(np.abs(full)) + 1.0)
-
-
-def test_warm_started_indexed_eigenvalues_match_cold():
-    rng = np.random.default_rng(31)
-    t = Tridiagonal(d=np.sort(rng.uniform(-5, 5, 200)), e=rng.uniform(-0.3, 0.3, 199))
-    ks = np.array([3, 50, 120, 199])
-    cold = _indexed_eigenvalues(t, ks)
-    warm = _indexed_eigenvalues(t, ks, warm=cold + 1e-4)
-    assert np.max(np.abs(cold - warm)) <= 1e-10 * t.norm_bound()
-    # a misleading warm guess must not corrupt the answer
-    wrong = _indexed_eigenvalues(t, ks, warm=cold[::-1])
-    assert np.max(np.abs(cold - wrong)) <= 1e-10 * t.norm_bound()
 
 
 def test_inverse_iteration_residuals_and_determinism():
@@ -205,3 +139,100 @@ def test_degenerate_cluster_vectors_stay_orthogonal():
     v = tridiagonal_eigenvectors(t, lams)
     gram = v.T @ v
     assert np.max(np.abs(gram - np.eye(6))) <= 1e-8
+
+
+# ------------------------------------------- production path against oracle
+
+# (family, kappa, grid.n): subcritical and supercritical couplings, matrix
+# dimensions 2 * grid.n from 500 to 2000
+LATTICE_CASES = [
+    ("linear", 0.3, 250),
+    ("linear", -0.7, 1000),
+    ("linear", 1.3, 600),
+    ("tan", 0.5, 250),
+    ("tan", -0.2, 1000),
+    ("tan", 1.2, 500),
+]
+
+
+def _params(family, kappa):
+    return linear_params(kappa) if family == "linear" else tan_params(kappa)
+
+
+def _lattice_matrix(family, kappa, n):
+    params = _params(family, kappa)
+    return assemble_dirac_matrix(params, default_grid(params, n=n)).tridiagonal()
+
+
+def _schrodinger_matrix(family, kappa, n, sigma):
+    params = _params(family, kappa)
+    grid = default_grid(params, n=n)
+    weff = effective_superpotential(params.superpotential, kappa, 1.3)
+    return schrodinger_operator(weff, sigma, grid)
+
+
+def _assert_matches_oracle(t, k_lo, k_hi):
+    # eigen_bisect stops at width 1e-12 |lambda| + 4 eps ||T||; the LAPACK
+    # values must lie within that, far inside 1e-10 ||T||
+    scale = t.norm_bound()
+    ks = np.arange(k_lo, k_hi + 1)
+    got = _indexed_eigenvalues(t, ks)
+    ref = eigen_bisect(t, k_lo, k_hi)
+    tol = 1e-12 * np.abs(ref) + 8.0 * np.finfo(float).eps * scale
+    assert np.all(np.abs(got - ref) <= tol)
+    # a sparse selection picks the same levels
+    assert np.all(np.abs(_indexed_eigenvalues(t, ks[1::2]) - ref[1::2]) <= tol[1::2])
+    # inverse iteration meets its own target, residual 1e-12 ||T||
+    vecs = tridiagonal_eigenvectors(t, got)
+    for j, lam in enumerate(got):
+        assert np.linalg.norm(t.matvec(vecs[:, j]) - lam * vecs[:, j]) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("family,kappa,n", LATTICE_CASES)
+def test_indexed_eigenvalues_match_bisection_on_lattice_matrices(family, kappa, n):
+    t = _lattice_matrix(family, kappa, n)
+    assert 500 <= t.n <= 2000
+    # the production window: levels either side of E = 0, then the bottom
+    c0 = sturm_count(t, 0.0)
+    _assert_matches_oracle(t, max(c0 - 3, 1), min(c0 + 4, t.n))
+    _assert_matches_oracle(t, 1, 3)
+
+
+@pytest.mark.parametrize("family,kappa,n", [("linear", 0.6, 800), ("tan", 0.5, 1500)])
+@pytest.mark.parametrize("sigma", [-1, 1])
+def test_indexed_eigenvalues_match_bisection_on_schrodinger_matrices(family, kappa, n, sigma):
+    t = _schrodinger_matrix(family, kappa, n, sigma)
+    assert 500 <= t.n <= 2000
+    _assert_matches_oracle(t, 1, 6)
+
+
+def test_lapack_path_pinned_examples():
+    one = Tridiagonal(d=np.array([5.0]), e=np.zeros(0))
+    assert np.array_equal(_indexed_eigenvalues(one, [1]), [5.0])
+    assert np.array_equal(tridiagonal_eigenvectors(one, [5.0]), [[1.0]])
+    assert _indexed_eigenvalues(laplacian(4), []).size == 0
+    with pytest.raises(ValueError):
+        _indexed_eigenvalues(laplacian(4), [3, 2])
+
+
+def test_lattice_solve_leaves_scipy_linalg_unimported():
+    """The LAPACK routines come from scipy's compiled module alone: importing
+    scipy.linalg would add about 26 MB of peak RSS and 0.25 s per process."""
+    code = (
+        "import sys\n"
+        "from diracosc import linalg\n"
+        "from diracosc.dirac_solver import converge_box_full\n"
+        "from diracosc.model import Grid, PhysicalParams, Superpotential\n"
+        "params = PhysicalParams(mass=1.0, kappa=0.3,"
+        " superpotential=Superpotential.linear(1.0))\n"
+        "res = converge_box_full(params, 2, grid=Grid(half_width=10.0, n=300))\n"
+        "assert res.records and linalg._FLAPACK is not None\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diracosc.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert "scipy.linalg" not in out.stdout.split()
