@@ -45,8 +45,8 @@ import numpy as np
 from .errors import ResourceError
 from .linalg import (
     Tridiagonal,
+    _counts_below,
     _indexed_eigenvalues,
-    sturm_count,
     tridiagonal_eigenvectors,
 )
 from .model import (
@@ -150,7 +150,7 @@ def _lattice_eigenvalues(params, grid, count):
     the positive side.
     """
     t = assemble_dirac_matrix(params, grid).tridiagonal()
-    c0 = sturm_count(t, 0.0)
+    c0 = int(_counts_below(t, [0.0])[0])
     k_neg = np.arange(max(c0 - count + 1, 1), c0 + 1, dtype=np.int64)
     k_pos = np.arange(c0 + 1, min(c0 + count, t.n) + 1, dtype=np.int64)
     ks = np.concatenate([k_neg, k_pos])
@@ -315,19 +315,29 @@ def _refined_grid(grid: Grid, factor_log2: int) -> Grid:
     return Grid(half_width=grid.half_width, n=n)
 
 
-def _richardson_levels(params, grid, count, dim_cap, depth=3):
+def _richardson_levels(params, grid, count, dim_cap, depth=3, solved=None):
     """Eigenvalues on (h, h/2, h/4) grids combined as (8 E3 - 6 E2 + E1)/3,
     which cancels both the h and h^2 error terms of the split-difference
     scheme. Degrades to a two-grid or single-grid estimate near the dimension
     cap (or when depth < 3). Returns (E_neg, E_pos, scheme_used, raw), raw
-    holding the (E_neg, E_pos) of each grid used, coarsest first."""
+    holding the (E_neg, E_pos) of each grid used, coarsest first.
+
+    `solved` maps (half_width, n) to a grid's (E_neg, E_pos); grids found
+    there are not solved again, and new solutions are added to it."""
     grids = [_refined_grid(grid, k) for k in range(depth)]
     grids = [g for g in grids if 2 * g.n <= dim_cap]
     if not grids:
         raise ResourceError(
             f"grid with 2N = {2 * grid.n} exceeds the dimension cap {dim_cap}"
         )
-    sols = [_lattice_eigenvalues(params, g, count)[1:] for g in grids]
+    if solved is None:
+        solved = {}
+    sols = []
+    for g in grids:
+        key = (g.half_width, g.n)
+        if key not in solved:
+            solved[key] = _lattice_eigenvalues(params, g, count)[1:]
+        sols.append(solved[key])
     k = min(min(len(s[0]) for s in sols), count)
     j = min(min(len(s[1]) for s in sols), count)
 
@@ -429,10 +439,14 @@ def converge_box_full(
     lo, hi = params.superpotential.domain
     grow_box = math.isinf(hi) and math.isinf(lo)
 
+    # the tangent family refines in place, so a round's (h/2, h/4) grids are
+    # the previous round's (h, h/2): each grid is solved once per call
+    solved: dict = {}
     cur = base
-    e_neg, e_pos, _, raw = _richardson_levels(params, cur, count, dim_cap)
-    b_neg, b_pos = raw[0]
-    prev_pr = _round_pr(params, cur, e_neg, e_pos) if family is Family.TANGENT else None
+    e_neg, e_pos, _, raw = _richardson_levels(params, cur, count, dim_cap, solved=solved)
+    t_base = assemble_dirac_matrix(params, base).tridiagonal()
+    state_map = _states_for(params, base, t_base, *raw[0])
+    prev_pr = _participation_ratios(state_map) if family is Family.TANGENT else None
     converged = {(-1, j): False for j in range(len(e_neg))}
     converged.update({(1, j): False for j in range(len(e_pos))})
     err = {k: None for k in converged}
@@ -447,13 +461,15 @@ def converge_box_full(
         if 2 * _refined_grid(nxt, 2).n > dim_cap:
             break
         try:
-            n_neg, n_pos, _, _ = _richardson_levels(params, nxt, count, dim_cap)
+            n_neg, n_pos, _, raw = _richardson_levels(
+                params, nxt, count, dim_cap, solved=solved
+            )
         except ResourceError:
             break
         rounds += 1
         k = min(len(e_neg), len(n_neg))
         j = min(len(e_pos), len(n_pos))
-        pr_now = _round_pr(params, nxt, n_neg, n_pos) if family is Family.TANGENT else None
+        pr_now = _round_pr(params, nxt, *raw[0]) if family is Family.TANGENT else None
         for branch, old, new, span in ((-1, e_neg, n_neg, k), (1, e_pos, n_pos, j)):
             for i in range(span):
                 delta = abs(float(new[i]) - float(old[i]))
@@ -471,8 +487,6 @@ def converge_box_full(
             break
 
     records, origins = _build_records(params, e_neg, e_pos, converged, err)
-    t_base = assemble_dirac_matrix(params, base).tridiagonal()
-    state_map = _states_for(params, base, t_base, b_neg, b_pos)
     states = tuple(state_map.get(origin) for origin in origins)
     result = ConvergeResult(
         records=tuple(records), states=states, base_grid=base, rounds=rounds
@@ -484,11 +498,16 @@ def converge_box_full(
     return result
 
 
-def _round_pr(params, grid, e_neg, e_pos):
-    """Participation ratios of this round's states (tangent diagnostic)."""
-    t = assemble_dirac_matrix(params, grid).tridiagonal()
-    states = _states_for(params, grid, t, e_neg, e_pos)
+def _participation_ratios(states):
     return {key: st.participation_ratio for key, st in states.items()}
+
+
+def _round_pr(params, grid, e_neg, e_pos):
+    """Participation ratios of a round's states (tangent diagnostic), at the
+    raw eigenvalues of the round's own grid: inverse iteration then meets its
+    residual target in a sweep or two."""
+    t = assemble_dirac_matrix(params, grid).tridiagonal()
+    return _participation_ratios(_states_for(params, grid, t, e_neg, e_pos))
 
 
 def converge_box(
@@ -511,7 +530,8 @@ def localization_metrics(state: SpinorState, grid: Grid):
 def eigenvalue_count_in_window(
     params: PhysicalParams, grid: Grid, lo: float, hi: float
 ) -> int:
-    """Exact lattice eigenvalue count in (lo, hi] by Sturm counting (used by
-    the fermion-doubling audit: doublers would double it)."""
+    """Exact lattice eigenvalue count in [lo, hi) by the LAPACK Sturm count
+    (used by the fermion-doubling audit: doublers would double it)."""
     t = assemble_dirac_matrix(params, grid).tridiagonal()
-    return sturm_count(t, hi) - sturm_count(t, lo)
+    below_lo, below_hi = _counts_below(t, [lo, hi])
+    return int(below_hi - below_lo)

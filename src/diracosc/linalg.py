@@ -1,29 +1,32 @@
 """Symmetric tridiagonal eigensolver kernels.
 
-Production path (compiled LAPACK, from scipy's f2py module `_flapack`):
+Production path (compiled LAPACK, called through ctypes):
 
 * _indexed_eigenvalues: eigenvalues by sorted index, from one `dstebz` call
   (Sturm-sequence bisection, after W. Kahan, "Accurate eigenvalues of a
   symmetric tri-diagonal matrix", 1966) over the index range requested.
+* _counts_below: exact eigenvalue counts below given values, from the Sturm
+  count of `dlaebz`, which splits a lattice spectrum at E = 0.
 * tridiagonal_eigenvectors: inverse iteration whose shifted solves are
   `dgtsv` (tridiagonal LU with partial pivoting).
 
-`_flapack` is loaded by itself on first use. Importing `scipy.linalg` would
-run that package's init, which costs about 26 MB of peak RSS and 0.25 s, for
-two routines.
+The routines come from the C-API capsules of scipy's Cython module
+`cython_lapack`, loaded by itself on first use. Importing `scipy.linalg`
+would run that package's init, which costs about 26 MB of peak RSS and
+0.25 s, for three routines.
 
 In-repo oracle, written against numpy arrays with a Python loop over the
 matrix dimension and vectorized over a batch of lambda values:
 
 * eigen_ql: implicit-shift QL, for small matrices and cross-validation.
-* sturm_count / eigen_bisect: Sturm counting plus bisection. sturm_count
-  also serves production, to split a lattice spectrum at E = 0.
+* sturm_count / eigen_bisect: Sturm counting plus bisection.
 
 The tests check the production path against the oracle to 1e-10 ||T||.
 """
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import math
@@ -172,24 +175,6 @@ def _sturm_counts(t: Tridiagonal, lams: np.ndarray) -> np.ndarray:
     """Number of eigenvalues strictly below each lambda (batched)."""
     lams = np.asarray(lams, dtype=float)
     floor = _pivot_floor(t)
-    if 0 < lams.size <= 4:
-        # python floats beat numpy on a batch this small
-        d = t.d.tolist()
-        rows = list(zip(d[1:], (t.e * t.e).tolist()))
-        out = np.empty(lams.size, dtype=np.int64)
-        for j, lam in enumerate(lams.tolist()):
-            q = d[0] - lam
-            if -floor < q < floor:
-                q = -floor if q < 0.0 else floor
-            cnt = 1 if q < 0.0 else 0
-            for di, ei in rows:
-                q = di - lam - ei / q
-                if -floor < q < floor:
-                    q = -floor if q < 0.0 else floor
-                if q < 0.0:
-                    cnt += 1
-            out[j] = cnt
-        return out
     d = t.d
     esq = t.e * t.e
     q = d[0] - lams
@@ -248,32 +233,85 @@ def eigen_bisect(t: Tridiagonal, k_lo: int, k_hi: int) -> np.ndarray:
     return 0.5 * (a + b)
 
 
-_FLAPACK = None
+_CYTHON_LAPACK = None
+_ROUTINES: dict = {}
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi)
+)
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
 
 
-def _lapack():
-    """scipy's f2py LAPACK module, loaded alone on first use (see the module
-    docstring for why `scipy.linalg` is not imported)."""
-    global _FLAPACK
-    if _FLAPACK is None:
+def _cython_lapack():
+    """scipy's Cython LAPACK module, loaded alone on first use (see the
+    module docstring for why `scipy.linalg` is not imported)."""
+    global _CYTHON_LAPACK
+    if _CYTHON_LAPACK is None:
         scipy_spec = importlib.util.find_spec("scipy")
         if scipy_spec is None or not scipy_spec.submodule_search_locations:
             raise ImportError("scipy is required for the LAPACK eigensolver")
         where = [
             os.path.join(loc, "linalg") for loc in scipy_spec.submodule_search_locations
         ]
-        spec = importlib.machinery.PathFinder.find_spec("_flapack", where)
+        spec = importlib.machinery.PathFinder.find_spec("cython_lapack", where)
         if spec is None:
-            raise ImportError("scipy's compiled LAPACK module _flapack was not found")
+            raise ImportError("scipy's compiled module cython_lapack was not found")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        _FLAPACK = module
-    return _FLAPACK
+        _CYTHON_LAPACK = module
+    return _CYTHON_LAPACK
+
+
+# argument types of the C prototypes, by their last "_"-separated token
+# (cython_lapack's double is a typedef ending in "_d")
+_ARG_DTYPES = {"int *": np.dtype(np.intc), "char *": np.dtype("S1"), "d *": np.dtype(float)}
+
+
+def _lapack(name: str):
+    """LAPACK routine `name` from the C-API capsule cython_lapack exports for
+    it: (ctypes function taking every argument by address, dtype of each
+    argument)."""
+    routine = _ROUTINES.get(name)
+    if routine is None:
+        capsule = _cython_lapack().__pyx_capi__[name]
+        # the capsule's name is the C prototype, "void (int *, double *, ...)"
+        prototype = _capsule_name(capsule)
+        address = _capsule_pointer(capsule, prototype)
+        args = prototype.decode()[len("void ("):-1].split(", ")
+        dtypes = tuple(_ARG_DTYPES[arg.rsplit("_", 1)[-1]] for arg in args)
+        fn = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * len(args))(address)
+        routine = _ROUTINES[name] = (fn, dtypes)
+    return routine
+
+
+def _call(name: str, *args: np.ndarray) -> None:
+    """Call LAPACK `name` with numpy arrays as its arguments (scalars travel
+    as one-element arrays). Each must be Fortran-contiguous and of its
+    argument's type, since LAPACK sees only the address."""
+    fn, dtypes = _lapack(name)
+    if len(args) != len(dtypes) or not all(
+        a.dtype == dt and a.flags.f_contiguous for a, dt in zip(args, dtypes)
+    ):
+        raise TypeError(f"LAPACK {name} needs contiguous arrays of its argument types")
+    fn(*[a.ctypes.data for a in args])
+
+
+def _int(v: int) -> np.ndarray:
+    return np.array([v], dtype=np.intc)
+
+
+def _real(v: float) -> np.ndarray:
+    return np.array([v], dtype=float)
+
+
+def _char(c: str) -> np.ndarray:
+    return np.array([c.encode()], dtype="S1")
 
 
 def _lapack_offdiag(t: Tridiagonal) -> np.ndarray:
-    # the f2py wrappers want at least one off-diagonal entry, even at n = 1
-    return t.e if t.n > 1 else np.zeros(1)
+    # a valid address for the off-diagonal, even at n = 1
+    return np.ascontiguousarray(t.e) if t.n > 1 else np.zeros(1)
 
 
 def _indexed_eigenvalues(t: Tridiagonal, ks) -> np.ndarray:
@@ -287,18 +325,53 @@ def _indexed_eigenvalues(t: Tridiagonal, ks) -> np.ndarray:
     if not (np.all(ks >= 1) and np.all(ks <= n) and np.all(np.diff(ks) > 0)):
         raise ConfigError("eigenvalue indices must be sorted within 1..n")
     lo, hi = int(ks[0]), int(ks[-1])
-    # range 2 selects by index; order "E" sorts the range ascending. The
+    m, info = _int(0), _int(0)
+    w = np.empty(n)
+    # range "I" selects by index; order "E" sorts the range ascending. The
     # default tolerance, eps * ||T||, is 2e-10 relative on a reduced operator
     # with ||T|| ~ 1e7 (its 1/h^2 and W^2 near the tan walls); twice the
     # underflow threshold asks for full relative accuracy instead
-    m, w, _, _, info = _lapack().dstebz(
-        t.d, _lapack_offdiag(t), 2, 0.0, 0.0, lo, hi, _ABSTOL, "E"
+    _call(
+        "dstebz", _char("I"), _char("E"), _int(n), _real(0.0), _real(0.0),
+        _int(lo), _int(hi), _real(_ABSTOL), np.ascontiguousarray(t.d),
+        _lapack_offdiag(t), m, _int(0), w, np.empty(n, dtype=np.intc),
+        np.empty(n, dtype=np.intc), np.empty(4 * n), np.empty(3 * n, dtype=np.intc),
+        info,
     )
-    if info != 0 or m != hi - lo + 1:
+    if info[0] != 0 or m[0] != hi - lo + 1:
         raise ConvergenceError(
-            f"LAPACK dstebz returned {m} of eigenvalues {lo}..{hi} (info {info})"
+            f"LAPACK dstebz returned {m[0]} of eigenvalues {lo}..{hi} (info {info[0]})"
         )
     return w[ks - lo]
+
+
+def _counts_below(t: Tridiagonal, lams) -> np.ndarray:
+    """Exact number of eigenvalues strictly below each lambda, from the Sturm
+    count of LAPACK dlaebz (IJOB = 1), with dstebz's pivot guard.
+
+    dlaebz counts eigenvalues <= x, so the count is taken on -T: n minus the
+    eigenvalues of -T at or below -lambda. An eigenvalue equal to lambda thus
+    counts as not below, as in sturm_count (diag(1, 0, -1) has 1 eigenvalue
+    below 0). dlarrc, LAPACK's other Sturm count, has no pivot guard and
+    miscounts lattices with a zero diagonal (the massless kappa = 0 one)."""
+    lams = np.asarray(lams, dtype=float).ravel()
+    n, k = t.n, lams.size
+    e = _lapack_offdiag(t)
+    esq = e * e
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(esq)))
+    ab = np.empty((k, 2), order="F")
+    ab[:, 0] = ab[:, 1] = -lams
+    nab = np.empty((k, 2), dtype=np.intc, order="F")
+    info = _int(0)
+    _call(
+        "dlaebz", _int(1), _int(0), _int(n), _int(k), _int(k), _int(0),
+        _real(0.0), _real(0.0), _real(pivmin), -t.d, e, esq,
+        np.zeros(k, dtype=np.intc), ab, np.empty(k), _int(0), nab, np.empty(k),
+        np.empty(k, dtype=np.intc), info,
+    )
+    if info[0] != 0:
+        raise ConvergenceError(f"LAPACK dlaebz failed (info {info[0]})")
+    return n - nab[:, 0].astype(np.int64)
 
 
 def _solve_shifted(t: Tridiagonal, lams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -308,19 +381,21 @@ def _solve_shifted(t: Tridiagonal, lams: np.ndarray, rhs: np.ndarray) -> np.ndar
     grows it past 1e200, where its 2-norm would overflow. A shift that leaves
     the matrix exactly singular, or the solution overflowing, is moved off by
     eps * ||T|| and solved again."""
-    gtsv = _lapack().dgtsv
+    n = t.n
     guard = max(_EPS * t.norm_bound(), 1e-300)
     e = _lapack_offdiag(t)
-    z = np.empty((t.n, np.size(lams)))
+    z = np.empty((n, np.size(lams)))
     for j, lam in enumerate(np.asarray(lams, dtype=float).tolist()):
         for shift in (lam, lam + guard):
-            _, _, _, x, info = gtsv(e, t.d - shift, e, rhs[:, j : j + 1],
-                                    overwrite_d=1)
-            if info == 0 and np.all(np.isfinite(x)):
+            # dgtsv overwrites all three diagonals and solves in place
+            x, info = rhs[:, j].copy(), _int(0)
+            _call("dgtsv", _int(n), _int(1), e.copy(), t.d - shift, e.copy(), x,
+                  _int(n), info)
+            if info[0] == 0 and np.all(np.isfinite(x)):
                 break
         else:
             raise ConvergenceError(f"shifted solve failed at lambda = {lam!r}")
-        z[:, j] = x[:, 0] / np.max(np.abs(x))
+        z[:, j] = x / np.max(np.abs(x))
     return z
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from diracosc import dirac_solver, linalg
 from diracosc.dirac_solver import (
     assemble_dirac_matrix,
     converge_box_full,
@@ -203,6 +204,45 @@ def test_cached_result_cannot_be_emptied_by_a_caller():
     with pytest.raises(AttributeError):
         res.records.clear()
     assert len(converge_box_full(params, count=2, grid=grid).records) == 7
+
+
+@pytest.mark.parametrize(
+    "kappa,n,count,rounds,solves",
+    [(0.3, 300, 2, 1, 4), (1.4, 1000, 1, 3, 6)],
+)
+def test_each_grid_is_solved_once_per_convergence_run(monkeypatch, kappa, n, count, rounds, solves):
+    """The tan family refines in place, so a round's (h/2, h/4) grids are the
+    previous round's (h, h/2): 3 + rounds solves, not 3 (1 + rounds). The
+    per-round participation ratios run inverse iteration at the round grid's
+    own eigenvalues, which meets its residual target in at most 2 sweeps."""
+    dims, solves_so_far, sweeps = [], [0], []
+    real_eigs, real_solve, real_pr = (
+        dirac_solver._indexed_eigenvalues, linalg._solve_shifted, dirac_solver._round_pr
+    )
+
+    def eigs(t, ks):
+        dims.append(t.n)
+        return real_eigs(t, ks)
+
+    def solve(*args):
+        solves_so_far[0] += 1
+        return real_solve(*args)
+
+    def round_pr(*args):
+        before = solves_so_far[0]
+        out = real_pr(*args)
+        sweeps.append(solves_so_far[0] - before)
+        return out
+
+    monkeypatch.setattr(dirac_solver, "_CONVERGE_CACHE", {})
+    monkeypatch.setattr(dirac_solver, "_indexed_eigenvalues", eigs)
+    monkeypatch.setattr(linalg, "_solve_shifted", solve)
+    monkeypatch.setattr(dirac_solver, "_round_pr", round_pr)
+    params = tan_params(kappa)
+    res = converge_box_full(params, count=count, grid=default_grid(params, n=n))
+    assert res.rounds == rounds
+    assert len(dims) == len(set(dims)) == solves
+    assert len(sweeps) == rounds and max(sweeps) <= 2
 
 
 def test_supercritical_levels_all_unbound():

@@ -1,6 +1,7 @@
 """Tridiagonal eigensolver kernels: QL, Sturm counts, bisection, inverse
 iteration. Dual-route checks (QL vs bisection), and the production LAPACK
-path checked against that in-repo oracle on lattice matrices."""
+path (eigenvalues, counts, eigenvectors) checked against that in-repo oracle
+on lattice matrices."""
 
 import math
 import os
@@ -14,8 +15,9 @@ import diracosc
 from diracosc.dirac_solver import assemble_dirac_matrix, default_grid
 from diracosc.linalg import (
     Tridiagonal,
+    _call,
+    _counts_below,
     _indexed_eigenvalues,
-    _sturm_counts,
     eigen_bisect,
     eigen_ql,
     sturm_count,
@@ -107,17 +109,6 @@ def test_ql_vs_bisection_on_200_random_matrices():
     assert worst <= 1e-10
 
 
-def test_scalar_and_batched_sturm_paths_agree():
-    rng = np.random.default_rng(77)
-    for _ in range(25):
-        n = int(rng.integers(5, 80))
-        t = Tridiagonal(d=rng.uniform(-3, 3, n), e=rng.uniform(-1, 1, n - 1))
-        lams = rng.uniform(-4, 4, 3)
-        small = _sturm_counts(t, lams)  # scalar path (batch <= 4)
-        big = _sturm_counts(t, np.concatenate([lams, rng.uniform(-4, 4, 4)]))[:3]
-        assert np.array_equal(small, big)
-
-
 def test_inverse_iteration_residuals_and_determinism():
     rng = np.random.default_rng(99)
     t = Tridiagonal(d=rng.uniform(-2, 2, 300), e=rng.uniform(-1, 1, 299))
@@ -155,13 +146,14 @@ LATTICE_CASES = [
 ]
 
 
-def _params(family, kappa):
-    return linear_params(kappa) if family == "linear" else tan_params(kappa)
+def _params(family, kappa, mass=1.0):
+    return (linear_params(kappa, mass=mass) if family == "linear"
+            else tan_params(kappa, mass=mass))
 
 
-def _lattice_matrix(family, kappa, n):
-    params = _params(family, kappa)
-    return assemble_dirac_matrix(params, default_grid(params, n=n)).tridiagonal()
+def _lattice_matrix(family, kappa, n, mass=1.0, L=None):
+    params = _params(family, kappa, mass)
+    return assemble_dirac_matrix(params, default_grid(params, n=n, L=L)).tridiagonal()
 
 
 def _schrodinger_matrix(family, kappa, n, sigma):
@@ -206,6 +198,40 @@ def test_indexed_eigenvalues_match_bisection_on_schrodinger_matrices(family, kap
     _assert_matches_oracle(t, 1, 6)
 
 
+# (family, kappa, mass, grid.n, box half-width, eigenvalues below E = 0):
+# massless kappa = 0 lattices have a zero diagonal, so the Sturm recurrence
+# meets zero pivots; the supercritical ones split off-centre
+COUNT_CASES = [
+    ("linear", 0.0, 0.0, 2000, None, 2000),
+    ("tan", 0.0, 0.0, 2000, None, 2000),
+    ("linear", 0.0, 1.0, 2000, None, 2000),
+    ("linear", 0.9, 1.0, 2000, None, 2000),
+    ("tan", 0.9, 1.0, 2000, None, 2002),
+    ("linear", -1.5, 1.0, 4572, 20.0, 4563),
+    ("tan", 1.4, 1.0, 2000, None, 2005),
+]
+
+
+@pytest.mark.parametrize("family,kappa,mass,n,L,below", COUNT_CASES)
+def test_lapack_count_matches_sturm_count_on_lattice_matrices(family, kappa, mass, n, L, below):
+    t = _lattice_matrix(family, kappa, n, mass=mass, L=L)
+    assert int(_counts_below(t, [0.0])[0]) == sturm_count(t, 0.0) == below
+
+
+def test_lapack_count_pinned_examples():
+    # a zero eigenvalue is not below 0: a plain <= count would give 2
+    t = Tridiagonal(d=np.array([1.0, 0.0, -1.0]), e=np.zeros(2))
+    assert np.array_equal(_counts_below(t, [0.0]), [1])
+    one = Tridiagonal(d=np.array([5.0]), e=np.zeros(0))
+    assert np.array_equal(_counts_below(one, [4.0, 5.0, 6.0]), [0, 0, 1])
+    rng = np.random.default_rng(5)
+    for _ in range(25):
+        n = int(rng.integers(2, 80))
+        t = Tridiagonal(d=rng.uniform(-3, 3, n), e=rng.uniform(-1, 1, n - 1))
+        lams = rng.uniform(-4, 4, 5)
+        assert _counts_below(t, lams).tolist() == [sturm_count(t, x) for x in lams]
+
+
 def test_lapack_path_pinned_examples():
     one = Tridiagonal(d=np.array([5.0]), e=np.zeros(0))
     assert np.array_equal(_indexed_eigenvalues(one, [1]), [5.0])
@@ -215,18 +241,43 @@ def test_lapack_path_pinned_examples():
         _indexed_eigenvalues(laplacian(4), [3, 2])
 
 
+def test_lapack_call_refuses_mistyped_arguments():
+    # LAPACK sees only addresses: a wrong type or a strided array is refused
+    # before the call, a right one solves [[2, 1], [1, 2]] x = (3, 3)
+    def args(d):
+        two, one = np.array([2], dtype=np.intc), np.array([1], dtype=np.intc)
+        return two, one, np.ones(1), d, np.ones(1), np.full(2, 3.0), two.copy(), one.copy()
+
+    with pytest.raises(TypeError):
+        _call("dgtsv", *args(np.full(2, 2.0, dtype=np.float32)))
+    with pytest.raises(TypeError):
+        _call("dgtsv", *args(np.full(4, 2.0)[::2]))
+    with pytest.raises(TypeError):
+        _call("dgtsv", *args(np.full(2, 2.0))[:-1])
+    good = args(np.full(2, 2.0))
+    _call("dgtsv", *good)
+    assert good[-1][0] == 0 and np.allclose(good[5], [1.0, 1.0], atol=1e-15)
+
+
 def test_lattice_solve_leaves_scipy_linalg_unimported():
     """The LAPACK routines come from scipy's compiled module alone: importing
-    scipy.linalg would add about 26 MB of peak RSS and 0.25 s per process."""
+    scipy.linalg would add about 26 MB of peak RSS and 0.25 s per process.
+    A linear and a tan run between them call every routine the package
+    loads (the tan one also in its per-round participation ratios)."""
     code = (
         "import sys\n"
         "from diracosc import linalg\n"
-        "from diracosc.dirac_solver import converge_box_full\n"
+        "from diracosc.dirac_solver import converge_box_full, default_grid\n"
         "from diracosc.model import Grid, PhysicalParams, Superpotential\n"
         "params = PhysicalParams(mass=1.0, kappa=0.3,"
         " superpotential=Superpotential.linear(1.0))\n"
         "res = converge_box_full(params, 2, grid=Grid(half_width=10.0, n=300))\n"
-        "assert res.records and linalg._FLAPACK is not None\n"
+        "assert res.records\n"
+        "params = PhysicalParams(mass=1.0, kappa=0.3,"
+        " superpotential=Superpotential.tangent(5.0))\n"
+        "res = converge_box_full(params, 2, grid=default_grid(params, n=300))\n"
+        "assert res.records and res.rounds >= 1\n"
+        "assert sorted(linalg._ROUTINES) == ['dgtsv', 'dlaebz', 'dstebz']\n"
         "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(diracosc.__file__)))
