@@ -28,9 +28,8 @@ from .analytic import (
 )
 from .dirac_solver import (
     assemble_dirac_matrix,
-    converge_box,
+    converge_box_full,
     dirac_spectrum,
-    localization_metrics,
 )
 from .errors import (
     BracketError,

@@ -50,12 +50,11 @@ from typing import NamedTuple
 
 from .errors import (
     ConvergenceError,
-    CriticalFieldError,
     DomainError,
     IndexOutOfRangeError,
     NoRealEnergyError,
 )
-from .model import Family, LevelIndex, PhysicalParams, SpectrumRecord
+from .model import Family, LevelIndex, PhysicalParams, SpectrumRecord, require_subcritical
 
 __all__ = [
     "BoundStateDomain",
@@ -89,14 +88,6 @@ def bound_state_domain(kappa: float) -> BoundStateDomain:
     return BoundStateDomain.UNBOUND
 
 
-def _require_subcritical(kappa: float) -> float:
-    if not abs(kappa) < 1.0:
-        raise CriticalFieldError(
-            f"no bound analytic levels at |kappa| = {abs(kappa)} >= 1"
-        )
-    return 1.0 - kappa * kappa
-
-
 class LevelPair(NamedTuple):
     E_plus: float
     E_minus: float
@@ -127,7 +118,7 @@ def spectrum_linear(m: float, w1: float, kappa: float, idx: LevelIndex) -> Level
     E = +-sqrt((1-kappa^2)(2 w1 sqrt(1-kappa^2) n_sigma + m^2)); the two
     branches are exact negatives. Raises CriticalFieldError for |kappa|>=1.
     """
-    omk = _require_subcritical(kappa)
+    omk = require_subcritical(kappa)
     if not w1 > 0.0:
         raise DomainError(f"linear slope must be positive, got {w1}")
     e2 = omk * (linear_epsilon(w1, kappa, idx.n_sigma) + m * m)
@@ -136,7 +127,7 @@ def spectrum_linear(m: float, w1: float, kappa: float, idx: LevelIndex) -> Level
 
 
 def _tan_E2(m: float, alpha0: float, kappa: float, n_sigma: int) -> float:
-    omk = _require_subcritical(kappa)
+    omk = require_subcritical(kappa)
     alpha = alpha0 * math.sqrt(omk)
     if not n_sigma < alpha:
         raise IndexOutOfRangeError(
@@ -216,7 +207,7 @@ def full_spectrum(params: PhysicalParams, max_n: int) -> list[SpectrumRecord]:
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    _require_subcritical(params.kappa)
+    require_subcritical(params.kappa)
     omk = 1.0 - params.kappa**2
     m = params.mass
     records = []

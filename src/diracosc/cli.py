@@ -58,6 +58,7 @@ from .model import (
     SpectrumRecord,
     Superpotential,
     build_grid,
+    require_subcritical,
 )
 
 __all__ = [
@@ -285,10 +286,7 @@ def _analytic_records(params, max_n):
 
 
 def _susy_records(params, grid, max_n):
-    if abs(params.kappa) >= 1.0:
-        raise CriticalFieldError(
-            f"|kappa| = {abs(params.kappa)} >= 1: no bound states on this route"
-        )
+    require_subcritical(params.kappa)
     sp = params.superpotential
     if sp.family is Family.TABULATED:
         indices = [(-1, n) for n in range(max_n + 1)] + [(1, n) for n in range(max_n)]
@@ -389,9 +387,9 @@ def _verify_checks(cfg: RunConfig):
     max_n = min(cfg.levels - 1, 4)
     ana = _analytic_records(params, max_n)
     susy = _susy_records(params, grid, max_n)
-    dirac = dirac_solver.converge_box(
+    dirac = dirac_solver.converge_box_full(
         params, count=max_n + 1, tol=cfg.tolerance, grid=grid
-    )
+    ).records
     checks = []
 
     def keyed(records):

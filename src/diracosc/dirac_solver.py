@@ -37,6 +37,7 @@ superpotentials get per-branch ordinal labels instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,17 +59,13 @@ from .model import (
     SpinorState,
     build_grid,
     eval_superpotential,
-    localization_of,
 )
 
 __all__ = [
-    "DiracMatrix",
     "assemble_dirac_matrix",
     "dirac_spectrum",
-    "converge_box",
     "converge_box_full",
     "ConvergeResult",
-    "localization_metrics",
     "eigenvalue_count_in_window",
     "default_grid",
 ]
@@ -92,39 +89,9 @@ def default_grid(params: PhysicalParams, n: int = DEFAULT_N, L: float | None = N
     return build_grid(DEFAULT_L if L is None else L, n, family)
 
 
-@dataclass(frozen=True)
-class DiracMatrix:
-    """Assembled lattice operator (interleaved storage, tridiagonal)."""
-
-    matrix: Tridiagonal
-    grid: Grid
-    params: PhysicalParams
-
-    def tridiagonal(self) -> Tridiagonal:
-        return self.matrix
-
-    def offdiag_block(self) -> np.ndarray:
-        """Dense N x N upper-right block B = diag(W) - D_forward (for
-        inspection and structural tests; the solver never materializes it)."""
-        n = self.grid.n
-        h = self.grid.h
-        w = eval_superpotential(self.params.superpotential, self.grid.x)[0]
-        b = np.diag(w + 1.0 / h)
-        idx = np.arange(n - 1)
-        b[idx, idx + 1] = -1.0 / h
-        return b
-
-    def diagonal_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonals of the upper-left (m+U) and lower-right (-m+U) blocks."""
-        u = self.params.kappa * eval_superpotential(
-            self.params.superpotential, self.grid.x
-        )[0]
-        m = self.params.mass
-        return m + u, -m + u
-
-
-def assemble_dirac_matrix(params: PhysicalParams, grid: Grid) -> DiracMatrix:
-    """2N x 2N real symmetric lattice operator with Dirichlet walls.
+def assemble_dirac_matrix(params: PhysicalParams, grid: Grid) -> Tridiagonal:
+    """2N x 2N real symmetric lattice operator with Dirichlet walls, in the
+    interleaved tridiagonal storage described above.
 
     Raises DomainError if the grid leaves the superpotential's domain.
     """
@@ -139,7 +106,7 @@ def assemble_dirac_matrix(params: PhysicalParams, grid: Grid) -> DiracMatrix:
     e = np.empty(2 * n - 1)
     e[0::2] = w + 1.0 / h
     e[1::2] = -1.0 / h
-    return DiracMatrix(matrix=Tridiagonal(d, e), grid=grid, params=params)
+    return Tridiagonal(d, e)
 
 
 def _lattice_eigenvalues(params, grid, count):
@@ -149,7 +116,7 @@ def _lattice_eigenvalues(params, grid, count):
     first), E_neg descending (closest to zero first). Zero eigenvalues land on
     the positive side.
     """
-    t = assemble_dirac_matrix(params, grid).tridiagonal()
+    t = assemble_dirac_matrix(params, grid)
     c0 = int(_counts_below(t, [0.0])[0])
     k_neg = np.arange(max(c0 - count + 1, 1), c0 + 1, dtype=np.int64)
     k_pos = np.arange(c0 + 1, min(c0 + count, t.n) + 1, dtype=np.int64)
@@ -261,44 +228,25 @@ def _states_for(params, grid, t, e_neg, e_pos):
     return states
 
 
-def dirac_spectrum(params: PhysicalParams, grid: Grid, count: int, refine: int = 0):
-    """The `count` smallest-|E| eigenpairs of each sign, as (record, state)
-    pairs sorted by |E| (records expanded per label view; aliased records
-    share one state). converged=False on every record: box convergence is a
-    separate step (converge_box).
-
-    refine adds that many nested half-spacing grids and Richardson-combines
-    the eigenvalues, cancelling the split-difference scheme's leading error
-    terms; eigenvectors are then sampled on the finest grid at its own raw
-    eigenvalues.
+def dirac_spectrum(params: PhysicalParams, grid: Grid, count: int):
+    """The `count` smallest-|E| eigenpairs of each sign on one grid, as
+    (record, state) pairs sorted by |E| (records expanded per label view;
+    aliased records share one state). converged=False on every record:
+    Richardson extrapolation and box convergence are converge_box_full's job.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if refine not in (0, 1, 2):
-        raise ValueError("refine must be 0, 1, or 2")
-    if refine == 0:
-        t, e_neg, e_pos = _lattice_eigenvalues(params, grid, count)
-        records, origins = _build_records(params, e_neg, e_pos)
-        states = _states_for(params, grid, t, e_neg, e_pos)
-        return [(rec, states[origin]) for rec, origin in zip(records, origins)]
-    e_neg, e_pos, _, raw = _richardson_levels(
-        params, grid, count, DEFAULT_DIM_CAP, depth=refine + 1
-    )
-    fine = _refined_grid(grid, len(raw) - 1)
-    raw_neg, raw_pos = raw[-1]
-    t = assemble_dirac_matrix(params, fine).tridiagonal()
+    t, e_neg, e_pos = _lattice_eigenvalues(params, grid, count)
     records, origins = _build_records(params, e_neg, e_pos)
-    states = _states_for(
-        params, fine, t, raw_neg[: len(e_neg)], raw_pos[: len(e_pos)]
-    )
+    states = _states_for(params, grid, t, e_neg, e_pos)
     return [(rec, states[origin]) for rec, origin in zip(records, origins)]
 
 
 @dataclass(frozen=True)
 class ConvergeResult:
-    """converge_box output: records (converged flags and error estimates set),
-    states sampled on the caller's base grid, that grid, and the number of
-    refinement rounds actually run. Tuples, since results are cached and
+    """converge_box_full output: records (converged flags and error estimates
+    set), states sampled on the caller's base grid, that grid, and the number
+    of refinement rounds actually run. Tuples, since results are cached and
     shared between callers."""
 
     records: tuple
@@ -315,23 +263,21 @@ def _refined_grid(grid: Grid, factor_log2: int) -> Grid:
     return Grid(half_width=grid.half_width, n=n)
 
 
-def _richardson_levels(params, grid, count, dim_cap, depth=3, solved=None):
+def _richardson_levels(params, grid, count, dim_cap, solved):
     """Eigenvalues on (h, h/2, h/4) grids combined as (8 E3 - 6 E2 + E1)/3,
     which cancels both the h and h^2 error terms of the split-difference
     scheme. Degrades to a two-grid or single-grid estimate near the dimension
-    cap (or when depth < 3). Returns (E_neg, E_pos, scheme_used, raw), raw
-    holding the (E_neg, E_pos) of each grid used, coarsest first.
+    cap. Returns (E_neg, E_pos, scheme_used, raw), raw holding the
+    (E_neg, E_pos) of each grid used, coarsest first.
 
     `solved` maps (half_width, n) to a grid's (E_neg, E_pos); grids found
     there are not solved again, and new solutions are added to it."""
-    grids = [_refined_grid(grid, k) for k in range(depth)]
+    grids = [_refined_grid(grid, k) for k in range(3)]
     grids = [g for g in grids if 2 * g.n <= dim_cap]
     if not grids:
         raise ResourceError(
             f"grid with 2N = {2 * grid.n} exceeds the dimension cap {dim_cap}"
         )
-    if solved is None:
-        solved = {}
     sols = []
     for g in grids:
         key = (g.half_width, g.n)
@@ -377,31 +323,6 @@ def _doubled_box(params: PhysicalParams, cur: Grid) -> Grid:
     return Grid(half_width=half, n=max(2 * cur.n, n_valid))
 
 
-# a few entries: a session revisits the configuration it is working on, and
-# each entry holds its states, about 1 MB at grid.n 2000
-_CONVERGE_CACHE: dict = {}
-_CONVERGE_CACHE_SIZE = 4
-
-
-def _cache_key(params, count, tol, grid, max_doublings, dim_cap):
-    sp = params.superpotential
-    if sp.family is Family.TABULATED:
-        return None
-    return (
-        sp.family,
-        sp.w1,
-        sp.alpha0,
-        params.mass,
-        params.kappa,
-        count,
-        tol,
-        grid.half_width,
-        grid.n,
-        max_doublings,
-        dim_cap,
-    )
-
-
 def converge_box_full(
     params: PhysicalParams,
     count: int,
@@ -428,13 +349,20 @@ def converge_box_full(
     if count < 1:
         raise ValueError("count must be >= 1")
     base = grid if grid is not None else default_grid(params)
-    key = _cache_key(params, count, tol, base, max_doublings, dim_cap)
-    if key is not None and key in _CONVERGE_CACHE:
-        return _CONVERGE_CACHE[key]
     if 2 * base.n > dim_cap:
         raise ResourceError(
             f"initial grid with 2N = {2 * base.n} exceeds the dimension cap {dim_cap}"
         )
+    # positional and with its defaults resolved, so that equivalent calls
+    # share one cache key; table arrays do not hash, so tables are not cached
+    args = (params, count, tol, base, max_doublings, dim_cap)
+    if params.superpotential.family is Family.TABULATED:
+        return _converge(*args)
+    return _converge_cached(*args)
+
+
+def _converge(params, count, tol, base, max_doublings, dim_cap):
+    """converge_box_full's refinement loop, on checked and resolved arguments."""
     family = params.superpotential.family
     lo, hi = params.superpotential.domain
     grow_box = math.isinf(hi) and math.isinf(lo)
@@ -443,8 +371,8 @@ def converge_box_full(
     # the previous round's (h, h/2): each grid is solved once per call
     solved: dict = {}
     cur = base
-    e_neg, e_pos, _, raw = _richardson_levels(params, cur, count, dim_cap, solved=solved)
-    t_base = assemble_dirac_matrix(params, base).tridiagonal()
+    e_neg, e_pos, _, raw = _richardson_levels(params, cur, count, dim_cap, solved)
+    t_base = assemble_dirac_matrix(params, base)
     state_map = _states_for(params, base, t_base, *raw[0])
     prev_pr = _participation_ratios(state_map) if family is Family.TANGENT else None
     converged = {(-1, j): False for j in range(len(e_neg))}
@@ -461,9 +389,7 @@ def converge_box_full(
         if 2 * _refined_grid(nxt, 2).n > dim_cap:
             break
         try:
-            n_neg, n_pos, _, raw = _richardson_levels(
-                params, nxt, count, dim_cap, solved=solved
-            )
+            n_neg, n_pos, _, raw = _richardson_levels(params, nxt, count, dim_cap, solved)
         except ResourceError:
             break
         rounds += 1
@@ -488,14 +414,14 @@ def converge_box_full(
 
     records, origins = _build_records(params, e_neg, e_pos, converged, err)
     states = tuple(state_map.get(origin) for origin in origins)
-    result = ConvergeResult(
+    return ConvergeResult(
         records=tuple(records), states=states, base_grid=base, rounds=rounds
     )
-    if key is not None:
-        if len(_CONVERGE_CACHE) >= _CONVERGE_CACHE_SIZE:
-            _CONVERGE_CACHE.pop(next(iter(_CONVERGE_CACHE)))
-        _CONVERGE_CACHE[key] = result
-    return result
+
+
+# a few entries: a session revisits the configuration it is working on, and
+# each entry holds its states, about 1 MB at grid.n 2000
+_converge_cached = functools.lru_cache(maxsize=4)(_converge)
 
 
 def _participation_ratios(states):
@@ -506,25 +432,8 @@ def _round_pr(params, grid, e_neg, e_pos):
     """Participation ratios of a round's states (tangent diagnostic), at the
     raw eigenvalues of the round's own grid: inverse iteration then meets its
     residual target in a sweep or two."""
-    t = assemble_dirac_matrix(params, grid).tridiagonal()
+    t = assemble_dirac_matrix(params, grid)
     return _participation_ratios(_states_for(params, grid, t, e_neg, e_pos))
-
-
-def converge_box(
-    params: PhysicalParams,
-    count: int,
-    tol: float = 1e-6,
-    grid: Grid | None = None,
-    max_doublings: int = DEFAULT_MAX_DOUBLINGS,
-    dim_cap: int = DEFAULT_DIM_CAP,
-):
-    """Spectrum records with convergence flags set (see converge_box_full)."""
-    return converge_box_full(params, count, tol, grid, max_doublings, dim_cap).records
-
-
-def localization_metrics(state: SpinorState, grid: Grid):
-    """(participation ratio, rms width) of a normalized state on its grid."""
-    return localization_of(state.psi1, state.psi2, grid.x, grid.h)
 
 
 def eigenvalue_count_in_window(
@@ -532,6 +441,6 @@ def eigenvalue_count_in_window(
 ) -> int:
     """Exact lattice eigenvalue count in [lo, hi) by the LAPACK Sturm count
     (used by the fermion-doubling audit: doublers would double it)."""
-    t = assemble_dirac_matrix(params, grid).tridiagonal()
+    t = assemble_dirac_matrix(params, grid)
     below_lo, below_hi = _counts_below(t, [lo, hi])
     return int(below_hi - below_lo)

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, CriticalFieldError, DomainError
 
 __all__ = [
     "Family",
@@ -34,6 +34,7 @@ __all__ = [
     "SpinorState",
     "eval_superpotential",
     "potential_energy",
+    "require_subcritical",
     "build_grid",
 ]
 
@@ -168,9 +169,20 @@ def eval_superpotential(sp: Superpotential, x):
 
 
 def potential_energy(sp: Superpotential, kappa: float, x):
-    """U(x) = kappa * W(x) (the only place the electric field enters)."""
+    """U(x) = kappa * W(x). The lattice assembly and the spinor
+    reconstruction form the same product inline from the W they already
+    evaluate; this is the stand-alone form."""
     w = eval_superpotential(sp, x)[0]
     return kappa * w
+
+
+def require_subcritical(kappa: float) -> float:
+    """1 - kappa^2 for a subcritical coupling; raises CriticalFieldError at
+    |kappa| >= 1, where the closed-form and reduction routes have no bound
+    levels."""
+    if not abs(kappa) < 1.0:
+        raise CriticalFieldError(f"no bound states at |kappa| = {abs(kappa)} >= 1")
+    return 1.0 - kappa * kappa
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ reduction exists (consistent with the absence of bound states there).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -34,7 +35,6 @@ from . import analytic
 from .dirac_solver import default_grid
 from .errors import (
     BracketError,
-    CriticalFieldError,
     DegenerateStateError,
     DomainError,
     NoRealEnergyError,
@@ -48,6 +48,7 @@ from .model import (
     SpinorState,
     Superpotential,
     eval_superpotential,
+    require_subcritical,
 )
 
 __all__ = [
@@ -63,16 +64,6 @@ __all__ = [
     "reconstruct_spinor",
     "susy_state",
 ]
-
-
-def _require_subcritical(kappa: float) -> float:
-    if not abs(kappa) < 1.0:
-        raise CriticalFieldError(
-            f"spin reduction undefined at |kappa| = {abs(kappa)} >= 1: the "
-            "spin matrix is defective at the critical coupling and its "
-            "eigenvalues are imaginary beyond it"
-        )
-    return 1.0 - kappa * kappa
 
 
 @dataclass(frozen=True)
@@ -98,7 +89,7 @@ def spin_eigensystem(kappa: float) -> tuple[SpinEigenpair, SpinEigenpair]:
 
     Raises CriticalFieldError for |kappa| >= 1.
     """
-    omk = _require_subcritical(kappa)
+    omk = require_subcritical(kappa)
     out = []
     for sigma in (1, -1):
         lam = sigma * math.sqrt(omk)
@@ -163,7 +154,7 @@ def effective_superpotential(
     """Instantiate Weff = sqrt(1-kappa^2) (W + kappa E/(1-kappa^2)) with the
     family-specific parameters filled in. Raises CriticalFieldError for
     |kappa| >= 1."""
-    omk = _require_subcritical(kappa)
+    omk = require_subcritical(kappa)
     scale = math.sqrt(omk)
     offset = kappa * E / scale
     slope = x0 = alpha = beta = None
@@ -181,7 +172,7 @@ def effective_superpotential(
 
 def epsilon_from_E(E: float, kappa: float, m: float) -> float:
     """Reduced-problem eigenvalue from an energy: E^2/(1-kappa^2) - m^2."""
-    omk = _require_subcritical(kappa)
+    omk = require_subcritical(kappa)
     return E * E / omk - m * m
 
 
@@ -189,7 +180,7 @@ def E_from_epsilon(epsilon: float, kappa: float, m: float) -> tuple[float, float
     """Energies (+E, -E) from a reduced eigenvalue; inverse of
     epsilon_from_E to 1e-12 relative. Raises NoRealEnergyError when
     epsilon + m^2 < 0."""
-    omk = _require_subcritical(kappa)
+    omk = require_subcritical(kappa)
     s = epsilon + m * m
     if s < 0.0:
         raise NoRealEnergyError(
@@ -224,7 +215,7 @@ def squared_form_potential(
     Independent of the Weff route: expanding Weff^2 + sigma Weff' must
     reproduce this plus the constant kappa^2 E^2/(1-kappa^2), which is the
     pointwise identity the tests pin."""
-    omk = _require_subcritical(kappa)
+    omk = require_subcritical(kappa)
     w, wp = eval_superpotential(sp, x)
     return omk * w * w + 2.0 * E * kappa * w + sigma * math.sqrt(omk) * wp
 
@@ -339,21 +330,6 @@ def _solve_branch(params, sigma, n, grid, branch):
     return e1, abs(b - a)
 
 
-# enough for the levels of the configuration a session is working on
-_SOLVE_CACHE: dict = {}
-_SOLVE_CACHE_SIZE = 16
-
-
-def _solve_key(params, sigma, n, grid):
-    sp = params.superpotential
-    if sp.family is Family.TABULATED:
-        return None
-    return (
-        sp.family, sp.w1, sp.alpha0, params.mass, params.kappa,
-        sigma, n, grid.half_width, grid.n,
-    )
-
-
 def solve_nonlinear_level(
     params: PhysicalParams, sigma: int, n: int, grid: Grid | None = None
 ) -> tuple[SpectrumRecord, SpectrumRecord]:
@@ -371,7 +347,7 @@ def solve_nonlinear_level(
     Raises CriticalFieldError for |kappa| >= 1 and BracketError when the
     search window contains no sign change (no such bound level).
     """
-    _require_subcritical(params.kappa)
+    require_subcritical(params.kappa)
     if sigma not in (-1, 1):
         raise ValueError("sigma must be -1 or +1")
     if n < 0:
@@ -381,9 +357,15 @@ def solve_nonlinear_level(
         # extrapolation in _solve_branch recovers the lost order
         base = default_grid(params)
         grid = Grid(half_width=base.half_width, n=2000)
-    key = _solve_key(params, sigma, n, grid)
-    if key is not None and key in _SOLVE_CACHE:
-        return _SOLVE_CACHE[key]
+    # positional and with the grid resolved, so that equivalent calls share
+    # one cache key; table arrays do not hash, so tables are not cached
+    if params.superpotential.family is Family.TABULATED:
+        return _solve_level(params, sigma, n, grid)
+    return _solve_level_cached(params, sigma, n, grid)
+
+
+def _solve_level(params, sigma, n, grid):
+    """solve_nonlinear_level's two branch solves, on checked arguments."""
     omk = 1.0 - params.kappa**2
     records = []
     for branch in (1, -1):
@@ -401,12 +383,11 @@ def solve_nonlinear_level(
                 err_est=err,
             )
         )
-    result = (records[0], records[1])
-    if key is not None:
-        if len(_SOLVE_CACHE) >= _SOLVE_CACHE_SIZE:
-            _SOLVE_CACHE.pop(next(iter(_SOLVE_CACHE)))
-        _SOLVE_CACHE[key] = result
-    return result
+    return records[0], records[1]
+
+
+# enough for the levels of the configuration a session is working on
+_solve_level_cached = functools.lru_cache(maxsize=16)(_solve_level)
 
 
 def _centered_derivative(f: np.ndarray, h: float) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 Tests that need a converged spectrum use the same canonical calls: linear
 families with count=8, tan families with count=5, tol=1e-6, default grid.
-The library caches only its last 4 lattice convergence runs and 16 level
-solves, keyed on the exact call signature, so a repeated call is served from
-the cache only while few other calls come between; module-scoped fixtures
-hold the results a test module shares.
+The library keeps its 4 least recently used lattice convergence runs and 16
+level solves, keyed on the call after its defaults are resolved (a default
+passed explicitly is the same call), so a repeated call is served from the
+cache only while few other calls come between; module-scoped fixtures hold
+the results a test module shares.
 """
 
 from diracosc.model import PhysicalParams, Superpotential

@@ -1,7 +1,7 @@
 """Closed-form spectra, index bookkeeping, degeneracy pairing.
 
 The trigonometric-family oracle is the direct lattice route: frozen values
-below come from converge_box at defaults (Richardson-extrapolated, reported
+below come from converge_box_full at defaults (Richardson-extrapolated, reported
 err_est <= 7e-9), regenerated whenever the lattice scheme changes.
 """
 

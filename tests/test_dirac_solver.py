@@ -12,7 +12,6 @@ from diracosc.dirac_solver import (
     default_grid,
     dirac_spectrum,
     eigenvalue_count_in_window,
-    localization_metrics,
 )
 from diracosc.errors import DomainError, ResourceError
 from diracosc.model import Grid, PhysicalParams, Superpotential
@@ -40,17 +39,12 @@ def positive_levels(records):
 
 def test_block_assembly_two_site_example():
     # h = 2*1.5/3 = 1, nodes x = (-0.5, +0.5), so W = (-0.5, +0.5)
+    # blocks: m+U = (0.5, 0.5), -m+U = (-0.5, -0.5), B = [[0.5, -1], [0, 1.5]]
     params = PhysicalParams(mass=0.5, kappa=0.0, superpotential=Superpotential.linear(1.0))
-    mat = assemble_dirac_matrix(params, Grid(half_width=1.5, n=2))
-    assert mat.grid.h == pytest.approx(1.0, abs=1e-15)
-    np.testing.assert_allclose(
-        mat.offdiag_block(), [[0.5, -1.0], [0.0, 1.5]], atol=1e-15
-    )
-    upper, lower = mat.diagonal_blocks()
-    np.testing.assert_allclose(upper, [0.5, 0.5], atol=1e-15)
-    np.testing.assert_allclose(lower, [-0.5, -0.5], atol=1e-15)
+    grid = Grid(half_width=1.5, n=2)
+    assert grid.h == pytest.approx(1.0, abs=1e-15)
     # interleaved tridiagonal storage of the same operator
-    t = mat.tridiagonal()
+    t = assemble_dirac_matrix(params, grid)
     np.testing.assert_allclose(t.d, [-0.5, 0.5, -0.5, 0.5], atol=1e-15)
     np.testing.assert_allclose(t.e, [0.5, -1.0, 1.5], atol=1e-15)
 
@@ -65,7 +59,7 @@ def test_matrix_equals_transpose_exactly(kappa, family):
             mass=1.0, kappa=kappa, superpotential=Superpotential.tangent(5.0)
         )
         grid = default_grid(params, n=37)
-    dense = assemble_dirac_matrix(params, grid).tridiagonal().to_dense()
+    dense = assemble_dirac_matrix(params, grid).to_dense()
     assert np.array_equal(dense, dense.T)
 
 
@@ -94,23 +88,20 @@ def test_free_particle_box_dispersion():
 # ---------------------------------------------------------------- spectra
 
 
-def test_spectrum_matches_closed_form_at_zero_coupling():
-    params = linear_params(0.0)
-    pairs = dirac_spectrum(params, default_grid(params), 4, refine=2)
-    pos = sorted({r.E for r, _ in pairs if r.branch > 0})
+def test_spectrum_matches_closed_form_at_zero_coupling(converged_k0):
+    pos = sorted({r.E for r in converged_k0.records if r.branch > 0})
     for val, exact in zip(pos, [1.0, math.sqrt(3), math.sqrt(5), math.sqrt(7)]):
         assert val == pytest.approx(exact, rel=1e-5)
 
 
-def test_spectrum_shows_degenerate_pairs():
-    params = linear_params(0.6)
-    pairs = dirac_spectrum(params, default_grid(params), 3, refine=2)
-    pos = positive_levels([r for r, _ in pairs])
+def test_spectrum_shows_degenerate_pairs(converged_k06):
+    records = converged_k06.records
+    pos = positive_levels(records)[:5]
     expected = [0.8, 1.289961, 1.289961, 1.639512, 1.639512]
     np.testing.assert_allclose(pos, expected, rtol=1e-5)
     # paired entries are one lattice eigenvalue seen under two labels
     assert pos[1] == pos[2] and pos[3] == pos[4]
-    labels = {(r.sigma, r.n) for r, _ in pairs if r.branch > 0 and r.n_sigma == 1}
+    labels = {(r.sigma, r.n) for r in records if r.branch > 0 and r.n_sigma == 1}
     assert labels == {(-1, 1), (1, 0)}
 
 
@@ -133,14 +124,12 @@ def test_spectrum_argument_validation():
     grid = Grid(half_width=20.0, n=100)
     with pytest.raises(ValueError):
         dirac_spectrum(params, grid, 0)
-    with pytest.raises(ValueError):
-        dirac_spectrum(params, grid, 1, refine=3)
 
 
 def test_residual_of_returned_eigenpairs():
     params = linear_params(0.6)
     grid = Grid(half_width=20.0, n=1200)
-    t = assemble_dirac_matrix(params, grid).tridiagonal()
+    t = assemble_dirac_matrix(params, grid)
     for rec, st in dirac_spectrum(params, grid, 3):
         z = np.empty(t.n)
         z[1::2] = st.psi1.real
@@ -206,6 +195,15 @@ def test_cached_result_cannot_be_emptied_by_a_caller():
     assert len(converge_box_full(params, count=2, grid=grid).records) == 7
 
 
+def test_equivalent_calls_share_one_cached_result():
+    # the cache key is the call after its defaults are resolved, so spelling
+    # an argument by keyword or passing its default value is the same call
+    params = tan_params(0.3)
+    grid = default_grid(params, n=300)
+    first = converge_box_full(params, 2, grid=grid)
+    assert converge_box_full(params, count=2, tol=1e-6, grid=grid) is first
+
+
 @pytest.mark.parametrize(
     "kappa,n,count,rounds,solves",
     [(0.3, 300, 2, 1, 4), (1.4, 1000, 1, 3, 6)],
@@ -234,7 +232,7 @@ def test_each_grid_is_solved_once_per_convergence_run(monkeypatch, kappa, n, cou
         sweeps.append(solves_so_far[0] - before)
         return out
 
-    monkeypatch.setattr(dirac_solver, "_CONVERGE_CACHE", {})
+    dirac_solver._converge_cached.cache_clear()
     monkeypatch.setattr(dirac_solver, "_indexed_eigenvalues", eigs)
     monkeypatch.setattr(linalg, "_solve_shifted", solve)
     monkeypatch.setattr(dirac_solver, "_round_pr", round_pr)
@@ -304,14 +302,6 @@ def test_ground_state_width_is_unit_oscillator(converged_k0):
     # the annihilated lower component carries no weight at zero coupling
     assert float(np.sum(np.abs(st.psi2) ** 2)) * res.base_grid.h < 1e-20
     assert st.rms_width == pytest.approx(1.0 / math.sqrt(2.0), rel=0.05)
-
-
-def test_localization_metrics_match_state_fields(converged_k0):
-    res = converged_k0
-    st = res.states[0]
-    pr, rms = localization_metrics(st, res.base_grid)
-    assert pr == pytest.approx(st.participation_ratio, rel=1e-12)
-    assert rms == pytest.approx(st.rms_width, rel=1e-12)
 
 
 def test_default_grid_per_family():

@@ -266,6 +266,15 @@ def test_solve_coarse_grid_cannot_bracket():
         solve_nonlinear_level(linear_params(0.6), -1, 8, grid=Grid(half_width=20.0, n=25))
 
 
+def test_equivalent_solves_share_one_cached_result():
+    # the cache key is the call with its default grid resolved, so passing
+    # that grid explicitly is the same call
+    params = linear_params(0.6)
+    first = solve_nonlinear_level(params, -1, 1)
+    default = Grid(half_width=20.0, n=2000)
+    assert solve_nonlinear_level(params, sigma=-1, n=1, grid=default) is first
+
+
 def test_solve_argument_validation():
     with pytest.raises(ValueError):
         solve_nonlinear_level(linear_params(0.0), 0, 1)
