@@ -72,8 +72,9 @@ __all__ = [
 
 DEFAULT_N = 4000
 DEFAULT_L = 20.0
-DEFAULT_DIM_CAP = 65536
-DEFAULT_MAX_DOUBLINGS = 6
+# largest lattice dimension 2N solved, and most refinement rounds run
+DIM_CAP = 65536
+MAX_DOUBLINGS = 6
 
 
 def default_grid(params: PhysicalParams, n: int = DEFAULT_N, L: float | None = None) -> Grid:
@@ -263,7 +264,7 @@ def _refined_grid(grid: Grid, factor_log2: int) -> Grid:
     return Grid(half_width=grid.half_width, n=n)
 
 
-def _richardson_levels(params, grid, count, dim_cap, solved):
+def _richardson_levels(params, grid, count, solved):
     """Eigenvalues on (h, h/2, h/4) grids combined as (8 E3 - 6 E2 + E1)/3,
     which cancels both the h and h^2 error terms of the split-difference
     scheme. Degrades to a two-grid or single-grid estimate near the dimension
@@ -273,11 +274,7 @@ def _richardson_levels(params, grid, count, dim_cap, solved):
     `solved` maps (half_width, n) to a grid's (E_neg, E_pos); grids found
     there are not solved again, and new solutions are added to it."""
     grids = [_refined_grid(grid, k) for k in range(3)]
-    grids = [g for g in grids if 2 * g.n <= dim_cap]
-    if not grids:
-        raise ResourceError(
-            f"grid with 2N = {2 * grid.n} exceeds the dimension cap {dim_cap}"
-        )
+    grids = [g for g in grids if 2 * g.n <= DIM_CAP]
     sols = []
     for g in grids:
         key = (g.half_width, g.n)
@@ -328,8 +325,6 @@ def converge_box_full(
     count: int,
     tol: float = 1e-6,
     grid: Grid | None = None,
-    max_doublings: int = DEFAULT_MAX_DOUBLINGS,
-    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> ConvergeResult:
     """Refine until every level is stationary or the budget runs out.
 
@@ -349,19 +344,19 @@ def converge_box_full(
     if count < 1:
         raise ValueError("count must be >= 1")
     base = grid if grid is not None else default_grid(params)
-    if 2 * base.n > dim_cap:
+    if 2 * base.n > DIM_CAP:
         raise ResourceError(
-            f"initial grid with 2N = {2 * base.n} exceeds the dimension cap {dim_cap}"
+            f"initial grid with 2N = {2 * base.n} exceeds the dimension cap {DIM_CAP}"
         )
     # positional and with its defaults resolved, so that equivalent calls
     # share one cache key; table arrays do not hash, so tables are not cached
-    args = (params, count, tol, base, max_doublings, dim_cap)
+    args = (params, count, tol, base)
     if params.superpotential.family is Family.TABULATED:
         return _converge(*args)
     return _converge_cached(*args)
 
 
-def _converge(params, count, tol, base, max_doublings, dim_cap):
+def _converge(params, count, tol, base):
     """converge_box_full's refinement loop, on checked and resolved arguments."""
     family = params.superpotential.family
     lo, hi = params.superpotential.domain
@@ -371,7 +366,7 @@ def _converge(params, count, tol, base, max_doublings, dim_cap):
     # the previous round's (h, h/2): each grid is solved once per call
     solved: dict = {}
     cur = base
-    e_neg, e_pos, _, raw = _richardson_levels(params, cur, count, dim_cap, solved)
+    e_neg, e_pos, _, raw = _richardson_levels(params, cur, count, solved)
     t_base = assemble_dirac_matrix(params, base)
     state_map = _states_for(params, base, t_base, *raw[0])
     prev_pr = _participation_ratios(state_map) if family is Family.TANGENT else None
@@ -379,19 +374,16 @@ def _converge(params, count, tol, base, max_doublings, dim_cap):
     converged.update({(1, j): False for j in range(len(e_pos))})
     err = {k: None for k in converged}
     rounds = 0
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         if grow_box:
             nxt = _doubled_box(params, cur)
         else:
             nxt = Grid(half_width=cur.half_width, n=2 * cur.n + 1)
         # each round must afford its full (h, h/2, h/4) triple: a degraded
         # scheme would fold discretization error into the inter-round delta
-        if 2 * _refined_grid(nxt, 2).n > dim_cap:
+        if 2 * _refined_grid(nxt, 2).n > DIM_CAP:
             break
-        try:
-            n_neg, n_pos, _, raw = _richardson_levels(params, nxt, count, dim_cap, solved)
-        except ResourceError:
-            break
+        n_neg, n_pos, _, raw = _richardson_levels(params, nxt, count, solved)
         rounds += 1
         k = min(len(e_neg), len(n_neg))
         j = min(len(e_pos), len(n_pos))
@@ -430,8 +422,8 @@ def _participation_ratios(states):
 
 def _round_pr(params, grid, e_neg, e_pos):
     """Participation ratios of a round's states (tangent diagnostic), at the
-    raw eigenvalues of the round's own grid: inverse iteration then meets its
-    residual target in a sweep or two."""
+    raw eigenvalues of the round's own grid, the ones its matrix has (the
+    extrapolated values are not eigenvalues of any one grid)."""
     t = assemble_dirac_matrix(params, grid)
     return _participation_ratios(_states_for(params, grid, t, e_neg, e_pos))
 

@@ -7,8 +7,8 @@ Production path (compiled LAPACK, called through ctypes):
   symmetric tri-diagonal matrix", 1966) over the index range requested.
 * _counts_below: exact eigenvalue counts below given values, from the Sturm
   count of `dlaebz`, which splits a lattice spectrum at E = 0.
-* tridiagonal_eigenvectors: inverse iteration whose shifted solves are
-  `dgtsv` (tridiagonal LU with partial pivoting).
+* tridiagonal_eigenvectors: eigenvectors at given eigenvalues, from one
+  `dstein` call (inverse iteration, the routine LAPACK pairs with `dstebz`).
 
 The routines come from the C-API capsules of scipy's Cython module
 `cython_lapack`, loaded by itself on first use. Importing `scipy.linalg`
@@ -374,75 +374,27 @@ def _counts_below(t: Tridiagonal, lams) -> np.ndarray:
     return n - nab[:, 0].astype(np.int64)
 
 
-def _solve_shifted(t: Tridiagonal, lams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Columnwise solve of (T - lam_k I) z_k = rhs_k by LAPACK dgtsv; rhs has
-    shape (n, K). Each z_k is scaled to max |z_k| = 1: inverse iteration needs
-    only its direction, and a shift equal to an eigenvalue to the last bit
-    grows it past 1e200, where its 2-norm would overflow. A shift that leaves
-    the matrix exactly singular, or the solution overflowing, is moved off by
-    eps * ||T|| and solved again."""
-    n = t.n
-    guard = max(_EPS * t.norm_bound(), 1e-300)
-    e = _lapack_offdiag(t)
-    z = np.empty((n, np.size(lams)))
-    for j, lam in enumerate(np.asarray(lams, dtype=float).tolist()):
-        for shift in (lam, lam + guard):
-            # dgtsv overwrites all three diagonals and solves in place
-            x, info = rhs[:, j].copy(), _int(0)
-            _call("dgtsv", _int(n), _int(1), e.copy(), t.d - shift, e.copy(), x,
-                  _int(n), info)
-            if info[0] == 0 and np.all(np.isfinite(x)):
-                break
-        else:
-            raise ConvergenceError(f"shifted solve failed at lambda = {lam!r}")
-        z[:, j] = x / np.max(np.abs(x))
-    return z
-
-
-def tridiagonal_eigenvectors(t: Tridiagonal, lams, max_iters: int = 8) -> np.ndarray:
-    """Inverse-iteration eigenvectors for precomputed eigenvalues, returned as
-    columns aligned with `lams`. Deterministic (fixed-seed start vectors).
-    Near-degenerate eigenvalues (gap < 1e-8 ||T||) are orthogonalized within
-    their cluster."""
+def tridiagonal_eigenvectors(t: Tridiagonal, lams) -> np.ndarray:
+    """Unit eigenvectors for precomputed eigenvalues, returned as columns
+    aligned with `lams`, from one LAPACK dstein call: inverse iteration from
+    fixed start vectors, reorthogonalized within clusters of close
+    eigenvalues. Each vector's largest component is positive."""
     lams = np.asarray(lams, dtype=float)
     n, k = t.n, lams.size
     if k == 0:
         return np.empty((n, 0))
-    rng = np.random.default_rng(0xD17AC05C)
-    v = rng.standard_normal((n, k))
-    v /= np.linalg.norm(v, axis=0)
-
+    # dstein takes the eigenvalues ascending within each block; the matrix is
+    # passed as a single block
     order = np.argsort(lams, kind="stable")
-    gap = 1e-8 * t.norm_bound()
-    clusters: list[list[int]] = []
-    for idx in order:
-        if clusters and abs(lams[idx] - lams[clusters[-1][-1]]) <= gap:
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-
-    tol = 1e-12 * t.norm_bound()
-    for _ in range(max_iters):
-        v = _solve_shifted(t, lams, v)
-        for members in clusters:
-            if len(members) > 1:
-                for j, idx in enumerate(members):
-                    for prev in members[:j]:
-                        p = v[:, prev]
-                        pp = float(p @ p)
-                        if pp > 0.0:
-                            v[:, idx] -= (p @ v[:, idx]) / pp * p
-        nrm = np.linalg.norm(v, axis=0)
-        dead = nrm <= 0.0
-        if np.any(dead):
-            # a start vector fell exactly in the span of its cluster; re-seed
-            v[:, dead] = rng.standard_normal((n, int(dead.sum())))
-            nrm = np.linalg.norm(v, axis=0)
-        v /= nrm
-        res = np.linalg.norm(
-            np.column_stack([t.matvec(v[:, j]) - lams[j] * v[:, j] for j in range(k)]),
-            axis=0,
-        )
-        if np.all(res <= tol):
-            break
-    return v
+    z = np.empty((n, k), order="F")
+    ifail, info = np.empty(k, dtype=np.intc), _int(0)
+    _call(
+        "dstein", _int(n), np.ascontiguousarray(t.d), _lapack_offdiag(t), _int(k),
+        lams[order], np.ones(k, dtype=np.intc), _int(n), z, _int(n),
+        np.empty(5 * n), np.empty(n, dtype=np.intc), ifail, info,
+    )
+    if info[0] != 0:
+        raise ConvergenceError(f"LAPACK dstein failed (info {info[0]})")
+    vecs = np.empty((n, k))
+    vecs[:, order] = z
+    return vecs

@@ -470,11 +470,9 @@ def susy_state(
     rec = plus if branch > 0 else minus
     weff = effective_superpotential(params.superpotential, params.kappa, rec.E)
     t = schrodinger_operator(weff, sigma, grid)
-    lo = max(n - 1, 0)
-    ks = np.arange(lo + 1, n + 2, dtype=np.int64)
-    vals = _indexed_eigenvalues(t, ks)
-    eps = vals[np.argmin(np.abs(vals - rec.epsilon))]
-    phi = tridiagonal_eigenvectors(t, np.array([eps]))[:, 0]
+    # the level the root solve tracked: eigenvalue n + 1 of the reduced operator
+    eps = _indexed_eigenvalues(t, [n + 1])
+    phi = tridiagonal_eigenvectors(t, eps)[:, 0]
     pair = spin_eigensystem(params.kappa)
     chi = pair[0] if sigma > 0 else pair[1]
     state = reconstruct_spinor(params, rec.E, chi, phi, grid)

@@ -17,7 +17,13 @@ from diracosc.dirac_solver import (
     eigenvalue_count_in_window,
 )
 from diracosc.errors import CriticalFieldError
-from diracosc.linalg import Tridiagonal, eigen_bisect, eigen_ql
+from diracosc.linalg import (
+    Tridiagonal,
+    _indexed_eigenvalues,
+    eigen_bisect,
+    eigen_ql,
+    tridiagonal_eigenvectors,
+)
 from diracosc.susy_reduction import (
     effective_superpotential,
     solve_nonlinear_level,
@@ -231,8 +237,11 @@ def test_criterion_07_potential_identity():
 
 
 def test_criterion_08_eigensolver_kernel():
+    # the oracle (QL against bisection) and the production kernel (LAPACK
+    # dstebz eigenvalues against QL, dstein eigenvectors) under one set of limits
     rng = np.random.default_rng(8)
     worst_vals, worst_orth = 0.0, 0.0
+    worst_lapack, worst_lapack_orth = 0.0, 0.0
     for _ in range(200):
         n = int(rng.integers(2, 65))
         t = Tridiagonal(d=rng.normal(size=n), e=rng.normal(size=n - 1))
@@ -242,13 +251,23 @@ def test_criterion_08_eigensolver_kernel():
         worst_vals = max(worst_vals, float(np.max(np.abs(vals_ql - vals_bi))) / scale)
         orth = float(np.max(np.abs(q.T @ q - np.eye(n))))
         worst_orth = max(worst_orth, orth / n)
+        vals_lapack = _indexed_eigenvalues(t, np.arange(1, n + 1))
+        err = float(np.max(np.abs(vals_lapack - vals_ql))) / scale
+        worst_lapack = max(worst_lapack, err)
+        z = tridiagonal_eigenvectors(t, vals_lapack)
+        orth = float(np.max(np.abs(z.T @ z - np.eye(n))))
+        worst_lapack_orth = max(worst_lapack_orth, orth / n)
     lap = Tridiagonal(d=np.full(40, 2.0), e=np.full(39, -1.0))
     exact = 2.0 - 2.0 * np.cos(np.arange(1, 41) * np.pi / 41.0)
     lap_err = float(np.max(np.abs(eigen_ql(lap)[0] - exact)))
-    ok = worst_vals <= 1e-10 and worst_orth <= 1e-10 and lap_err <= 1e-12
+    lap_err = max(lap_err, float(np.max(np.abs(
+        _indexed_eigenvalues(lap, np.arange(1, 41)) - exact))))
+    ok = (worst_vals <= 1e-10 and worst_orth <= 1e-10 and lap_err <= 1e-12
+          and worst_lapack <= 1e-10 and worst_lapack_orth <= 1e-10)
     msg = report(8, "eigensolver kernel", ok,
-                 f"QL vs bisection {worst_vals:.2e} (limit 1e-10), "
-                 f"orthogonality/n {worst_orth:.2e} (limit 1e-10), "
+                 f"QL vs bisection {worst_vals:.2e}, LAPACK vs QL {worst_lapack:.2e} "
+                 f"(limit 1e-10), orthogonality/n QL {worst_orth:.2e}, "
+                 f"LAPACK {worst_lapack_orth:.2e} (limit 1e-10), "
                  f"Laplacian closed form {lap_err:.2e} (limit 1e-12)")
     assert ok, msg
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from diracosc import dirac_solver, linalg
+from diracosc import dirac_solver
 from diracosc.dirac_solver import (
     assemble_dirac_matrix,
     converge_box_full,
@@ -211,36 +211,31 @@ def test_equivalent_calls_share_one_cached_result():
 def test_each_grid_is_solved_once_per_convergence_run(monkeypatch, kappa, n, count, rounds, solves):
     """The tan family refines in place, so a round's (h/2, h/4) grids are the
     previous round's (h, h/2): 3 + rounds solves, not 3 (1 + rounds). The
-    per-round participation ratios run inverse iteration at the round grid's
-    own eigenvalues, which meets its residual target in at most 2 sweeps."""
-    dims, solves_so_far, sweeps = [], [0], []
-    real_eigs, real_solve, real_pr = (
-        dirac_solver._indexed_eigenvalues, linalg._solve_shifted, dirac_solver._round_pr
-    )
+    per-round participation ratios take eigenvectors at the round grid's own
+    eigenvalues, as solved, not at the extrapolated ones."""
+    dims, solved, received = [], {}, []
+    real_eigs, real_pr = dirac_solver._indexed_eigenvalues, dirac_solver._round_pr
 
     def eigs(t, ks):
         dims.append(t.n)
-        return real_eigs(t, ks)
+        vals = real_eigs(t, ks)
+        solved[t.n] = vals.copy()
+        return vals
 
-    def solve(*args):
-        solves_so_far[0] += 1
-        return real_solve(*args)
-
-    def round_pr(*args):
-        before = solves_so_far[0]
-        out = real_pr(*args)
-        sweeps.append(solves_so_far[0] - before)
-        return out
+    def round_pr(params, grid, e_neg, e_pos):
+        received.append((2 * grid.n, np.concatenate([e_neg[::-1], e_pos])))
+        return real_pr(params, grid, e_neg, e_pos)
 
     dirac_solver._converge_cached.cache_clear()
     monkeypatch.setattr(dirac_solver, "_indexed_eigenvalues", eigs)
-    monkeypatch.setattr(linalg, "_solve_shifted", solve)
     monkeypatch.setattr(dirac_solver, "_round_pr", round_pr)
     params = tan_params(kappa)
     res = converge_box_full(params, count=count, grid=default_grid(params, n=n))
     assert res.rounds == rounds
     assert len(dims) == len(set(dims)) == solves
-    assert len(sweeps) == rounds and max(sweeps) <= 2
+    assert len(received) == rounds
+    for dim, vals in received:
+        assert vals.tobytes() == solved[dim].tobytes()
 
 
 def test_supercritical_levels_all_unbound():
@@ -257,18 +252,17 @@ def test_massless_zero_mode_exists_and_converges():
 
 
 def test_initial_grid_over_cap_raises():
+    # 2N = 65538 is one grid point past the dimension cap
+    assert 2 * 32769 > dirac_solver.DIM_CAP
     with pytest.raises(ResourceError):
-        converge_box_full(
-            linear_params(0.6), count=2, grid=Grid(half_width=20.0, n=400), dim_cap=500
-        )
+        converge_box_full(linear_params(0.6), count=2, grid=Grid(half_width=20.0, n=32769))
 
 
 def test_cap_blocks_refinement_rounds():
-    # base triple fits only degraded; no further round affordable -> honest
-    # unconverged output rather than an error
-    res = converge_box_full(
-        linear_params(0.6), count=2, grid=Grid(half_width=20.0, n=400), dim_cap=2000
-    )
+    # the base triple fits only degraded, to (h, h/2): 2N = 36002 fits the
+    # cap, 72006 does not, and no doubled box fits -> honest unconverged
+    # output rather than an error
+    res = converge_box_full(linear_params(0.6), count=2, grid=Grid(half_width=20.0, n=9000))
     assert res.rounds == 0
     assert all(not r.converged for r in res.records)
 
