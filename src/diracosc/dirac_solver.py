@@ -10,19 +10,28 @@ operator sigma_x p - sigma_y W + m sigma_z + U into the real block form
     [[ m+U,  W - d/dx ],
      [ W + d/dx, -m+U ]]
 
-Forward differencing in the upper-right block and backward in the lower-left
-make the lattice matrix exactly symmetric and exclude fermion doublers (the
-split one-sided scheme has no spurious low-energy branch; its price is O(h)
-accuracy away from kappa=0, recovered below by Richardson extrapolation).
+The two components live on staggered sites (Susskind, Phys. Rev. D 16 (1977)
+3031): lower components at the grid points x_i, upper components half a
+spacing either side. On the grid x_i = -L + i h, i = 1..N, the unknowns run
+as the odd chain
 
-Interleaving the unknowns as (lower_1, upper_1, lower_2, upper_2, ...) turns
-the 2N x 2N block matrix into a plain symmetric tridiagonal:
+    u_1/2, l_1, u_3/2, l_2, ..., l_N, u_N+1/2        (2N+1 rows)
 
-    diagonal      (-m+U_1, m+U_1, -m+U_2, m+U_2, ...)
-    off-diagonal  (W_1 + 1/h, -1/h, W_2 + 1/h, -1/h, ..., W_N + 1/h)
+with u_k+1/2 at x_k + h/2. Each derivative is a centred difference across one
+bond, so the matrix is a plain symmetric tridiagonal:
 
-which is what the eigensolver kernels consume. Output spinors are gauge
-restored: psi1 = upper, psi2 = -i * lower.
+    diagonal  m + U at upper sites, -m + U at lower sites
+    bonds     (u_i-1/2, l_i) = W/2 - s,  (l_i, u_i+1/2) = W/2 + s,
+              W at the bond midpoint x_i -+ h/4,  s = sqrt(1/h^2 + W^2/4)
+
+For W h << 1 the bonds are the midpoint stencil W/2 -+ 1/h up to O(W^2 h^2),
+even in h, so the error is O(h^2); since s > |W|/2 no bond ever vanishes or
+changes sign, not even at the tangent family's walls where W blows up. The
+scheme has no fermion doublers. With W(-L) < 0 < W(L) both ends of the chain
+carry the strong bond, so there is no edge state, and the odd row count leaves
+exactly one unpaired level (+E0 for w1 > 0 or alpha0 > 0). Output spinors
+are gauge restored on the grid points: psi1 = the mean of the two upper
+neighbours, psi2 = -i * lower.
 
 Level labels
 ------------
@@ -72,7 +81,7 @@ __all__ = [
 
 DEFAULT_N = 4000
 DEFAULT_L = 20.0
-# largest lattice dimension 2N solved, and most refinement rounds run
+# largest lattice dimension 2N+1 solved, and most refinement rounds run
 DIM_CAP = 65536
 MAX_DOUBLINGS = 6
 
@@ -91,22 +100,34 @@ def default_grid(params: PhysicalParams, n: int = DEFAULT_N, L: float | None = N
 
 
 def assemble_dirac_matrix(params: PhysicalParams, grid: Grid) -> Tridiagonal:
-    """2N x 2N real symmetric lattice operator with Dirichlet walls, in the
-    interleaved tridiagonal storage described above.
+    """(2N+1) x (2N+1) real symmetric lattice operator of the odd staggered
+    chain described above.
 
     Raises DomainError if the grid leaves the superpotential's domain.
     """
-    w = eval_superpotential(params.superpotential, grid.x)[0]
-    u = params.kappa * w
-    m = params.mass
     n = grid.n
     h = grid.h
-    d = np.empty(2 * n)
-    d[0::2] = -m + u
-    d[1::2] = m + u
-    e = np.empty(2 * n - 1)
-    e[0::2] = w + 1.0 / h
-    e[1::2] = -1.0 / h
+    sp = params.superpotential
+    # row r sits at -L + (r+1) h/2 and bond k, between rows k and k+1, a
+    # quarter spacing beyond row k; W is evaluated at rows and at bonds in two
+    # calls, which halves the peak of the evaluation's temporaries
+    x = -grid.half_width + 0.5 * h * np.arange(1, 2 * n + 2)
+    d = params.kappa * eval_superpotential(sp, x)[0]
+    d[0::2] += params.mass
+    d[1::2] -= params.mass
+    x = x[:-1] + 0.25 * h
+    half_w = 0.5 * eval_superpotential(sp, x)[0]
+    del x
+    # bond a + sigma s with a = W/2, sigma = -1 at even k and +1 at odd k.
+    # Where sigma a < 0 it would cancel; (a + sigma s)(a - sigma s) = -1/h^2
+    # gives it as -1/(h^2 (a - sigma s)) instead
+    sigma_s = np.hypot(1.0 / h, half_w)
+    sigma_s[0::2] *= -1.0
+    e = np.where(
+        half_w * sigma_s >= 0.0,
+        half_w + sigma_s,
+        -1.0 / (h * h * (half_w - sigma_s)),
+    )
     return Tridiagonal(d, e)
 
 
@@ -215,16 +236,17 @@ def _build_records(params, e_neg, e_pos, converged=None, err=None):
 
 
 def _states_for(params, grid, t, e_neg, e_pos):
-    """Inverse-iteration eigenvectors for the given eigenvalues, gauge
-    restored and normalized; keyed by (branch, ordinal)."""
+    """Eigenvectors for the given eigenvalues on the grid points (upper
+    component averaged over its two neighbours), gauge restored and
+    normalized; keyed by (branch, ordinal)."""
     lams = np.concatenate([np.asarray(e_neg), np.asarray(e_pos)])
     keys = [(-1, j) for j in range(len(e_neg))] + [(1, j) for j in range(len(e_pos))]
     vecs = tridiagonal_eigenvectors(t, lams)
     states = {}
     for col, (key, lam) in enumerate(zip(keys, lams)):
         z = vecs[:, col]
-        psi1 = z[1::2].astype(complex)
-        psi2 = -1j * z[0::2]
+        psi1 = (0.5 * (z[0:-1:2] + z[2::2])).astype(complex)
+        psi2 = -1j * z[1::2]
         states[key] = SpinorState.from_samples(lam, psi1, psi2, grid)
     return states
 
@@ -246,35 +268,38 @@ def dirac_spectrum(params: PhysicalParams, grid: Grid, count: int):
 @dataclass(frozen=True)
 class ConvergeResult:
     """converge_box_full output: records (converged flags and error estimates
-    set), states sampled on the caller's base grid, that grid, and the number
-    of refinement rounds actually run. Tuples, since results are cached and
-    shared between callers."""
+    set), states sampled on the caller's base grid, that grid, the number of
+    refinement rounds actually run, and the Richardson scheme of the final
+    values ("h2" for the (h, h/2) pair, "h1" for a single grid at the
+    dimension cap). Tuples, since results are cached and shared between
+    callers."""
 
     records: tuple
     states: tuple
     base_grid: Grid
     rounds: int
+    scheme: str
 
 
-def _refined_grid(grid: Grid, factor_log2: int) -> Grid:
+def _dim(grid: Grid) -> int:
+    return 2 * grid.n + 1
+
+
+def _refined_grid(grid: Grid) -> Grid:
     # halving h exactly: N -> 2N+1 keeps x_i = -L + i h nested
-    n = grid.n
-    for _ in range(factor_log2):
-        n = 2 * n + 1
-    return Grid(half_width=grid.half_width, n=n)
+    return Grid(half_width=grid.half_width, n=2 * grid.n + 1)
 
 
 def _richardson_levels(params, grid, count, solved):
-    """Eigenvalues on (h, h/2, h/4) grids combined as (8 E3 - 6 E2 + E1)/3,
-    which cancels both the h and h^2 error terms of the split-difference
-    scheme. Degrades to a two-grid or single-grid estimate near the dimension
-    cap. Returns (E_neg, E_pos, scheme_used, raw), raw holding the
-    (E_neg, E_pos) of each grid used, coarsest first.
+    """Eigenvalues on the (h, h/2) pair combined as (4 E2 - E1)/3, which
+    cancels the h^2 error term of the staggered scheme; a single-grid
+    estimate when h/2 would pass the dimension cap. Returns
+    (E_neg, E_pos, scheme_used).
 
     `solved` maps (half_width, n) to a grid's (E_neg, E_pos); grids found
     there are not solved again, and new solutions are added to it."""
-    grids = [_refined_grid(grid, k) for k in range(3)]
-    grids = [g for g in grids if 2 * g.n <= DIM_CAP]
+    grids = [grid, _refined_grid(grid)]
+    grids = [g for g in grids if _dim(g) <= DIM_CAP]
     sols = []
     for g in grids:
         key = (g.half_width, g.n)
@@ -283,36 +308,30 @@ def _richardson_levels(params, grid, count, solved):
         sols.append(solved[key])
     k = min(min(len(s[0]) for s in sols), count)
     j = min(min(len(s[1]) for s in sols), count)
+    if len(sols) == 1:
+        return sols[0][0][:k], sols[0][1][:j], "h1"
 
-    def guard(extrap, raw):
-        # a sign flip means the sequence is not in the asymptotic regime
-        # (under-resolved grids); the raw finest value is then the honest one
-        return np.where(np.sign(extrap) != np.sign(raw), raw, extrap)
+    def combine(coarse, fine):
+        extrap = (4.0 * fine - coarse) / 3.0
+        # a sign flip means the pair is not in the asymptotic regime
+        # (under-resolved grids); the raw finer value is then the honest one
+        return np.where(np.sign(extrap) != np.sign(fine), fine, extrap)
 
-    if len(sols) == 3:
-        combine = lambda a, b, c: guard((8.0 * c - 6.0 * b + a) / 3.0, c)
-        e_neg = combine(sols[0][0][:k], sols[1][0][:k], sols[2][0][:k])
-        e_pos = combine(sols[0][1][:j], sols[1][1][:j], sols[2][1][:j])
-        scheme = "h3"
-    elif len(sols) == 2:
-        e_neg = guard(2.0 * sols[1][0][:k] - sols[0][0][:k], sols[1][0][:k])
-        e_pos = guard(2.0 * sols[1][1][:j] - sols[0][1][:j], sols[1][1][:j])
-        scheme = "h2"
-    else:
-        e_neg, e_pos = sols[0][0][:k], sols[0][1][:j]
-        scheme = "h1"
-    return e_neg, e_pos, scheme, sols
+    (c_neg, c_pos), (f_neg, f_pos) = sols
+    return combine(c_neg[:k], f_neg[:k]), combine(c_pos[:j], f_pos[:j]), "h2"
 
 
-# the staggered coupling W + 1/h must keep one sign across the box, or the
-# scheme grows spurious interior states; h * sup|W| is held below this
+# h * sup|W| on each doubled box is held below this bound. The bonds never
+# change sign, so the scheme does not need it; what it does is end the
+# supercritical linear runs, whose levels never settle, after one round: the
+# raised N leaves the next round's pair no room under DIM_CAP.
 _SCHEME_VALIDITY = 0.7
 
 
 def _doubled_box(params: PhysicalParams, cur: Grid) -> Grid:
     """Next box for the wall-artifact test: half-width doubles, and N grows
-    at least proportionally (fixed h) but further if the larger box pushes
-    h * sup|W| past the validity bound."""
+    at least proportionally (fixed h), further if the larger box pushes
+    h * sup|W| past _SCHEME_VALIDITY."""
     half = 2.0 * cur.half_width
     xs = np.linspace(-half, half, 1025)
     w_sup = float(np.max(np.abs(eval_superpotential(params.superpotential, xs)[0])))
@@ -329,24 +348,23 @@ def converge_box_full(
     """Refine until every level is stationary or the budget runs out.
 
     Linear (and tabulated) family: doubles the box half-width with N growing
-    proportionally (fixed h), the wall-artifact test. Tangent family: the
-    domain is pinned at (-pi/2, pi/2), so rounds refine N only. Every round's
-    value is Richardson-extrapolated over an (h, h/2, h/4) triple internally.
+    at least proportionally (fixed h), the wall-artifact test. Tangent
+    family: the domain is pinned at (-pi/2, pi/2), so rounds refine N only.
+    Every round's value is Richardson-extrapolated over an (h, h/2) pair, and
+    a round is run only if its whole pair fits the dimension cap.
 
     A level is converged when its value moves by less than tol (relative,
-    against max(|E|, 1)) between rounds; for the tangent family a
-    participation ratio jumping by 2x or more between rounds also blocks the
-    flag (wall-collapsing states). Levels still moving when rounds stop are
-    classified unbound (converged=False). Raises ResourceError only if the
-    initial grid already exceeds the dimension cap; later rounds stop early
-    instead.
+    against max(|E|, 1)) between rounds. Levels still moving when rounds stop
+    are classified unbound (converged=False). Raises ResourceError only if
+    the initial grid already exceeds the dimension cap; later rounds stop
+    early instead.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     base = grid if grid is not None else default_grid(params)
-    if 2 * base.n > DIM_CAP:
+    if _dim(base) > DIM_CAP:
         raise ResourceError(
-            f"initial grid with 2N = {2 * base.n} exceeds the dimension cap {DIM_CAP}"
+            f"initial grid with 2N+1 = {_dim(base)} exceeds the dimension cap {DIM_CAP}"
         )
     # positional and with its defaults resolved, so that equivalent calls
     # share one cache key; table arrays do not hash, so tables are not cached
@@ -358,74 +376,55 @@ def converge_box_full(
 
 def _converge(params, count, tol, base):
     """converge_box_full's refinement loop, on checked and resolved arguments."""
-    family = params.superpotential.family
     lo, hi = params.superpotential.domain
     grow_box = math.isinf(hi) and math.isinf(lo)
 
-    # the tangent family refines in place, so a round's (h/2, h/4) grids are
-    # the previous round's (h, h/2): each grid is solved once per call
-    solved: dict = {}
-    cur = base
-    e_neg, e_pos, _, raw = _richardson_levels(params, cur, count, solved)
-    t_base = assemble_dirac_matrix(params, base)
-    state_map = _states_for(params, base, t_base, *raw[0])
-    prev_pr = _participation_ratios(state_map) if family is Family.TANGENT else None
+    # the base grid's matrix serves its states; the tangent family refines in
+    # place, so a round's coarse grid is the previous round's fine one: each
+    # grid is solved once per call
+    t_base, b_neg, b_pos = _lattice_eigenvalues(params, base, count)
+    solved = {(base.half_width, base.n): (b_neg, b_pos)}
+    state_map = _states_for(params, base, t_base, b_neg, b_pos)
+    e_neg, e_pos, scheme = _richardson_levels(params, base, count, solved)
     converged = {(-1, j): False for j in range(len(e_neg))}
     converged.update({(1, j): False for j in range(len(e_pos))})
     err = {k: None for k in converged}
     rounds = 0
+    cur = base
     for _ in range(MAX_DOUBLINGS):
         if grow_box:
             nxt = _doubled_box(params, cur)
         else:
-            nxt = Grid(half_width=cur.half_width, n=2 * cur.n + 1)
-        # each round must afford its full (h, h/2, h/4) triple: a degraded
-        # scheme would fold discretization error into the inter-round delta
-        if 2 * _refined_grid(nxt, 2).n > DIM_CAP:
+            nxt = _refined_grid(cur)
+        # each round must afford its full (h, h/2) pair: a single grid would
+        # fold discretization error into the inter-round delta
+        if _dim(_refined_grid(nxt)) > DIM_CAP:
             break
-        n_neg, n_pos, _, raw = _richardson_levels(params, nxt, count, solved)
+        n_neg, n_pos, scheme = _richardson_levels(params, nxt, count, solved)
         rounds += 1
         k = min(len(e_neg), len(n_neg))
         j = min(len(e_pos), len(n_pos))
-        pr_now = _round_pr(params, nxt, *raw[0]) if family is Family.TANGENT else None
         for branch, old, new, span in ((-1, e_neg, n_neg, k), (1, e_pos, n_pos, j)):
             for i in range(span):
                 delta = abs(float(new[i]) - float(old[i]))
                 err[(branch, i)] = delta
-                flag = delta <= tol * max(abs(float(new[i])), 1.0)
-                if pr_now is not None and prev_pr is not None:
-                    ratio = pr_now[(branch, i)] / prev_pr[(branch, i)]
-                    if ratio >= 2.0 or ratio <= 0.5:
-                        flag = False
-                converged[(branch, i)] = flag
+                converged[(branch, i)] = delta <= tol * max(abs(float(new[i])), 1.0)
         e_neg, e_pos = n_neg[:k], n_pos[:j]
         cur = nxt
-        prev_pr = pr_now
         if all(converged.values()):
             break
 
     records, origins = _build_records(params, e_neg, e_pos, converged, err)
     states = tuple(state_map.get(origin) for origin in origins)
     return ConvergeResult(
-        records=tuple(records), states=states, base_grid=base, rounds=rounds
+        records=tuple(records), states=states, base_grid=base, rounds=rounds,
+        scheme=scheme,
     )
 
 
 # a few entries: a session revisits the configuration it is working on, and
 # each entry holds its states, about 1 MB at grid.n 2000
 _converge_cached = functools.lru_cache(maxsize=4)(_converge)
-
-
-def _participation_ratios(states):
-    return {key: st.participation_ratio for key, st in states.items()}
-
-
-def _round_pr(params, grid, e_neg, e_pos):
-    """Participation ratios of a round's states (tangent diagnostic), at the
-    raw eigenvalues of the round's own grid, the ones its matrix has (the
-    extrapolated values are not eigenvalues of any one grid)."""
-    t = assemble_dirac_matrix(params, grid)
-    return _participation_ratios(_states_for(params, grid, t, e_neg, e_pos))
 
 
 def eigenvalue_count_in_window(

@@ -273,12 +273,14 @@ def test_criterion_08_eigensolver_kernel():
 
 
 def test_criterion_09_no_fermion_doubling():
+    # kappa = 0, m = 1: the window holds 1, sqrt3, sqrt5, -sqrt3 and -sqrt5
+    # (+1 is the one unpaired level); a doubler would repeat them
     params = linear_params(0.0)
     edge = math.sqrt(5.0) + 0.1
     count = eigenvalue_count_in_window(params, default_grid(params), -edge, edge)
-    msg = report(9, "no fermion doubling", count == 6,
-                 f"eigenvalue count in (-sqrt5-0.1, sqrt5+0.1) = {count} (expected 6)")
-    assert count == 6, msg
+    msg = report(9, "no fermion doubling", count == 5,
+                 f"eigenvalue count in (-sqrt5-0.1, sqrt5+0.1) = {count} (expected 5)")
+    assert count == 5, msg
 
 
 def test_criterion_10_spinor_reconstruction(linear_results):

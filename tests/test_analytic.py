@@ -2,7 +2,7 @@
 
 The trigonometric-family oracle is the direct lattice route: frozen values
 below come from converge_box_full at defaults (Richardson-extrapolated, reported
-err_est <= 7e-9), regenerated whenever the lattice scheme changes.
+err_est <= 2e-12), regenerated whenever the lattice scheme changes.
 """
 
 import math
@@ -34,11 +34,11 @@ from diracosc.model import LevelIndex, PhysicalParams, SpectrumRecord, Superpote
 
 # lattice route, tan alpha0=5, kappa=0.5, n_sigma = 0..4
 TAN_LATTICE_ORACLE = [
-    0.866025403780657,
-    2.9560070459057,
-    4.39417961884793,
-    5.67728490954501,
-    6.88288218953263,
+    0.866025403784401,
+    2.95600704594676,
+    4.39417961901925,
+    5.67728490999248,
+    6.88288219045057,
 ]
 
 

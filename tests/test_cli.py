@@ -230,9 +230,11 @@ def test_spectrum_tabulated_round_trip(tmp_path):
     ])
     assert code == 0
     _, _, rows = parse_csv(out)
-    # the tabulated W=x problem is the exactly solvable linear one
+    # the tabulated W=x problem is the exactly solvable linear one: E = +1
+    # unpaired, then +-sqrt(1 + 2n) for n >= 1, two levels of each sign
     mags = sorted(abs(float(r["E"])) for r in rows)
-    np.testing.assert_allclose(mags, [1.0, 1.0, math.sqrt(3), math.sqrt(3)], atol=1e-6)
+    np.testing.assert_allclose(mags, [1.0, math.sqrt(3), math.sqrt(3), math.sqrt(5)],
+                               atol=1e-6)
     assert all(r["converged"] == "true" for r in rows)
 
 

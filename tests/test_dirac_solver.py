@@ -38,15 +38,20 @@ def positive_levels(records):
 
 
 def test_block_assembly_two_site_example():
-    # h = 2*1.5/3 = 1, nodes x = (-0.5, +0.5), so W = (-0.5, +0.5)
-    # blocks: m+U = (0.5, 0.5), -m+U = (-0.5, -0.5), B = [[0.5, -1], [0, 1.5]]
-    params = PhysicalParams(mass=0.5, kappa=0.0, superpotential=Superpotential.linear(1.0))
+    # h = 2*1.5/3 = 1, lower sites x = (-0.5, +0.5), upper sites (-1, 0, 1):
+    # rows u, l, u, l, u at x = -1, -0.5, 0, 0.5, 1 and W = x, so with
+    # kappa = 0.5 the diagonal is +-m + W/2. Bond midpoints -0.75, -0.25,
+    # 0.25, 0.75; bond = W/2 -+ sqrt(1/h^2 + W^2/4), minus towards a lower site
+    params = PhysicalParams(mass=0.5, kappa=0.5, superpotential=Superpotential.linear(1.0))
     grid = Grid(half_width=1.5, n=2)
     assert grid.h == pytest.approx(1.0, abs=1e-15)
-    # interleaved tridiagonal storage of the same operator
     t = assemble_dirac_matrix(params, grid)
-    np.testing.assert_allclose(t.d, [-0.5, 0.5, -0.5, 0.5], atol=1e-15)
-    np.testing.assert_allclose(t.e, [0.5, -1.0, 1.5], atol=1e-15)
+    np.testing.assert_allclose(t.d, [0.0, -0.75, 0.5, -0.25, 1.0], atol=1e-15)
+    outer = math.sqrt(1.0 + 0.375**2)
+    inner = math.sqrt(1.0 + 0.125**2)
+    np.testing.assert_allclose(
+        t.e, [-0.375 - outer, -0.125 + inner, 0.125 - inner, 0.375 + outer], atol=1e-15
+    )
 
 
 @pytest.mark.parametrize("kappa,family", [(0.0, "linear"), (0.6, "linear"), (0.5, "tan")])
@@ -72,17 +77,19 @@ def test_assembly_outside_table_domain_raises():
 
 
 def test_free_particle_box_dispersion():
-    # W = 0, U = 0: box modes obey E = sqrt(m^2 + k^2).  The interleaved
-    # two-component stencil is a single hopping chain of 2N nodes (the box
-    # acts with twice its physical length) whose +- energy pairing consumes
-    # alternate harmonics, so each branch sees k_j = (2j-1)*pi / ((2N+1) h).
+    # W = 0, U = 0: with D the N x (N+1) forward difference from upper to
+    # lower sites, the chain reads D u = (E + m) l and -D^T l = (E - m) u, so
+    # D D^T l = (E^2 - m^2) l. D D^T is the Dirichlet Laplacian of N points,
+    # eigenvalues s_j^2 with s_j = (2/h) sin(j pi / (2(N+1))), j = 1..N: the
+    # levels are +-sqrt(m^2 + s_j^2), plus E = m from the null vector of D
     params = PhysicalParams(mass=1.0, kappa=0.0, superpotential=Superpotential.linear(0.0))
     grid = Grid(half_width=20.0, n=4000)
-    pairs = dirac_spectrum(params, grid, 3)
-    pos = positive_levels([r for r, _ in pairs])
-    for j, val in enumerate(pos, start=1):
-        k = (2 * j - 1) * math.pi / ((2 * grid.n + 1) * grid.h)
-        assert val == pytest.approx(math.sqrt(1.0 + k * k), rel=1e-6)
+    records = [r for r, _ in dirac_spectrum(params, grid, 4)]
+    s = [2.0 / grid.h * math.sin(j * math.pi / (2 * (grid.n + 1))) for j in (1, 2, 3)]
+    box = [math.sqrt(1.0 + sj * sj) for sj in s]
+    assert positive_levels(records) == pytest.approx([1.0] + box, rel=1e-12)
+    neg = sorted((r.E for r in records if r.branch < 0), reverse=True)
+    assert neg[:3] == pytest.approx([-b for b in box], rel=1e-12)
 
 
 # ---------------------------------------------------------------- spectra
@@ -127,15 +134,20 @@ def test_spectrum_argument_validation():
 
 
 def test_residual_of_returned_eigenpairs():
+    # each returned state is the lattice eigenvector at its E, upper
+    # component averaged onto the grid points: undo that to check the residual
     params = linear_params(0.6)
     grid = Grid(half_width=20.0, n=1200)
     t = assemble_dirac_matrix(params, grid)
     for rec, st in dirac_spectrum(params, grid, 3):
-        z = np.empty(t.n)
-        z[1::2] = st.psi1.real
-        z[0::2] = (1j * st.psi2).real
-        z /= np.linalg.norm(z)
+        z = dirac_solver.tridiagonal_eigenvectors(t, np.array([rec.E]))[:, 0]
         assert np.linalg.norm(t.matvec(z) - rec.E * z) <= 1e-8 * t.norm_bound()
+        psi1 = 0.5 * (z[0:-1:2] + z[2::2])
+        psi2 = -1j * z[1::2]
+        scale = np.linalg.norm(st.psi1) / np.linalg.norm(psi1)
+        scale *= np.sign(np.vdot(psi1, st.psi1).real)
+        np.testing.assert_allclose(st.psi1, scale * psi1, atol=1e-10)
+        np.testing.assert_allclose(st.psi2, scale * psi2, atol=1e-10)
 
 
 def test_discretization_order_at_least_first():
@@ -149,11 +161,53 @@ def test_discretization_order_at_least_first():
     assert math.log2(errs[0] / errs[1]) >= 0.9
 
 
+@pytest.mark.parametrize(
+    "params,n", [(linear_params(0.6), 500), (linear_params(-0.6), 500), (tan_params(0.5), 250)]
+)
+def test_discretization_order_is_second(params, n):
+    # single grid, no Richardson: each halving of h divides the error by 4
+    exact = analytic.level_energies(params, 1)[0]
+    errs = []
+    for _ in range(3):
+        pairs = dirac_spectrum(params, default_grid(params, n=n), 2)
+        val = min(r.E for r, _ in pairs if r.branch > 0 and r.n_sigma == 1)
+        errs.append(abs(val - exact))
+        n = 2 * n + 1
+    for coarse, fine in zip(errs, errs[1:]):
+        assert coarse / fine == pytest.approx(4.0, abs=0.05)
+
+
+@pytest.mark.parametrize(
+    "params,n", [(linear_params(0.0), 2000), (linear_params(0.6), 2000),
+                 (linear_params(-0.6), 2000), (tan_params(0.5), 500),
+                 (tan_params(-0.5), 500), (tan_params(0.59988), 1000),
+                 (tan_params(0.5698), 500)]
+)
+def test_one_unpaired_level_at_plus_e0(params, n):
+    # below |E1| the lattice holds +E0 and nothing else: no -E0 partner, no
+    # edge or wall state
+    e0 = analytic.level_energies(params, 0)[0]
+    e1 = analytic.level_energies(params, 1)[0]
+    grid = default_grid(params, n=n)
+    assert eigenvalue_count_in_window(params, grid, -0.99 * e1, 0.99 * e1) == 1
+    assert eigenvalue_count_in_window(params, grid, 0.99 * e0, 1.01 * e0) == 1
+
+
+def test_tan_wall_bonds_keep_their_sign():
+    # W ~ alpha0 / (pi/2 - |x|) near the walls, where a midpoint bond W/2 - 1/h
+    # would change sign; the bonds W/2 -+ sqrt(1/h^2 + W^2/4) cannot
+    params = tan_params(0.5698)
+    t = assemble_dirac_matrix(params, default_grid(params, n=500))
+    assert np.all(t.e[0::2] < 0.0) and np.all(t.e[1::2] > 0.0)
+
+
 def test_no_doubling_eigenvalue_count():
+    # kappa = 0, m = 1: +1 unpaired and +-sqrt(1 + 2n), n >= 1, so the window
+    # holds 1, sqrt3, sqrt5, -sqrt3, -sqrt5; a doubler would repeat them
     params = linear_params(0.0)
     edge = math.sqrt(5) + 0.1
     count = eigenvalue_count_in_window(params, default_grid(params), -edge, edge)
-    assert count == 6
+    assert count == 5
 
 
 # ---------------------------------------------------------------- converge
@@ -206,15 +260,17 @@ def test_equivalent_calls_share_one_cached_result():
 
 @pytest.mark.parametrize(
     "kappa,n,count,rounds,solves",
-    [(0.3, 300, 2, 1, 4), (1.4, 1000, 1, 3, 6)],
+    [(0.3, 300, 2, 1, 3), (1.4, 1000, 1, 4, 6)],
 )
 def test_each_grid_is_solved_once_per_convergence_run(monkeypatch, kappa, n, count, rounds, solves):
-    """The tan family refines in place, so a round's (h/2, h/4) grids are the
-    previous round's (h, h/2): 3 + rounds solves, not 3 (1 + rounds). The
-    per-round participation ratios take eigenvectors at the round grid's own
-    eigenvalues, as solved, not at the extrapolated ones."""
-    dims, solved, received = [], {}, []
-    real_eigs, real_pr = dirac_solver._indexed_eigenvalues, dirac_solver._round_pr
+    """The tan family refines in place, so a round's coarse grid is the
+    previous round's fine one: 2 + rounds solves, not 2 (1 + rounds). Each
+    grid's matrix is assembled once, and the states come from the base
+    grid's own eigenvalues, as solved, not from the extrapolated ones."""
+    dims, solved, assembled, received = [], {}, [], []
+    real_eigs = dirac_solver._indexed_eigenvalues
+    real_assemble = dirac_solver.assemble_dirac_matrix
+    real_vecs = dirac_solver.tridiagonal_eigenvectors
 
     def eigs(t, ks):
         dims.append(t.n)
@@ -222,20 +278,45 @@ def test_each_grid_is_solved_once_per_convergence_run(monkeypatch, kappa, n, cou
         solved[t.n] = vals.copy()
         return vals
 
-    def round_pr(params, grid, e_neg, e_pos):
-        received.append((2 * grid.n, np.concatenate([e_neg[::-1], e_pos])))
-        return real_pr(params, grid, e_neg, e_pos)
+    def assemble(params, grid):
+        assembled.append(grid.n)
+        return real_assemble(params, grid)
+
+    def vecs(t, lams):
+        received.append((t.n, np.sort(lams)))
+        return real_vecs(t, lams)
 
     dirac_solver._converge_cached.cache_clear()
     monkeypatch.setattr(dirac_solver, "_indexed_eigenvalues", eigs)
-    monkeypatch.setattr(dirac_solver, "_round_pr", round_pr)
+    monkeypatch.setattr(dirac_solver, "assemble_dirac_matrix", assemble)
+    monkeypatch.setattr(dirac_solver, "tridiagonal_eigenvectors", vecs)
     params = tan_params(kappa)
     res = converge_box_full(params, count=count, grid=default_grid(params, n=n))
     assert res.rounds == rounds
-    assert len(dims) == len(set(dims)) == solves
-    assert len(received) == rounds
-    for dim, vals in received:
-        assert vals.tobytes() == solved[dim].tobytes()
+    assert len(dims) == len(set(dims)) == solves == len(assembled)
+    [(dim, vals)] = received
+    assert dim == 2 * n + 1
+    assert vals.tobytes() == solved[dim].tobytes()
+
+
+# linear kappa -0.09, -0.03, +0.01 once lost levels to a moving edge state,
+# linear 0.3 at grid.n 1000 to first-order discretization error between
+# rounds, and tan kappa near alpha0 sqrt(1 - kappa^2) = 4 to wall states
+@pytest.mark.parametrize(
+    "params,n,count",
+    [(linear_params(-0.09), 2000, 2), (linear_params(-0.03), 2000, 2),
+     (linear_params(0.01), 2000, 2), (linear_params(0.3), 1000, 4),
+     (tan_params(0.59988), 1000, 3), (tan_params(0.5698), 500, 3)],
+)
+def test_former_problem_couplings_converge_fully(params, n, count):
+    res = converge_box_full(params, count=count, grid=default_grid(params, n=n))
+    assert res.rounds == 1
+    assert all(r.converged for r in res.records)
+    labels = {(r.branch, r.n_sigma) for r in res.records}
+    assert labels == {(1, k) for k in range(count)} | {(-1, k) for k in range(1, count + 1)}
+    for r in res.records:
+        exact = analytic.level_energies(params, r.n_sigma)[0 if r.branch > 0 else 1]
+        assert r.E == pytest.approx(exact, rel=1e-5)
 
 
 def test_supercritical_levels_all_unbound():
@@ -252,19 +333,30 @@ def test_massless_zero_mode_exists_and_converges():
 
 
 def test_initial_grid_over_cap_raises():
-    # 2N = 65538 is one grid point past the dimension cap
-    assert 2 * 32769 > dirac_solver.DIM_CAP
+    # 2N+1 = 65539 is past the dimension cap
+    assert 2 * 32769 + 1 > dirac_solver.DIM_CAP
     with pytest.raises(ResourceError):
         converge_box_full(linear_params(0.6), count=2, grid=Grid(half_width=20.0, n=32769))
 
 
 def test_cap_blocks_refinement_rounds():
-    # the base triple fits only degraded, to (h, h/2): 2N = 36002 fits the
-    # cap, 72006 does not, and no doubled box fits -> honest unconverged
-    # output rather than an error
+    # the base pair fits (2N+1 = 18001 and 36003) but no doubled box's pair
+    # does (N >= 18000 there, so its h/2 grid has 72003 rows) -> honest
+    # unconverged output rather than an error
     res = converge_box_full(linear_params(0.6), count=2, grid=Grid(half_width=20.0, n=9000))
     assert res.rounds == 0
+    assert res.scheme == "h2"
     assert all(not r.converged for r in res.records)
+
+
+def test_cap_degrades_base_pair_to_one_grid():
+    # 2N+1 = 40001 fits the cap, its h/2 grid (80003 rows) does not: the
+    # single-grid values are reported, unconverged, and say so
+    params = tan_params(0.5)
+    res = converge_box_full(params, count=1, grid=default_grid(params, n=20000))
+    assert (res.rounds, res.scheme) == (0, "h1")
+    assert all(not r.converged for r in res.records)
+    assert converge_box_full(params, count=1, grid=default_grid(params, n=1000)).scheme == "h2"
 
 
 def test_tabulated_family_refines_in_place():
@@ -285,8 +377,7 @@ def test_tabulated_family_refines_in_place():
 
 def test_ground_state_width_is_unit_oscillator(converged_k0):
     res = converged_k0
-    # the positive-branch ground level; the lattice also has a wall mode at
-    # E = -1, equal in |E| up to rounding
+    # the positive-branch ground level, +E0 (the lattice has no -E0 level)
     idx = min(
         (i for i, r in enumerate(res.records) if r.branch > 0),
         key=lambda i: abs(res.records[i].E),

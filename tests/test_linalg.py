@@ -135,7 +135,7 @@ def test_degenerate_cluster_vectors_stay_orthogonal():
 # ------------------------------------------- production path against oracle
 
 # (family, kappa, grid.n): subcritical and supercritical couplings, matrix
-# dimensions 2 * grid.n from 500 to 2000
+# dimensions 2 * grid.n + 1 from 501 to 2001
 LATTICE_CASES = [
     ("linear", 0.3, 250),
     ("linear", -0.7, 1000),
@@ -183,7 +183,7 @@ def _assert_matches_oracle(t, k_lo, k_hi):
 @pytest.mark.parametrize("family,kappa,n", LATTICE_CASES)
 def test_indexed_eigenvalues_match_bisection_on_lattice_matrices(family, kappa, n):
     t = _lattice_matrix(family, kappa, n)
-    assert 500 <= t.n <= 2000
+    assert 501 <= t.n <= 2001
     # the production window: levels either side of E = 0, then the bottom
     c0 = sturm_count(t, 0.0)
     _assert_matches_oracle(t, max(c0 - 3, 1), min(c0 + 4, t.n))
@@ -198,17 +198,19 @@ def test_indexed_eigenvalues_match_bisection_on_schrodinger_matrices(family, kap
     _assert_matches_oracle(t, 1, 6)
 
 
-# (family, kappa, mass, grid.n, box half-width, eigenvalues below E = 0):
-# massless kappa = 0 lattices have a zero diagonal, so the Sturm recurrence
-# meets zero pivots; the supercritical ones split off-centre
+# (family, kappa, mass, grid.n, box half-width, eigenvalues below E = 0),
+# pinned from sturm_count: the 2N+1 rows hold N levels of each sign and one
+# unpaired level at E0 >= 0 (at E = 0 exactly when massless at kappa = 0, so
+# the Sturm recurrence meets zero pivots on the zero diagonal); the
+# supercritical linear lattice splits off-centre
 COUNT_CASES = [
     ("linear", 0.0, 0.0, 2000, None, 2000),
     ("tan", 0.0, 0.0, 2000, None, 2000),
     ("linear", 0.0, 1.0, 2000, None, 2000),
     ("linear", 0.9, 1.0, 2000, None, 2000),
-    ("tan", 0.9, 1.0, 2000, None, 2002),
-    ("linear", -1.5, 1.0, 4572, 20.0, 4563),
-    ("tan", 1.4, 1.0, 2000, None, 2005),
+    ("tan", 0.9, 1.0, 2000, None, 2000),
+    ("linear", -1.5, 1.0, 4572, 20.0, 4573),
+    ("tan", 1.4, 1.0, 2000, None, 2000),
 ]
 
 

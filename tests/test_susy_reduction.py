@@ -287,8 +287,7 @@ def test_solve_argument_validation():
 
 def test_reconstructed_ground_matches_lattice_route():
     res = converge_box_full(linear_params(0.0), count=8, tol=1e-6)
-    # the positive-branch ground level; the lattice also has a wall mode at
-    # E = -1, equal in |E| up to rounding
+    # the positive-branch ground level, +E0 (the lattice has no -E0 level)
     idx = min(
         (i for i, r in enumerate(res.records) if r.branch > 0),
         key=lambda i: abs(res.records[i].E),
