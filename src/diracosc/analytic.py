@@ -9,7 +9,8 @@ whose levels epsilon_n depend on the single index
 
 so states (sigma=-1, n=k) and (sigma=+1, n=k-1) share n_sigma=k and are
 exactly degenerate; only the n_sigma=0 state (which exists on the sigma=-1
-side alone) is unpaired. Energies follow from
+side and on the positive energy branch alone, as +E0) is unpaired. Energies
+follow from
 
     epsilon = E^2/(1-kappa^2) - m^2.
 
@@ -54,7 +55,14 @@ from .errors import (
     IndexOutOfRangeError,
     NoRealEnergyError,
 )
-from .model import Family, LevelIndex, PhysicalParams, SpectrumRecord, require_subcritical
+from .model import (
+    Family,
+    LevelIndex,
+    PhysicalParams,
+    SpectrumRecord,
+    level_labels,
+    require_subcritical,
+)
 
 __all__ = [
     "BoundStateDomain",
@@ -200,9 +208,10 @@ def full_spectrum(params: PhysicalParams, max_n: int) -> list[SpectrumRecord]:
     (clipped to the trigonometric family's certified window), both spin
     labels, both energy branches.
 
-    Each n_sigma >= 1 appears under its two equivalent labels (sigma=-1,
-    n=n_sigma) and (sigma=+1, n=n_sigma-1); n_sigma=0 exists only on the
-    sigma=-1 side. Records are sorted by |E| then sigma, carry route
+    Each n_sigma >= 1 appears on both branches under its two equivalent
+    labels (sigma=-1, n=n_sigma) and (sigma=+1, n=n_sigma-1); n_sigma=0
+    exists on the positive branch only, as +E0 under (sigma=-1, n=0).
+    Records are sorted by |E| then sigma, carry route
     "analytic", converged=True, err_est=0.
     """
     if max_n < 0:
@@ -214,9 +223,8 @@ def full_spectrum(params: PhysicalParams, max_n: int) -> list[SpectrumRecord]:
     for k in _admissible_n_sigma(params, max_n):
         ep, em = level_energies(params, k)
         eps = ep * ep / omk - m * m
-        labels = [(-1, k)] if k == 0 else [(-1, k), (1, k - 1)]
-        for sigma, n in labels:
-            for branch, e in ((1, ep), (-1, em)):
+        for branch, e in ((1, ep), (-1, em)):
+            for sigma, n in level_labels(branch, k):
                 records.append(
                     SpectrumRecord(
                         route="analytic",

@@ -58,6 +58,7 @@ from .model import (
     SpectrumRecord,
     Superpotential,
     build_grid,
+    level_labels,
     require_subcritical,
 )
 
@@ -287,16 +288,13 @@ def _analytic_records(params, max_n):
 
 def _susy_records(params, grid, max_n):
     require_subcritical(params.kappa)
-    sp = params.superpotential
-    if sp.family is Family.TABULATED:
-        indices = [(-1, n) for n in range(max_n + 1)] + [(1, n) for n in range(max_n)]
-    else:
-        admissible = analytic._admissible_n_sigma(params, max_n)
-        indices = [(-1, k) for k in admissible] + [(1, k - 1) for k in admissible if k >= 1]
     records = []
-    for sigma, n in indices:
-        plus, minus = susy_reduction.solve_nonlinear_level(params, sigma, n, grid)
-        records.extend([plus, minus])
+    for k in analytic._admissible_n_sigma(params, max_n):
+        # the positive branch holds every level, under each of its labels
+        for sigma, n in level_labels(1, k):
+            plus, minus = susy_reduction.solve_nonlinear_level(params, sigma, n, grid)
+            # the negative root at n_sigma 0 is -E0, whose state is annihilated
+            records.extend(r for r in (plus, minus) if level_labels(r.branch, k))
     records.sort(key=lambda r: (abs(r.E), r.sigma, -r.branch))
     return records
 
@@ -385,6 +383,7 @@ def _verify_checks(cfg: RunConfig):
     if params.superpotential.family is Family.TABULATED:
         raise ConfigError("verify needs a certified family (linear or tan)")
     max_n = min(cfg.levels - 1, 4)
+    admissible = analytic._admissible_n_sigma(params, max_n)
     ana = _analytic_records(params, max_n)
     susy = _susy_records(params, grid, max_n)
     dirac = dirac_solver.converge_box_full(
@@ -404,8 +403,12 @@ def _verify_checks(cfg: RunConfig):
         for other in (ks, kd):
             if key in other:
                 worst = max(worst, abs(ea - other[key]) / max(abs(ea), 1.0))
-    checks.append(("three-route agreement", worst <= 1e-4,
-                   f"max cross-route discrepancy {worst:.3e} (limit 1e-04)"))
+    # every route must hold the same levels within the requested range
+    held = [set(ka), set(ks), {key for key in kd if key[1] in admissible}]
+    lone = sorted(set.union(*held) - set.intersection(*held))
+    checks.append(("three-route agreement", worst <= 1e-4 and not lone,
+                   f"max cross-route discrepancy {worst:.3e} (limit 1e-04)"
+                   + (f"; levels (branch, n_sigma) not on every route: {lone}" if lone else "")))
 
     bad = sorted({(r.branch, r.n_sigma) for r in dirac if not r.converged})
     drift = max((r.err_est for r in dirac if r.err_est is not None), default=0.0)
@@ -416,24 +419,19 @@ def _verify_checks(cfg: RunConfig):
         else f"all {len(dirac)} lattice levels stationary under box refinement",
     ))
 
-    ok = True
+    # on the susy route the labels (sigma=-1, n=k) and (sigma=+1, n=k-1) of a
+    # level are independent partner solves; on the other two they are one number
     details = []
-    for name, records in (("analytic", ana), ("dirac", dirac)):
-        for branch in (1, -1):
-            subset = [r for r in records if r.branch == branch]
-            pairs, unpaired = analytic.degenerate_pairs(subset)
-            paired_k = {p[0].n_sigma for p in pairs}
-            expect = {r.n_sigma for r in subset if r.n_sigma >= 1
-                      and any(s.n_sigma == r.n_sigma and s.sigma != r.sigma
-                              for s in subset)}
-            if paired_k != expect:
-                ok = False
-                details.append(f"{name} branch {branch:+d}: paired {sorted(paired_k)}"
-                               f" expected {sorted(expect)}")
-            if any(r.n_sigma == 0 and r.sigma == -1 for p in pairs for r in p):
-                ok = False
-                details.append(f"{name} branch {branch:+d}: ground level paired")
-    checks.append(("degeneracy pairing", ok, "; ".join(details) or "all nonzero levels paired, ground unpaired"))
+    for branch in (1, -1):
+        subset = [r for r in susy if r.branch == branch]
+        pairs, _ = analytic.degenerate_pairs(subset)
+        paired = {p[0].n_sigma for p in pairs}
+        expect = {r.n_sigma for r in subset if r.sigma == 1}
+        if paired != expect:
+            details.append(f"susy branch {branch:+d}: paired {sorted(paired)}"
+                           f" expected {sorted(expect)}")
+    checks.append(("degeneracy pairing", not details, "; ".join(details)
+                   or f"susy partner levels agree to {analytic.DEGENERACY_RTOL:.0e} relative"))
 
     worst = 0.0
     for keymap in (ka, ks, kd):

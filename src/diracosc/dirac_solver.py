@@ -35,18 +35,21 @@ neighbours, psi2 = -i * lower.
 
 Level labels
 ------------
-Lattice eigenvalues carry no quantum numbers. For the certified families each
-eigenvalue's level index n_sigma is recovered by inverting the closed-form
-level law at the measured energy and rounding; an eigenvalue with
-n_sigma = k >= 1 is reported under both of its equivalent labels
+Lattice eigenvalues carry no quantum numbers. Each branch's eigenvalues,
+closest to E = 0 first, take the n_sigma values that branch holds, in order
+(model.level_labels: 0, 1, 2, ... for E > 0 and 1, 2, ... for E < 0), and
+each level with n_sigma = k >= 1 is reported under both of its labels
 (sigma=-1, n=k) and (sigma=+1, n=k-1) - one physical state, two bookkeeping
-views - so degeneracy pairing works uniformly across routes. Tabulated
-superpotentials get per-branch ordinal labels instead.
+views - so degeneracy pairing works uniformly across routes. The labels
+never consult a level law, so certified families, tabulated shapes and
+supercritical couplings are labelled alike; the rule assumes
+W(-L) < 0 < W(L), which puts the unpaired level on the positive branch.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -68,6 +71,7 @@ from .model import (
     SpinorState,
     build_grid,
     eval_superpotential,
+    level_labels,
 )
 
 __all__ = [
@@ -135,11 +139,11 @@ def _lattice_eigenvalues(params, grid, count):
     """The `count` smallest-|E| eigenvalues of each sign.
 
     Returns (tridiagonal, E_neg, E_pos); E_pos ascending (closest to zero
-    first), E_neg descending (closest to zero first). Zero eigenvalues land on
-    the positive side.
+    first), E_neg descending (closest to zero first).
     """
     t = assemble_dirac_matrix(params, grid)
-    c0 = int(_counts_below(t, [0.0])[0])
+    # zero modes go to the positive branch, which holds n_sigma 0
+    c0 = int(_counts_below(t, [-_zero_tol(params)])[0])
     k_neg = np.arange(max(c0 - count + 1, 1), c0 + 1, dtype=np.int64)
     k_pos = np.arange(c0 + 1, min(c0 + count, t.n) + 1, dtype=np.int64)
     ks = np.concatenate([k_neg, k_pos])
@@ -149,37 +153,10 @@ def _lattice_eigenvalues(params, grid, count):
     return t, e_neg, e_pos
 
 
-def _quantize_n_sigma(E: float, params: PhysicalParams) -> int | None:
-    """Invert the closed-form level law at a measured energy; None when no
-    law applies (tabulated family or |kappa| >= 1)."""
-    sp = params.superpotential
-    kappa = params.kappa
-    if abs(kappa) >= 1.0 or sp.family is Family.TABULATED:
-        return None
-    omk = 1.0 - kappa * kappa
-    eps = E * E / omk - params.mass**2
-    if sp.family is Family.LINEAR:
-        if not (sp.w1 > 0.0):
-            return None
-        step = 2.0 * sp.w1 * math.sqrt(omk)
-        return max(int(round(eps / step)), 0)
-    alpha = sp.alpha0 * math.sqrt(omk)
-    beta = kappa * E / math.sqrt(omk)
-    acc = alpha * alpha + eps - beta * beta
-    t_sq = 0.5 * (acc + math.sqrt(acc * acc + 4.0 * (alpha * beta) ** 2))
-    return max(int(round(math.sqrt(t_sq) - alpha)), 0)
-
-
-def _labels_for(E: float, ordinal: int, params: PhysicalParams):
-    """(sigma, n) label views of one eigenvalue. Certified families with
-    n_sigma >= 1 yield both equivalent labels; the ground and unlabeled cases
-    yield one."""
-    k = _quantize_n_sigma(E, params)
-    if k is None:
-        return [(-1, ordinal)]
-    if k == 0:
-        return [(-1, 0)]
-    return [(-1, k), (1, k - 1)]
+def _zero_tol(params: PhysicalParams) -> float:
+    """|E| below which an eigenvalue is a zero mode: the massless ground
+    level comes out as +-1e-15 noise."""
+    return 1e-11 * max(1.0, params.mass)
 
 
 def _epsilon_of(E: float, params: PhysicalParams) -> float:
@@ -200,28 +177,22 @@ def _build_records(params, e_neg, e_pos, converged=None, err=None):
     Returns records plus a parallel list of (branch, ordinal) provenance used
     to attach states.
     """
-    vals_neg = np.asarray(e_neg, dtype=float)
-    vals_pos = np.asarray(e_pos, dtype=float)
-    spread = max(
-        float(np.max(np.abs(vals_neg), initial=0.0)),
-        float(np.max(np.abs(vals_pos), initial=0.0)),
-    )
-    # zero modes (massless ground level) emerge as +-1e-13 noise; snap them so
-    # branch bookkeeping does not see a sign
-    snap = 1e-11 * max(1.0, spread)
+    # zero modes are snapped to 0, so that the record's sign check sees none
+    snap = _zero_tol(params)
     records = []
     origins = []
-    for branch, values in ((1, vals_pos), (-1, vals_neg)):
-        for j, raw in enumerate(values):
+    for branch, values in ((1, e_pos), (-1, e_neg)):
+        # the j-th eigenvalue from E = 0 is the j-th level the branch holds
+        held = (k for k in itertools.count() if level_labels(branch, k))
+        for j, (raw, n_sigma) in enumerate(zip(values, held)):
             val = 0.0 if abs(float(raw)) <= snap else float(raw)
-            b = branch if val != 0.0 else 1
             flag = converged[(branch, j)] if converged is not None else False
             estimate = err[(branch, j)] if err is not None else None
-            for sigma, n in _labels_for(float(val), j, params):
+            for sigma, n in level_labels(branch, n_sigma):
                 records.append(
                     SpectrumRecord(
                         route="dirac",
-                        branch=b,
+                        branch=branch,
                         sigma=sigma,
                         n=n,
                         E=float(val),

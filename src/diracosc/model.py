@@ -33,6 +33,7 @@ __all__ = [
     "SpectrumRecord",
     "SpinorState",
     "eval_superpotential",
+    "level_labels",
     "potential_energy",
     "require_subcritical",
     "build_grid",
@@ -257,6 +258,22 @@ class LevelIndex:
     @property
     def n_sigma(self) -> int:
         return int(self.n) + (1 + self.sigma) // 2
+
+
+def level_labels(branch: int, n_sigma: int) -> tuple[tuple[int, int], ...]:
+    """(sigma, n) labels of level n_sigma on one energy branch; empty when
+    the branch does not hold it.
+
+    The positive branch holds n_sigma = 0, 1, 2, ... and the negative branch
+    n_sigma = 1, 2, ...: the ground spinor exp(-gamma int W dx - kappa m x)
+    (1, -kappa/(1+gamma)) has E = gamma m, gamma^2 = 1 - kappa^2, and a W
+    running from negative to positive normalizes it for gamma > 0 only, so
+    it is +E0 alone. Each n_sigma = k >= 1 is reported under both labels
+    (sigma=-1, n=k) and (sigma=+1, n=k-1).
+    """
+    if n_sigma == 0:
+        return ((-1, 0),) if branch > 0 else ()
+    return ((-1, n_sigma), (1, n_sigma - 1))
 
 
 ROUTES = ("analytic", "dirac", "susy")

@@ -342,7 +342,9 @@ def solve_nonlinear_level(
     always sees the same level regardless of step size. The two energy
     branches are solved independently (they coincide in magnitude for the
     certified families, where f is even in E) and returned as (plus, minus)
-    records with route "susy".
+    records with route "susy". At (sigma=-1, n=0) the minus root is -E0, a
+    root of f whose state the reconstruction annihilates: no level, and
+    model.level_labels leaves it out.
 
     Raises CriticalFieldError for |kappa| >= 1 and BracketError when the
     search window contains no sign change (no such bound level).

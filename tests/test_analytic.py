@@ -150,8 +150,9 @@ def test_full_spectrum_kappa0_shape():
     pos = sorted(r.E for r in records if r.branch > 0)
     expected = [1.0, math.sqrt(3.0), math.sqrt(3.0), math.sqrt(5.0), math.sqrt(5.0)]
     assert np.allclose(pos, expected, rtol=0.0, atol=1e-14)
+    # n_sigma 0 is +E0 alone: the negative branch starts at n_sigma 1
     neg = sorted(-r.E for r in records if r.branch < 0)
-    assert np.allclose(neg, expected, rtol=0.0, atol=1e-14)
+    assert np.allclose(neg, expected[1:], rtol=0.0, atol=1e-14)
     # each n_sigma >= 1 carries both spin labels
     labels = {(r.sigma, r.n) for r in records if r.branch > 0 and r.n_sigma == 2}
     assert labels == {(-1, 2), (1, 1)}

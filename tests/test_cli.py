@@ -2,15 +2,19 @@
 formats, and exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import diracosc
+from diracosc import analytic, susy_reduction
 from diracosc.cli import (
     RunConfig,
     load_config,
@@ -124,11 +128,12 @@ def test_spectrum_analytic_closed_form_table():
                       "epsilon", "converged", "err_est"]
     assert all(r["route"] == "analytic" for r in rows)
     assert all(r["converged"] == "true" for r in rows)
-    # per branch: |E| = {1, sqrt3 x2, sqrt5 x2} from the two level labels
-    for sign in ("+", "-"):
+    # |E| = {1, sqrt3 x2, sqrt5 x2} from the two level labels; the unpaired
+    # level 1 = +E0 is on the positive branch only
+    expect = [1.0, math.sqrt(3), math.sqrt(3), math.sqrt(5), math.sqrt(5)]
+    for sign, want in (("+", expect), ("-", expect[1:])):
         mags = sorted(abs(float(r["E"])) for r in rows if r["branch"] == sign)
-        expect = [1.0, math.sqrt(3), math.sqrt(3), math.sqrt(5), math.sqrt(5)]
-        np.testing.assert_allclose(mags, expect, rtol=1e-12)
+        np.testing.assert_allclose(mags, want, rtol=1e-12)
 
 
 def test_spectrum_route_all_cross_checks():
@@ -230,11 +235,14 @@ def test_spectrum_tabulated_round_trip(tmp_path):
     ])
     assert code == 0
     _, _, rows = parse_csv(out)
-    # the tabulated W=x problem is the exactly solvable linear one: E = +1
-    # unpaired, then +-sqrt(1 + 2n) for n >= 1, two levels of each sign
-    mags = sorted(abs(float(r["E"])) for r in rows)
-    np.testing.assert_allclose(mags, [1.0, math.sqrt(3), math.sqrt(3), math.sqrt(5)],
-                               atol=1e-6)
+    # the tabulated W=x problem is the exactly solvable linear one, labelled
+    # as the certified families are: E = +-sqrt(1 + 2 n_sigma), two levels
+    # of each sign, n_sigma 0 (E = +1) on the positive branch only
+    keys = sorted((r["branch"], int(r["n_sigma"])) for r in rows)
+    assert keys == [("+", 0), ("+", 1), ("+", 1), ("-", 1), ("-", 1), ("-", 2), ("-", 2)]
+    for r in rows:
+        law = math.sqrt(1 + 2 * int(r["n_sigma"]))
+        assert float(r["E"]) == pytest.approx(law if r["branch"] == "+" else -law, abs=1e-6)
     assert all(r["converged"] == "true" for r in rows)
 
 
@@ -340,6 +348,40 @@ def test_verify_coarse_grid_fails_loudly():
     assert any(ln.startswith("FAIL three-route agreement") for ln in lines)
 
 
+@pytest.mark.parametrize("change", ["gain", "loss"])
+def test_verify_fails_when_a_route_gains_or_loses_a_level(monkeypatch, change):
+    full_spectrum = analytic.full_spectrum
+
+    def altered(params, max_n):
+        records = full_spectrum(params, max_n)
+        if change == "loss":
+            return [r for r in records if (r.branch, r.n_sigma) != (1, 2)]
+        ground = next(r for r in records if r.n_sigma == 0)
+        return records + [dataclasses.replace(ground, branch=-1, E=-ground.E)]
+
+    monkeypatch.setattr(analytic, "full_spectrum", altered)
+    code, out, _ = run_cli(["verify", "--model.kappa", "0.6"])
+    assert code == 1
+    line = check_lines(out)[0]
+    lone = "(-1, 0)" if change == "gain" else "(1, 2)"
+    assert line.startswith("FAIL three-route agreement") and lone in line
+
+
+def test_verify_pairing_fails_on_split_susy_partners(monkeypatch):
+    solve = susy_reduction.solve_nonlinear_level
+
+    def shifted(params, sigma, n, grid=None):
+        records = solve(params, sigma, n, grid)
+        if sigma == 1:
+            records = tuple(dataclasses.replace(r, E=r.E * (1.0 + 1e-4)) for r in records)
+        return records
+
+    monkeypatch.setattr(susy_reduction, "solve_nonlinear_level", shifted)
+    code, out, _ = run_cli(["verify", "--model.kappa", "0.6"])
+    assert code == 1
+    assert check_lines(out)[2].startswith("FAIL degeneracy pairing")
+
+
 def test_verify_tabulated_rejected(tmp_path):
     table = write_table(tmp_path)
     code, _, err = run_cli([
@@ -401,9 +443,13 @@ def test_wavefunction_negative_n_exit_2():
 
 
 def test_module_entry_point_subprocess():
+    # the child does not inherit pytest's import path: hand it the package's
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diracosc.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "diracosc", "spectrum",
          "--solver.route", "analytic", "--solver.levels", "2"],
+        env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0

@@ -87,8 +87,10 @@ def test_free_particle_box_dispersion():
     records = [r for r, _ in dirac_spectrum(params, grid, 4)]
     s = [2.0 / grid.h * math.sin(j * math.pi / (2 * (grid.n + 1))) for j in (1, 2, 3)]
     box = [math.sqrt(1.0 + sj * sj) for sj in s]
-    assert positive_levels(records) == pytest.approx([1.0] + box, rel=1e-12)
-    neg = sorted((r.E for r in records if r.branch < 0), reverse=True)
+    # each level past the unpaired one carries two labels: compare energies
+    assert sorted({r.E for r in records if r.branch > 0}) == pytest.approx(
+        [1.0] + box, rel=1e-12)
+    neg = sorted({r.E for r in records if r.branch < 0}, reverse=True)
     assert neg[:3] == pytest.approx([-b for b in box], rel=1e-12)
 
 
@@ -191,6 +193,21 @@ def test_one_unpaired_level_at_plus_e0(params, n):
     grid = default_grid(params, n=n)
     assert eigenvalue_count_in_window(params, grid, -0.99 * e1, 0.99 * e1) == 1
     assert eigenvalue_count_in_window(params, grid, 0.99 * e0, 1.01 * e0) == 1
+
+
+def test_massless_zero_mode_on_positive_branch():
+    # m = 0: the ground level sits at E = 0 and comes out as -8.9e-16 on this
+    # grid; it belongs to the positive branch, which holds n_sigma 0, and a
+    # split at exactly E = 0 would shift every ordinal label of both branches
+    params = PhysicalParams(mass=0.0, kappa=0.4, superpotential=Superpotential.linear(1.0))
+    res = converge_box_full(params, count=4, grid=default_grid(params, n=2000))
+    assert all(r.converged for r in res.records)
+    pos = [r for r in res.records if r.branch > 0]
+    assert sorted({r.n_sigma for r in pos}) == [0, 1, 2, 3]
+    assert [(r.sigma, r.n, r.E) for r in pos if r.n_sigma == 0] == [(-1, 0, 0.0)]
+    for r in res.records:
+        law = analytic.level_energies(params, r.n_sigma)[0 if r.branch > 0 else 1]
+        assert abs(r.E - law) <= 1e-5 * max(abs(law), 1.0)
 
 
 def test_tan_wall_bonds_keep_their_sign():
@@ -368,8 +385,11 @@ def test_tabulated_family_refines_in_place():
     assert all(r.converged for r in res.records)
     pos = sorted({r.E for r in res.records if r.E > 0})
     np.testing.assert_allclose(pos, [1.0, math.sqrt(3)], atol=1e-6)
-    # no closed-form label law for tables: per-branch ordinals instead
-    assert {(r.sigma, r.n) for r in res.records} == {(-1, 0), (-1, 1)}
+    # tables take the certified families' labels: n_sigma 0, 1 on the
+    # positive branch and 1, 2 on the negative one, each n_sigma >= 1 twice
+    assert sorted((r.branch, r.sigma, r.n) for r in res.records) == [
+        (-1, -1, 1), (-1, -1, 2), (-1, 1, 0), (-1, 1, 1),
+        (1, -1, 0), (1, -1, 1), (1, 1, 0)]
 
 
 # ---------------------------------------------------------------- states
