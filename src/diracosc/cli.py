@@ -30,7 +30,7 @@ found.
 from __future__ import annotations
 
 import argparse
-import io
+import functools
 import json
 import math
 import sys
@@ -252,22 +252,30 @@ def _record_row(rec: SpectrumRecord) -> dict:
     }
 
 
-def _emit(rows: list[dict], header: list[str], cfg: RunConfig, preamble: list[str] = ()):
-    """Serialize rows to CSV or JSON; write to output.path or stdout."""
-    if cfg.format == "csv":
-        buf = io.StringIO()
-        for line in preamble:
-            buf.write(f"# {line}\n")
-        buf.write(",".join(header) + "\n")
-        for row in rows:
-            buf.write(",".join(_fmt(row.get(col)) for col in header) + "\n")
-        text = buf.getvalue()
+def _cells(column, csv: bool) -> list:
+    """One column's serialized cells. A float array is formatted in one
+    pass (the same text as _fmt per cell); other columns cell by cell."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        text = [f"{v:.15g}" for v in column.tolist()]
+        return text if csv else [None if t == "nan" else float(t) for t in text]
+    if csv:
+        return [_fmt(v) for v in column]
+    return [_json_num(v) if isinstance(v, float) else v for v in column]
+
+
+def _emit(columns: dict, cfg: RunConfig, preamble: list[str] = ()):
+    """Serialize named, equally long columns to CSV or JSON; write to
+    output.path or stdout."""
+    header = list(columns)
+    csv = cfg.format == "csv"
+    rows = zip(*(_cells(col, csv) for col in columns.values()))
+    if csv:
+        lines = [f"# {line}" for line in preamble]
+        lines.append(",".join(header))
+        lines.extend(",".join(row) for row in rows)
+        text = "\n".join(lines) + "\n"
     else:
-        payload = [
-            {col: (_json_num(v) if isinstance((v := row.get(col)), float) else v)
-             for col in header}
-            for row in rows
-        ]
+        payload = [dict(zip(header, row)) for row in rows]
         if preamble:
             payload = {"info": list(preamble), "records": payload}
         text = json.dumps(payload, indent=1) + "\n"
@@ -276,6 +284,11 @@ def _emit(rows: list[dict], header: list[str], cfg: RunConfig, preamble: list[st
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _row_columns(rows: list[dict], header: list[str]) -> dict:
+    """Row dicts as named columns; a key a row lacks is an empty cell."""
+    return {col: [row.get(col) for row in rows] for col in header}
 
 
 SPECTRUM_HEADER = ["route", "branch", "sigma", "n", "n_sigma", "E", "epsilon",
@@ -343,7 +356,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         header.append("xcheck")
     rows.sort(key=lambda r: (abs(r["E"]), r["n_sigma"], r["sigma"],
                              r["branch"], r["route"]))
-    _emit(rows, header, cfg)
+    _emit(_row_columns(rows, header), cfg)
     return EXIT_OK
 
 
@@ -373,7 +386,7 @@ def cmd_sweep_kappa(cfg: RunConfig, kappa_list: list[float]) -> int:
             row = {"kappa": kappa, **_record_row(rec)}
             row["pr"] = state.participation_ratio if state is not None else None
             rows.append(row)
-    _emit(rows, SWEEP_HEADER, cfg)
+    _emit(_row_columns(rows, SWEEP_HEADER), cfg)
     return EXIT_OK
 
 
@@ -528,28 +541,25 @@ def cmd_wavefunction(cfg: RunConfig, sigma: int, n: int, branch: int = 1) -> int
     overlap = float(abs(g.h * np.sum(
         np.conj(sstate.psi1) * dstate.psi1
         + np.conj(sstate.psi2) * dstate.psi2)))
-    q_d = np.abs(dstate.psi1) ** 2 + np.abs(dstate.psi2) ** 2
-    q_s = np.abs(sstate.psi1) ** 2 + np.abs(sstate.psi2) ** 2
-    cum_d = np.cumsum(q_d) * g.h
-    cum_s = np.cumsum(q_s) * g.h
-    rows = []
-    for i in range(g.n):
-        rows.append({
-            "x": float(g.x[i]),
-            "psi1_sq_dirac": float(np.abs(dstate.psi1[i]) ** 2),
-            "psi2_sq_dirac": float(np.abs(dstate.psi2[i]) ** 2),
-            "cum_dirac": float(cum_d[i]),
-            "psi1_sq_susy": float(np.abs(sstate.psi1[i]) ** 2),
-            "psi2_sq_susy": float(np.abs(sstate.psi2[i]) ** 2),
-            "cum_susy": float(cum_s[i]),
-        })
-    header = ["x", "psi1_sq_dirac", "psi2_sq_dirac", "cum_dirac",
-              "psi1_sq_susy", "psi2_sq_susy", "cum_susy"]
+    # densities through libm pow, as a float64 scalar's `** 2` rounds them;
+    # an array's `** 2` squares, which differs in the last bit at a few
+    # points per thousand and would change the printed digits
+    d1, d2 = np.float_power(np.abs(dstate.psi1), 2), np.float_power(np.abs(dstate.psi2), 2)
+    s1, s2 = np.float_power(np.abs(sstate.psi1), 2), np.float_power(np.abs(sstate.psi2), 2)
+    columns = {
+        "x": g.x,
+        "psi1_sq_dirac": d1,
+        "psi2_sq_dirac": d2,
+        "cum_dirac": np.cumsum(d1 + d2) * g.h,
+        "psi1_sq_susy": s1,
+        "psi2_sq_susy": s2,
+        "cum_susy": np.cumsum(s1 + s2) * g.h,
+    }
     preamble = [
         f"level sigma={sigma} n={n} branch={branch:+d} E={_fmt(rec.E)}",
         f"overlap = {_fmt(overlap)}",
     ]
-    _emit(rows, header, cfg, preamble=preamble)
+    _emit(columns, cfg, preamble=preamble)
     return EXIT_OK
 
 
@@ -581,7 +591,10 @@ def _parse_kappas(raw: str) -> list[float]:
         raise ConfigError(f"bad --kappas list: {raw!r}") from exc
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused: parse_args
+    fills a fresh namespace on every call, so no call sees another's flags."""
     parser = argparse.ArgumentParser(
         prog="diracosc",
         description="Spectra of the (1+1)D Dirac oscillator in a "
@@ -605,8 +618,11 @@ def main(argv: list[str] | None = None) -> int:
     p_wave.add_argument("--sigma", type=int, required=True, choices=(-1, 1))
     p_wave.add_argument("--n", type=int, required=True)
     p_wave.add_argument("--branch", type=int, default=1, choices=(-1, 1))
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     wavefunction = args.command == "wavefunction"
     try:
         cfg = _config_from_args(args)

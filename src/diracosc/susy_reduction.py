@@ -312,7 +312,13 @@ def _illinois(params, sigma, n, grid, a, b, fa, fb, tol=1e-12):
 
 
 def _solve_branch(params, sigma, n, grid, branch):
+    """(E, err_est, converged) of one branch's root. The E = 0 level is
+    exact by symmetry and needs no second pass; a root whose fine-grid
+    bracket fails keeps the base-grid value, flagged unconverged."""
     a, b, fa, fb = _bracket_root(params, sigma, n, grid, branch)
+    if a == b:
+        # the E=0 seed: f is even there, so no bracket around it can exist
+        return a, 0.0, True
     e1 = _illinois(params, sigma, n, grid, a, b, fa, fb)
     # second pass on a nested half-spacing grid; the paired extrapolation
     # (4 E2 - E1)/3 cancels the O(h^2) lattice bias of the 3-point Laplacian
@@ -325,9 +331,9 @@ def _solve_branch(params, sigma, n, grid, branch):
         if faa * fbb <= 0.0:
             e2 = _illinois(params, sigma, n, fine, aa, bb, faa, fbb)
             e = (4.0 * e2 - e1) / 3.0
-            return e, abs(e2 - e1) / 3.0
+            return e, abs(e2 - e1) / 3.0, True
         delta *= 4.0
-    return e1, abs(b - a)
+    return e1, abs(b - a), False
 
 
 def solve_nonlinear_level(
@@ -339,12 +345,17 @@ def solve_nonlinear_level(
 
     epsilon_n is the n-th ascending eigenvalue of the instantiated operator,
     fetched by sorted index at every E so the root-finder
-    always sees the same level regardless of step size. The two energy
-    branches are solved independently (they coincide in magnitude for the
-    certified families, where f is even in E) and returned as (plus, minus)
-    records with route "susy". At (sigma=-1, n=0) the minus root is -E0, a
-    root of f whose state the reconstruction annihilates: no level, and
-    model.level_labels leaves it out.
+    always sees the same level regardless of step size. Returns (plus,
+    minus) records with route "susy". For the certified families W is odd,
+    so f is even in E: the plus root is solved and the minus record is its
+    mirror -E with the same err_est. A tabulated W need not be odd, and its
+    two branches are solved independently. At (sigma=-1, n=0) the minus
+    root is -E0, a root of f whose state the reconstruction annihilates: no
+    level, and model.level_labels leaves it out.
+
+    Each root is refined on a half-spacing grid and extrapolated; when no
+    bracket around it is found there, the record keeps the base-grid root
+    with the width of its search bracket as err_est and converged=False.
 
     Raises CriticalFieldError for |kappa| >= 1 and BracketError when the
     search window contains no sign change (no such bound level).
@@ -367,12 +378,20 @@ def solve_nonlinear_level(
 
 
 def _solve_level(params, sigma, n, grid):
-    """solve_nonlinear_level's two branch solves, on checked arguments."""
+    """solve_nonlinear_level's branch solves, on checked arguments."""
+    plus = _solve_branch(params, sigma, n, grid, 1)
+    if params.superpotential.family in (Family.LINEAR, Family.TANGENT):
+        # W is odd and W' even, and the grid is symmetric about 0, so
+        # Weff_{-E}(x) = -Weff_E(-x) and V_{-E}(x) = V_E(-x): the operator at
+        # -E is the one at E reflected, f(-E) = f(E), and the minus root
+        # mirrors the plus one
+        minus = plus
+    else:
+        minus = _solve_branch(params, sigma, n, grid, -1)
     omk = 1.0 - params.kappa**2
     records = []
-    for branch in (1, -1):
-        e, err = _solve_branch(params, sigma, n, grid, branch)
-        e = abs(e) if branch > 0 else -abs(e)
+    for branch, (e, err, ok) in ((1, plus), (-1, minus)):
+        e = branch * abs(e)
         records.append(
             SpectrumRecord(
                 route="susy",
@@ -381,7 +400,7 @@ def _solve_level(params, sigma, n, grid):
                 n=n,
                 E=e,
                 epsilon=e * e / omk - params.mass**2,
-                converged=True,
+                converged=ok,
                 err_est=err,
             )
         )

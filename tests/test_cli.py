@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 import diracosc
-from diracosc import analytic, susy_reduction
+from diracosc import analytic, cli, susy_reduction
 from diracosc.cli import (
     RunConfig,
     load_config,
     main,
     parse_config_text,
 )
-from diracosc.errors import ConfigError
+from diracosc.errors import ConfigError, ConvergenceError
 
 
 def run_cli(argv):
@@ -454,3 +454,134 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("route,branch,")
+
+
+# ---------------------------------------------------------------- emission
+
+
+def reference_fmt(x):
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return "nan" if math.isnan(x) else f"{x:.15g}"
+    return str(x)
+
+
+def reference_json_num(x):
+    return None if math.isnan(x) else float(f"{x:.15g}")
+
+
+def reference_text(columns, fmt, preamble=()):
+    """Row-wise serialization, one cell at a time: a dict per row that
+    lacks the keys of its empty cells, floats taken out of arrays one by one."""
+    header = list(columns)
+    rows = []
+    for i in range(len(columns[header[0]])):
+        row = {}
+        for col, values in columns.items():
+            v = float(values[i]) if isinstance(values, np.ndarray) else values[i]
+            if v is not None:
+                row[col] = v
+        rows.append(row)
+    if fmt == "csv":
+        buf = io.StringIO()
+        for line in preamble:
+            buf.write(f"# {line}\n")
+        buf.write(",".join(header) + "\n")
+        for row in rows:
+            buf.write(",".join(reference_fmt(row.get(col)) for col in header) + "\n")
+        return buf.getvalue()
+    payload = [{col: reference_json_num(v) if isinstance((v := row.get(col)), float) else v
+                for col in header} for row in rows]
+    if preamble:
+        payload = {"info": list(preamble), "records": payload}
+    return json.dumps(payload, indent=1) + "\n"
+
+
+@pytest.fixture
+def emitted(monkeypatch):
+    """The (columns, format, preamble) of every _emit call."""
+    calls = []
+    emit = cli._emit
+
+    def spy(columns, cfg, preamble=()):
+        calls.append((columns, cfg.format, list(preamble)))
+        return emit(columns, cfg, preamble)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    return calls
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_special_floats_match_cellwise_text(fmt, capsys):
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.0 / 3.0, 1e300]
+    columns = {
+        "array": np.array(special),
+        "mixed": [None, True, False, 3, "s", math.nan, -2.5],
+    }
+    cli._emit(columns, RunConfig(format=fmt), preamble=["note"])
+    assert capsys.readouterr().out == reference_text(columns, fmt, ["note"])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_wavefunction_columns_emit_like_rows(fmt, emitted):
+    code, out, _ = run_cli(["wavefunction", "--sigma", "-1", "--n", "0",
+                            "--solver.levels", "8", "--format", fmt])
+    assert code == 0
+    columns, got_fmt, preamble = emitted[-1]
+    assert got_fmt == fmt and len(preamble) == 2
+    assert all(isinstance(v, np.ndarray) and v.dtype.kind == "f" for v in columns.values())
+    assert out == reference_text(columns, fmt, preamble)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spectrum_columns_emit_like_rows(fmt, emitted):
+    code, out, _ = run_cli(["spectrum", "--model.kappa", "0.6", "--grid.n", "1200",
+                            "--format", fmt])
+    assert code == 0
+    columns, _, _ = emitted[-1]
+    kinds = {type(v) for col in columns.values() for v in col}
+    assert {str, int, bool, float} <= kinds
+    assert out == reference_text(columns, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_columns_with_empty_cells_emit_like_rows(fmt, emitted, monkeypatch):
+    dirac_result = cli._dirac_result
+
+    def failing_at_03(params, grid, cfg):
+        if cfg.kappa == 0.3:
+            raise ConvergenceError("no convergence at kappa 0.3")
+        return dirac_result(params, grid, cfg)
+
+    monkeypatch.setattr(cli, "_dirac_result", failing_at_03)
+    code, out, err = run_cli(["sweep-kappa", "--kappas", "0.2 0.3 1.2", "--grid.n", "400",
+                              "--solver.levels", "2", "--format", fmt])
+    assert code == 0 and "kappa=0.3 failed" in err
+    columns, _, _ = emitted[-1]
+    failed = columns["kappa"].index(0.3)
+    assert columns["E"][failed] is None and columns["converged"][failed] is False
+    assert False in [c for k, c in zip(columns["kappa"], columns["converged"]) if k == 1.2]
+    assert out == reference_text(columns, fmt)
+
+
+# ---------------------------------------------------------------- parser
+
+
+def test_parser_is_built_once_and_keeps_no_flags():
+    assert cli._parser() is cli._parser()
+    base = ["spectrum", "--solver.route", "analytic", "--solver.levels", "2"]
+    code, out, _ = run_cli(base + ["--format", "json"])
+    assert code == 0 and isinstance(json.loads(out), list)
+    code, out, _ = run_cli(base)
+    assert code == 0 and out.startswith("route,branch,")
+
+    wave = ["wavefunction", "--sigma", "-1", "--n", "1", "--solver.levels", "8"]
+    code, out, _ = run_cli(wave + ["--branch", "-1"])
+    assert code == 0
+    assert parse_csv(out)[0][0].startswith("level sigma=-1 n=1 branch=-1 ")
+    code, out, _ = run_cli(wave)
+    assert code == 0
+    assert parse_csv(out)[0][0].startswith("level sigma=-1 n=1 branch=+1 ")

@@ -13,8 +13,9 @@ from diracosc.errors import (
     DomainError,
     NoRealEnergyError,
 )
+from diracosc import susy_reduction
 from diracosc.linalg import _indexed_eigenvalues
-from diracosc.model import Grid, PhysicalParams, Superpotential
+from diracosc.model import Grid, PhysicalParams, Superpotential, level_labels
 from diracosc.susy_reduction import (
     E_from_epsilon,
     effective_superpotential,
@@ -26,7 +27,7 @@ from diracosc.susy_reduction import (
     squared_form_potential,
     susy_state,
 )
-from diracosc.dirac_solver import converge_box_full
+from diracosc.dirac_solver import converge_box_full, default_grid
 
 from conftest import linear_params, tan_params
 
@@ -264,6 +265,67 @@ def test_solve_coarse_grid_cannot_bracket():
     # search window; the honest outcome is a refusal, not a wrong level
     with pytest.raises(BracketError):
         solve_nonlinear_level(linear_params(0.6), -1, 8, grid=Grid(half_width=20.0, n=25))
+
+
+def test_fine_grid_fallback_is_flagged_unconverged():
+    # on 30 nodes the fine-grid bracket around the base-grid root fails; the
+    # root kept is 9.6% below sqrt(5) and must not be reported converged
+    plus, minus = solve_nonlinear_level(
+        linear_params(0.0), 1, 1, grid=Grid(half_width=20.0, n=30))
+    assert abs(plus.E - math.sqrt(5.0)) > 0.05
+    assert not plus.converged and not minus.converged
+    assert plus.err_est == pytest.approx(0.25 * math.sqrt(5.0) * 2.0, rel=1e-12)
+
+
+CERTIFIED = [linear_params(0.4), linear_params(-0.4), tan_params(0.5), tan_params(-0.3)]
+LABELS = [label for k in range(3) for label in level_labels(1, k)]
+
+
+@pytest.mark.parametrize("params", CERTIFIED, ids=["lin+0.4", "lin-0.4", "tan+0.5", "tan-0.3"])
+def test_certified_minus_record_mirrors_plus(params):
+    for sigma, n in LABELS:
+        plus, minus = solve_nonlinear_level(params, sigma, n)
+        assert minus.E == -plus.E and plus.E > 0.0
+        assert minus.err_est == plus.err_est
+        assert minus.converged == plus.converged
+        assert (minus.branch, minus.sigma, minus.n) == (-1, sigma, n)
+
+
+@pytest.mark.parametrize("params", CERTIFIED, ids=["lin+0.4", "lin-0.4", "tan+0.5", "tan-0.3"])
+def test_mirrored_minus_root_matches_an_explicit_minus_solve(params):
+    # the premise of the mirror: f(-E) = f(E) for an odd W on a symmetric grid
+    grid = Grid(half_width=default_grid(params).half_width, n=2000)
+    for sigma, n in LABELS:
+        _, minus = solve_nonlinear_level(params, sigma, n, grid)
+        e, _, ok = susy_reduction._solve_branch(params, sigma, n, grid, -1)
+        assert ok
+        assert e == pytest.approx(minus.E, rel=1e-12, abs=0.0)
+
+
+def test_branch_solves_per_level(monkeypatch):
+    calls = []
+    solve_branch = susy_reduction._solve_branch
+
+    def spy(params, sigma, n, grid, branch):
+        calls.append(branch)
+        return solve_branch(params, sigma, n, grid, branch)
+
+    monkeypatch.setattr(susy_reduction, "_solve_branch", spy)
+    grid = Grid(half_width=8.0, n=400)
+    susy_reduction._solve_level(linear_params(0.4), -1, 1, grid)
+    assert calls == [1]
+    calls.clear()
+    susy_reduction._solve_level(tan_params(0.5), 1, 0, Grid(half_width=math.pi / 2, n=400))
+    assert calls == [1]
+    calls.clear()
+    # a tabulated W need not be odd: both branches are solved
+    xs = np.linspace(-10.0, 10.0, 801)
+    table = PhysicalParams(mass=1.0, kappa=0.0,
+                           superpotential=Superpotential.tabulated(xs, xs, np.ones_like(xs)))
+    plus, minus = solve_nonlinear_level(table, -1, 1, grid)
+    assert calls == [1, -1]
+    assert plus.E == pytest.approx(math.sqrt(3.0), rel=1e-5)
+    assert minus.E == pytest.approx(-math.sqrt(3.0), rel=1e-5)
 
 
 def test_equivalent_solves_share_one_cached_result():
