@@ -232,10 +232,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _json_num(x):
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return None
-    return float(f"{x:.15g}")
+# The .15g text of a finite float within these bounds, or of zero, is already
+# the repr of the value it rounds to, less the ".0" of an integral value: 15
+# significant digits identify a normal double, and .15g writes an exponent
+# from 1e15 on, where repr does not
+_PLAIN_FLOATS = (1e-300, 9.99999999999999e14)
+
+
+def _json_float(x: float, text: str) -> str:
+    """The JSON token of float x from its .15g text: what json.dumps writes
+    for float(text), with NaN as null."""
+    lo, hi = _PLAIN_FLOATS
+    if lo <= abs(x) < hi or x == 0.0:
+        return text if "." in text or "e" in text else text + ".0"
+    return "null" if math.isnan(x) else json.dumps(float(text))
 
 
 def _record_row(rec: SpectrumRecord) -> dict:
@@ -252,15 +262,35 @@ def _record_row(rec: SpectrumRecord) -> dict:
     }
 
 
-def _cells(column, csv: bool) -> list:
-    """One column's serialized cells. A float array is formatted in one
-    pass (the same text as _fmt per cell); other columns cell by cell."""
+def _cells(column, csv: bool) -> list[str]:
+    """One column's serialized cells: CSV text, or JSON tokens. A float array
+    is formatted in one pass (the same text as _fmt per cell); other columns
+    cell by cell."""
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        text = [f"{v:.15g}" for v in column.tolist()]
-        return text if csv else [None if t == "nan" else float(t) for t in text]
+        values = column.tolist()
+        text = [f"{v:.15g}" for v in values]
+        return text if csv else list(map(_json_float, values, text))
     if csv:
         return [_fmt(v) for v in column]
-    return [_json_num(v) if isinstance(v, float) else v for v in column]
+    return [_json_float(v, f"{v:.15g}") if isinstance(v, float)
+            else "null" if v is None else json.dumps(v) for v in column]
+
+
+def _json_text(header: list[str], cells: list[list[str]], preamble) -> str:
+    """json.dumps(payload, indent=1) of the rows, written from the columns'
+    JSON tokens; the payload is the list of row objects, or with a preamble
+    {"info": preamble, "records": rows}."""
+    pad = "  " if preamble else " "
+    # one str.format template per row object, braces in the keys escaped
+    row = ",\n".join(f"{pad} {json.dumps(key)}: ".replace("{", "{{").replace("}", "}}")
+                     + "{}" for key in header)
+    rows = list(map(row.format, *cells)) if cells else []
+    records = (f"[\n{pad}{{\n" + f"\n{pad}}},\n{pad}{{\n".join(rows)
+               + f"\n{pad}}}\n{pad[1:]}]") if rows else "[]"
+    if not preamble:
+        return records
+    info = ",\n".join(f"  {json.dumps(line)}" for line in preamble)
+    return f'{{\n "info": [\n{info}\n ],\n "records": {records}\n}}'
 
 
 def _emit(columns: dict, cfg: RunConfig, preamble: list[str] = ()):
@@ -268,17 +298,14 @@ def _emit(columns: dict, cfg: RunConfig, preamble: list[str] = ()):
     output.path or stdout."""
     header = list(columns)
     csv = cfg.format == "csv"
-    rows = zip(*(_cells(col, csv) for col in columns.values()))
+    cells = [_cells(col, csv) for col in columns.values()]
     if csv:
         lines = [f"# {line}" for line in preamble]
         lines.append(",".join(header))
-        lines.extend(",".join(row) for row in rows)
+        lines.extend(",".join(row) for row in zip(*cells))
         text = "\n".join(lines) + "\n"
     else:
-        payload = [dict(zip(header, row)) for row in rows]
-        if preamble:
-            payload = {"info": list(preamble), "records": payload}
-        text = json.dumps(payload, indent=1) + "\n"
+        text = _json_text(header, cells, preamble) + "\n"
     if cfg.path:
         with open(cfg.path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -43,7 +43,8 @@ each level with n_sigma = k >= 1 is reported under both of its labels
 views - so degeneracy pairing works uniformly across routes. The labels
 never consult a level law, so certified families, tabulated shapes and
 supercritical couplings are labelled alike; the rule assumes
-W(-L) < 0 < W(L), which puts the unpaired level on the positive branch.
+W(-L) < 0 < W(L), which puts the unpaired level on the positive branch, and
+converge_box_full refuses a box where it fails.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceError
+from .errors import DomainError, ResourceError
 from .linalg import (
     Tridiagonal,
     _counts_below,
@@ -328,7 +329,8 @@ def converge_box_full(
     against max(|E|, 1)) between rounds. Levels still moving when rounds stop
     are classified unbound (converged=False). Raises ResourceError only if
     the initial grid already exceeds the dimension cap; later rounds stop
-    early instead.
+    early instead. Raises DomainError unless W runs from negative to positive
+    across the base box, the assumption the level labels rest on.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -345,8 +347,23 @@ def converge_box_full(
     return _converge_cached(*args)
 
 
+def _require_sign_change(params: PhysicalParams, grid: Grid) -> None:
+    """The labelling rule's assumption W(-L) < 0 < W(L), checked at the end
+    sites of the chain, -L + h/2 and L - h/2. Without it the unpaired level
+    sits against a box wall, a state of the box that refinement can flag
+    converged. Raises DomainError."""
+    edge = grid.half_width - 0.5 * grid.h
+    w_lo, w_hi = eval_superpotential(params.superpotential, np.array([-edge, edge]))[0]
+    if not w_lo < 0.0 < w_hi:
+        raise DomainError(
+            f"W must run from negative to positive across the box, got "
+            f"W({-edge:.6g}) = {w_lo:.6g} and W({edge:.6g}) = {w_hi:.6g}"
+        )
+
+
 def _converge(params, count, tol, base):
     """converge_box_full's refinement loop, on checked and resolved arguments."""
+    _require_sign_change(params, base)
     lo, hi = params.superpotential.domain
     grow_box = math.isinf(hi) and math.isinf(lo)
 

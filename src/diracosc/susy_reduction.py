@@ -13,10 +13,11 @@ where the effective superpotential absorbs the coupling and the energy,
 
 and epsilon = E^2/(1-kappa^2) - m^2. Because Weff depends on E, the level
 condition  epsilon_n(Weff(E)) = E^2/(1-kappa^2) - m^2  is nonlinear in E;
-solve_nonlinear_level finds its roots by bracketing. This route needs no
-closed form, so it generalizes beyond the certified families; on them it
-must reproduce the closed-form levels, which is the cross-check the package
-leans on.
+solve_nonlinear_level finds its roots by Newton steps, with the slope from the
+Hellmann-Feynman theorem and a sign-change bracket as the safeguard. This
+route needs no closed form, so it generalizes beyond the certified families;
+on them it must reproduce the closed-form levels, which is the cross-check
+the package leans on.
 
 Everything here refuses |kappa| >= 1: the spin matrix becomes defective at
 the critical coupling and its eigenvalues go imaginary beyond, so no
@@ -220,24 +221,49 @@ def squared_form_potential(
     return omk * w * w + 2.0 * E * kappa * w + sigma * math.sqrt(omk) * wp
 
 
-def _reduced_level(params, sigma, n, grid, E):
-    """epsilon level n of the operator instantiated at energy E, fetched by
-    its sorted index. Near the top of the admissible window the level moves
-    faster in E than the ladder spacing, so picking by value continuity can
-    slide onto a neighbor between root-finder steps; the index cannot."""
+def _level_condition(params, sigma, n, grid, E):
+    """The reduced operator at energy E, its epsilon level n fetched by sorted
+    index, and the level condition f(E) = epsilon_n(E) - (E^2/(1-kappa^2) - m^2).
+    Near the top of the admissible window the level moves faster in E than
+    the ladder spacing, so picking by value continuity can slide onto a
+    neighbor between root-finder steps; the index cannot."""
     weff = effective_superpotential(params.superpotential, params.kappa, E)
     t = schrodinger_operator(weff, sigma, grid)
-    return float(_indexed_eigenvalues(t, [n + 1])[0])
+    eps = _indexed_eigenvalues(t, [n + 1])
+    omk = 1.0 - params.kappa**2
+    return t, eps, float(eps[0]) - (E * E / omk - params.mass**2)
 
 
 def _level_f(params, sigma, n, grid, E):
-    omk = 1.0 - params.kappa**2
-    return _reduced_level(params, sigma, n, grid, E) - (E * E / omk - params.mass**2)
+    """f(E) alone."""
+    return _level_condition(params, sigma, n, grid, E)[2]
+
+
+def _level_f_slope(params, sigma, n, grid, w, E):
+    """(f(E), f'(E)), with w the base superpotential W on the grid. The slope
+    takes the level's eigenvector from one dstein call on the same operator."""
+    t, eps, f = _level_condition(params, sigma, n, grid, E)
+    phi = tridiagonal_eigenvectors(t, eps)[:, 0]
+    return f, _hf_slope(params.kappa, phi, w, E)
+
+
+def _hf_slope(kappa, phi, w, E):
+    """f'(E) by the Hellmann-Feynman theorem (Feynman, Phys. Rev. 56 (1939)
+    340). Only the Weff^2 term of the operator depends on E, through
+    dWeff/dE = kappa/sqrt(1-kappa^2), so d epsilon/dE is
+    <phi|2 kappa Weff/sqrt(1-kappa^2)|phi>. With
+    Weff = sqrt(1-kappa^2) W + kappa E/sqrt(1-kappa^2) and the E^2/(1-kappa^2)
+    of the right side, f' = 2 kappa <phi|W|phi> - 2E. This is exact for the
+    lattice operator, whose diagonal carries Weff^2 pointwise; phi has unit
+    norm."""
+    return 2.0 * kappa * float(np.dot(phi * phi, w)) - 2.0 * E
 
 
 def _bracket_root(params, sigma, n, grid, branch):
-    """Sign-changing interval of f along one branch. Certified families seed
-    from the closed form +-25%; otherwise scan outward in steps of m/4."""
+    """Sign-changing interval (a, b, f(a), f(b)) of f along one branch and the
+    point to start the root search from. Certified families bracket the
+    closed form +-25% and start at it; otherwise scan outward in steps of m/4
+    and start at the secant point of the bracket."""
     sp = params.superpotential
     n_sigma = n + (1 + sigma) // 2
     if sp.family in (Family.LINEAR, Family.TANGENT):
@@ -248,7 +274,7 @@ def _bracket_root(params, sigma, n, grid, branch):
             # lattice bias, with no second root nearby to confuse it with
             f0 = _level_f(params, sigma, n, grid, 0.0)
             if abs(f0) <= 1e-4:
-                return 0.0, 0.0, 0.0, 0.0
+                return 0.0, 0.0, 0.0, 0.0, 0.0
             raise BracketError(
                 f"level condition fails at the E=0 seed for (sigma={sigma}, "
                 f"n={n}): f(0) = {f0:.3g}"
@@ -257,7 +283,7 @@ def _bracket_root(params, sigma, n, grid, branch):
         fa = _level_f(params, sigma, n, grid, a)
         fb = _level_f(params, sigma, n, grid, b)
         if fa * fb <= 0.0:
-            return a, b, fa, fb
+            return a, b, fa, fb, seed
         raise BracketError(
             f"no sign change around the closed-form seed {seed:.6g} for "
             f"(sigma={sigma}, n={n}); no such bound level"
@@ -271,7 +297,8 @@ def _bracket_root(params, sigma, n, grid, branch):
         b = branch * k * step
         fb = _level_f(params, sigma, n, grid, b)
         if fa * fb <= 0.0:
-            return (a, b, fa, fb) if a < b else (b, a, fb, fa)
+            start = (a * fb - b * fa) / (fb - fa) if fb != fa else a
+            return (a, b, fa, fb, start) if a < b else (b, a, fb, fa, start)
         a, fa = b, fb
         k += 1
     raise BracketError(
@@ -280,56 +307,60 @@ def _bracket_root(params, sigma, n, grid, branch):
     )
 
 
-def _illinois(params, sigma, n, grid, a, b, fa, fb, tol=1e-12):
-    """Regula falsi with the Illinois weighting; falls back to bisection
-    steps when the secant stalls."""
+def _safe_newton(evaluate, a, b, fa, fb, x, fx, fpx, tol=1e-12):
+    """Root of f in the sign-change bracket [a, b] by Newton steps from x,
+    where evaluate(E) = (f(E), f'(E)) and (fx, fpx) is its value at x. Every
+    evaluation narrows the bracket; a step that would leave it is replaced by
+    bisection, so a bad or vanishing slope costs speed, never the root.
+    Stops when a step is at most tol * max(1, |E|), which includes a Newton
+    step that rounds to nothing."""
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
-    if a == b:
-        return a
-    side = 0
+    lo, hi = (a, b) if fa < 0.0 else (b, a)
     for _ in range(120):
-        denom = fb - fa
-        c = (a * fb - b * fa) / denom if denom != 0.0 else 0.5 * (a + b)
-        if not (min(a, b) < c < max(a, b)):
-            c = 0.5 * (a + b)
-        fc = _level_f(params, sigma, n, grid, c)
-        if fc == 0.0 or abs(b - a) <= tol * max(1.0, abs(c)):
-            return c
-        if fa * fc < 0.0:
-            b, fb = c, fc
-            if side == -1:
-                fa *= 0.5
-            side = -1
+        if fx == 0.0:
+            return x
+        if fx < 0.0:
+            lo = x
         else:
-            a, fa = c, fc
-            if side == 1:
-                fb *= 0.5
-            side = 1
-    return 0.5 * (a + b)
+            hi = x
+        nxt = x - fx / fpx if fpx != 0.0 else math.nan
+        if nxt != x and not min(lo, hi) < nxt < max(lo, hi):
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - x) <= tol * max(1.0, abs(nxt)):
+            return nxt
+        x = nxt
+        fx, fpx = evaluate(x)
+    return x
 
 
 def _solve_branch(params, sigma, n, grid, branch):
     """(E, err_est, converged) of one branch's root. The E = 0 level is
     exact by symmetry and needs no second pass; a root whose fine-grid
     bracket fails keeps the base-grid value, flagged unconverged."""
-    a, b, fa, fb = _bracket_root(params, sigma, n, grid, branch)
+    a, b, fa, fb, x = _bracket_root(params, sigma, n, grid, branch)
     if a == b:
         # the E=0 seed: f is even there, so no bracket around it can exist
         return a, 0.0, True
-    e1 = _illinois(params, sigma, n, grid, a, b, fa, fb)
+    sp = params.superpotential
+    evaluate = functools.partial(
+        _level_f_slope, params, sigma, n, grid, eval_superpotential(sp, grid.x)[0])
+    e1 = _safe_newton(evaluate, a, b, fa, fb, x, *evaluate(x))
     # second pass on a nested half-spacing grid; the paired extrapolation
     # (4 E2 - E1)/3 cancels the O(h^2) lattice bias of the 3-point Laplacian
     fine = Grid(half_width=grid.half_width, n=2 * grid.n + 1)
+    evaluate = functools.partial(
+        _level_f_slope, params, sigma, n, fine, eval_superpotential(sp, fine.x)[0])
     delta = max(1e-4 * max(abs(e1), 1.0), 1e-9)
     for _ in range(4):
         aa, bb = e1 - delta, e1 + delta
-        faa = _level_f(params, sigma, n, fine, aa)
-        fbb = _level_f(params, sigma, n, fine, bb)
+        (faa, fpa), (fbb, fpb) = evaluate(aa), evaluate(bb)
         if faa * fbb <= 0.0:
-            e2 = _illinois(params, sigma, n, fine, aa, bb, faa, fbb)
+            # Newton from the end nearer the root, whose slope is in hand
+            start = (aa, faa, fpa) if abs(faa) <= abs(fbb) else (bb, fbb, fpb)
+            e2 = _safe_newton(evaluate, aa, bb, faa, fbb, *start)
             e = (4.0 * e2 - e1) / 3.0
             return e, abs(e2 - e1) / 3.0, True
         delta *= 4.0
@@ -344,8 +375,12 @@ def solve_nonlinear_level(
         f(E) = epsilon_n(operator at Weff(E)) - (E^2/(1-kappa^2) - m^2).
 
     epsilon_n is the n-th ascending eigenvalue of the instantiated operator,
-    fetched by sorted index at every E so the root-finder
-    always sees the same level regardless of step size. Returns (plus,
+    fetched by sorted index at every E so the root-finder always sees the
+    same level regardless of step size. The root is found by Newton steps
+    with the Hellmann-Feynman slope f'(E) = 2 kappa <phi|W|phi> - 2E (phi the
+    level's unit eigenvector), from the closed-form seed for the certified
+    families; each evaluation narrows a sign-change bracket, and a step that
+    would leave it is a bisection step instead. Returns (plus,
     minus) records with route "susy". For the certified families W is odd,
     so f is even in E: the plus root is solved and the minus record is its
     mirror -E with the same err_est. A tabulated W need not be odd, and its

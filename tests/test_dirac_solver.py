@@ -392,6 +392,21 @@ def test_tabulated_family_refines_in_place():
         (1, -1, 0), (1, -1, 1), (1, 1, 0)]
 
 
+def test_one_sign_superpotential_is_refused():
+    # W = x + 8 stays positive on (-6, 6): the unpaired level sits against
+    # the left wall (E = m), a state of the box that refinement used to flag
+    # converged; the labels assume W(-L) < 0 < W(L), so the box is refused
+    xs = np.linspace(-6.0, 6.0, 1201)
+    tab = Superpotential.tabulated(xs, xs + 8.0, np.ones_like(xs))
+    params = PhysicalParams(mass=1.0, kappa=0.0, superpotential=tab)
+    with pytest.raises(DomainError, match="negative to positive"):
+        converge_box_full(params, count=3, grid=Grid(half_width=6.0, n=600))
+    # a falling linear W breaks the same assumption
+    falling = PhysicalParams(mass=1.0, kappa=0.3, superpotential=Superpotential.linear(-1.0))
+    with pytest.raises(DomainError):
+        converge_box_full(falling, count=2, grid=Grid(half_width=8.0, n=400))
+
+
 # ---------------------------------------------------------------- states
 
 

@@ -13,9 +13,16 @@ from diracosc.errors import (
     DomainError,
     NoRealEnergyError,
 )
-from diracosc import susy_reduction
+from diracosc import analytic, susy_reduction
 from diracosc.linalg import _indexed_eigenvalues
-from diracosc.model import Grid, PhysicalParams, Superpotential, level_labels
+from diracosc.model import (
+    Family,
+    Grid,
+    PhysicalParams,
+    Superpotential,
+    eval_superpotential,
+    level_labels,
+)
 from diracosc.susy_reduction import (
     E_from_epsilon,
     effective_superpotential,
@@ -326,6 +333,93 @@ def test_branch_solves_per_level(monkeypatch):
     assert calls == [1, -1]
     assert plus.E == pytest.approx(math.sqrt(3.0), rel=1e-5)
     assert minus.E == pytest.approx(-math.sqrt(3.0), rel=1e-5)
+
+
+# ------------------------------------------- Newton on the level condition
+
+
+SLOPE_CASES = {
+    "lin+0.4": (linear_params(0.4), Grid(half_width=20.0, n=2000)),
+    "lin-0.4": (linear_params(-0.4), Grid(half_width=20.0, n=2000)),
+    "tan+0.5": (tan_params(0.5), Grid(half_width=math.pi / 2, n=1000)),
+    "table W=x": (
+        PhysicalParams(mass=1.0, kappa=0.3, superpotential=Superpotential.tabulated(
+            np.linspace(-10.0, 10.0, 801), np.linspace(-10.0, 10.0, 801), np.ones(801))),
+        Grid(half_width=8.0, n=400)),
+}
+
+
+@pytest.mark.parametrize("case", list(SLOPE_CASES))
+def test_hellmann_feynman_slope_matches_central_difference(case):
+    params, grid = SLOPE_CASES[case]
+    w, _ = eval_superpotential(params.superpotential, grid.x)
+    d = 1e-3
+    for sigma, n in ((-1, 0), (-1, 1), (1, 0), (1, 1)):
+        for E in (0.9, 1.6, 2.3):
+            f, slope = susy_reduction._level_f_slope(params, sigma, n, grid, w, E)
+            assert f == susy_reduction._level_f(params, sigma, n, grid, E)
+            central = (susy_reduction._level_f(params, sigma, n, grid, E + d)
+                       - susy_reduction._level_f(params, sigma, n, grid, E - d)) / (2.0 * d)
+            assert slope == pytest.approx(central, rel=1e-6)
+
+
+HF_SLOPE = susy_reduction._hf_slope
+BAD_SLOPES = {"zero": lambda kappa, phi, w, E: 0.0,
+              "wrong sign": lambda kappa, phi, w, E: -HF_SLOPE(kappa, phi, w, E)}
+
+
+@pytest.mark.parametrize("bad", list(BAD_SLOPES))
+@pytest.mark.parametrize("kappa", [0.4, -0.4])
+def test_bad_slope_still_finds_the_root_by_bisection(kappa, bad, monkeypatch):
+    params = linear_params(kappa)
+    grid = Grid(half_width=20.0, n=2000)
+    w, _ = eval_superpotential(params.superpotential, grid.x)
+    calls = []
+    for sigma, n in LABELS:
+
+        def evaluate(E):
+            calls.append(E)
+            return susy_reduction._level_f_slope(params, sigma, n, grid, w, E)
+
+        a, b, fa, fb, x = susy_reduction._bracket_root(params, sigma, n, grid, 1)
+        good = susy_reduction._safe_newton(evaluate, a, b, fa, fb, x, *evaluate(x))
+        with monkeypatch.context() as patch:
+            patch.setattr(susy_reduction, "_hf_slope", BAD_SLOPES[bad])
+            calls.clear()
+            root = susy_reduction._safe_newton(evaluate, a, b, fa, fb, x, *evaluate(x))
+        # halving a bracket of width E/2 down to 1e-12 E takes about 40 steps
+        assert len(calls) > 30
+        assert root == pytest.approx(good, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("params", CERTIFIED, ids=["lin+0.4", "lin-0.4", "tan+0.5", "tan-0.3"])
+def test_certified_labels_keep_closed_form_and_flag(params):
+    for sigma, n in LABELS:
+        plus, _ = solve_nonlinear_level(params, sigma, n)
+        exact, _ = analytic.level_energies(params, n + (1 + sigma) // 2)
+        assert plus.converged
+        assert plus.E == pytest.approx(exact, rel=1e-8)
+
+
+@pytest.mark.parametrize("params", CERTIFIED, ids=["lin+0.4", "lin-0.4", "tan+0.5", "tan-0.3"])
+def test_level_solve_takes_at_most_ten_evaluations(params, monkeypatch):
+    # the grids a CLI session solves on; a root search that stops on bracket
+    # width instead of on the Newton step takes 16-30 evaluations here
+    calls = []
+    operator = susy_reduction.schrodinger_operator
+
+    def spy(weff, sigma, grid):
+        calls.append(grid.n)
+        return operator(weff, sigma, grid)
+
+    monkeypatch.setattr(susy_reduction, "schrodinger_operator", spy)
+    linear = params.superpotential.family is Family.LINEAR
+    grid = Grid(half_width=default_grid(params).half_width, n=2000 if linear else 1000)
+    for sigma, n in LABELS:
+        calls.clear()
+        plus, _ = susy_reduction._solve_level(params, sigma, n, grid)
+        assert plus.converged
+        assert 0 < len(calls) <= 10, (sigma, n, len(calls))
 
 
 def test_equivalent_solves_share_one_cached_result():
