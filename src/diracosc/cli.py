@@ -473,17 +473,16 @@ def _verify_checks(cfg: RunConfig):
     checks.append(("degeneracy pairing", not details, "; ".join(details)
                    or f"susy partner levels agree to {analytic.DEGENERACY_RTOL:.0e} relative"))
 
+    # only the lattice can break it: the analytic route is exact, and the
+    # susy minus record is the mirror of the plus one
     worst = 0.0
-    for keymap in (ka, ks, kd):
-        for (branch, k_sig), e in keymap.items():
-            if branch != 1:
-                continue
-            mirror = keymap.get((-1, k_sig))
-            if mirror is None:
-                continue
+    for (branch, k_sig), e in kd.items():
+        mirror = kd.get((-1, k_sig))
+        if branch == 1 and mirror is not None:
             worst = max(worst, abs(e + mirror) / max(abs(e), 1.0))
     checks.append(("branch symmetry", worst <= 1e-5,
-                   f"max |E+ + E-| deviation {worst:.3e} (limit 1e-05)"))
+                   f"lattice max |E+ + E-| deviation {worst:.3e} (limit 1e-05); "
+                   "the analytic and susy routes are symmetric by construction"))
 
     x = grid.x
     worst = 0.0

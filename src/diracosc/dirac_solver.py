@@ -86,9 +86,8 @@ __all__ = [
 
 DEFAULT_N = 4000
 DEFAULT_L = 20.0
-# largest lattice dimension 2N+1 solved, and most refinement rounds run
+# largest lattice dimension 2N+1 solved; it also ends the refinement loop
 DIM_CAP = 65536
-MAX_DOUBLINGS = 6
 
 
 def default_grid(params: PhysicalParams, n: int = DEFAULT_N, L: float | None = None) -> Grid:
@@ -240,17 +239,14 @@ def dirac_spectrum(params: PhysicalParams, grid: Grid, count: int):
 @dataclass(frozen=True)
 class ConvergeResult:
     """converge_box_full output: records (converged flags and error estimates
-    set), states sampled on the caller's base grid, that grid, the number of
-    refinement rounds actually run, and the Richardson scheme of the final
-    values ("h2" for the (h, h/2) pair, "h1" for a single grid at the
-    dimension cap). Tuples, since results are cached and shared between
-    callers."""
+    set), states sampled on the caller's base grid, that grid, and the number
+    of refinement rounds actually run (0 past the critical coupling). Tuples,
+    since results are cached and shared between callers."""
 
     records: tuple
     states: tuple
     base_grid: Grid
     rounds: int
-    scheme: str
 
 
 def _dim(grid: Grid) -> int:
@@ -263,40 +259,30 @@ def _refined_grid(grid: Grid) -> Grid:
 
 
 def _richardson_levels(params, grid, count, solved):
-    """Eigenvalues on the (h, h/2) pair combined as (4 E2 - E1)/3, which
-    cancels the h^2 error term of the staggered scheme; a single-grid
-    estimate when h/2 would pass the dimension cap. Returns
-    (E_neg, E_pos, scheme_used).
+    """(E_neg, E_pos) on the (h, h/2) pair combined as (4 E2 - E1)/3, which
+    cancels the h^2 error term of the staggered scheme.
 
     `solved` maps (half_width, n) to a grid's (E_neg, E_pos); grids found
     there are not solved again, and new solutions are added to it."""
-    grids = [grid, _refined_grid(grid)]
-    grids = [g for g in grids if _dim(g) <= DIM_CAP]
     sols = []
-    for g in grids:
+    for g in (grid, _refined_grid(grid)):
         key = (g.half_width, g.n)
         if key not in solved:
             solved[key] = _lattice_eigenvalues(params, g, count)[1:]
         sols.append(solved[key])
-    k = min(min(len(s[0]) for s in sols), count)
-    j = min(min(len(s[1]) for s in sols), count)
-    if len(sols) == 1:
-        return sols[0][0][:k], sols[0][1][:j], "h1"
-
-    def combine(coarse, fine):
-        extrap = (4.0 * fine - coarse) / 3.0
-        # a sign flip means the pair is not in the asymptotic regime
-        # (under-resolved grids); the raw finer value is then the honest one
-        return np.where(np.sign(extrap) != np.sign(fine), fine, extrap)
-
     (c_neg, c_pos), (f_neg, f_pos) = sols
-    return combine(c_neg[:k], f_neg[:k]), combine(c_pos[:j], f_pos[:j]), "h2"
+    k = min(len(c_neg), len(f_neg), count)
+    j = min(len(c_pos), len(f_pos), count)
+    return (4.0 * f_neg[:k] - c_neg[:k]) / 3.0, (4.0 * f_pos[:j] - c_pos[:j]) / 3.0
 
 
 # h * sup|W| on each doubled box is held below this bound. The bonds never
-# change sign, so the scheme does not need it; what it does is end the
-# supercritical linear runs, whose levels never settle, after one round: the
-# raised N leaves the next round's pair no room under DIM_CAP.
+# change sign, so the scheme does not need it; the raised N shrinks h, the
+# linear family's only test of discretization error (at fixed h a doubled box
+# moves levels by box error alone). It applies up to grid.n 2285 at w1 1,
+# L 20. Linear kappa 0 and 0.4, count 3: without it grid.n 100 and 200 flag
+# all 11 records converged, with errors up to 1.2e-4 and 6.5e-6 relative;
+# with it 0 to 5 are flagged, each within 2.5e-11 of the closed form.
 _SCHEME_VALIDITY = 0.7
 
 
@@ -317,7 +303,7 @@ def converge_box_full(
     tol: float = 1e-6,
     grid: Grid | None = None,
 ) -> ConvergeResult:
-    """Refine until every level is stationary or the budget runs out.
+    """Refine until every level is stationary or the rounds reach DIM_CAP.
 
     Linear (and tabulated) family: doubles the box half-width with N growing
     at least proportionally (fixed h), the wall-artifact test. Tangent
@@ -327,18 +313,20 @@ def converge_box_full(
 
     A level is converged when its value moves by less than tol (relative,
     against max(|E|, 1)) between rounds. Levels still moving when rounds stop
-    are classified unbound (converged=False). Raises ResourceError only if
-    the initial grid already exceeds the dimension cap; later rounds stop
-    early instead. Raises DomainError unless W runs from negative to positive
-    across the base box, the assumption the level labels rest on.
+    are classified unbound (converged=False). At |kappa| >= 1, the rule of
+    model.require_subcritical, no level is bound: the base grid's values are
+    reported, unconverged with no error estimate, and no round runs. Raises
+    ResourceError unless the base grid's h/2 grid fits the dimension cap.
+    Raises DomainError unless W runs from negative to positive across the
+    base box, the assumption the level labels rest on.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     base = grid if grid is not None else default_grid(params)
-    if _dim(base) > DIM_CAP:
+    fine = _dim(_refined_grid(base))
+    if fine > DIM_CAP:
         raise ResourceError(
-            f"initial grid with 2N+1 = {_dim(base)} exceeds the dimension cap {DIM_CAP}"
-        )
+            f"h/2 grid of the initial grid, 2N+1 = {fine}, exceeds the dimension cap {DIM_CAP}")
     # positional and with its defaults resolved, so that equivalent calls
     # share one cache key; table arrays do not hash, so tables are not cached
     args = (params, count, tol, base)
@@ -364,6 +352,11 @@ def _require_sign_change(params: PhysicalParams, grid: Grid) -> None:
 def _converge(params, count, tol, base):
     """converge_box_full's refinement loop, on checked and resolved arguments."""
     _require_sign_change(params, base)
+    if not abs(params.kappa) < 1.0:
+        # the spin matrix -sigma_z + i kappa sigma_x, eigenvalues +-sqrt(1 -
+        # kappa^2), is defective or imaginary: no level is bound, whatever W is
+        records, states = zip(*dirac_spectrum(params, base, count))
+        return ConvergeResult(records=records, states=states, base_grid=base, rounds=0)
     lo, hi = params.superpotential.domain
     grow_box = math.isinf(hi) and math.isinf(lo)
 
@@ -373,22 +366,23 @@ def _converge(params, count, tol, base):
     t_base, b_neg, b_pos = _lattice_eigenvalues(params, base, count)
     solved = {(base.half_width, base.n): (b_neg, b_pos)}
     state_map = _states_for(params, base, t_base, b_neg, b_pos)
-    e_neg, e_pos, scheme = _richardson_levels(params, base, count, solved)
+    e_neg, e_pos = _richardson_levels(params, base, count, solved)
     converged = {(-1, j): False for j in range(len(e_neg))}
     converged.update({(1, j): False for j in range(len(e_pos))})
     err = {k: None for k in converged}
     rounds = 0
     cur = base
-    for _ in range(MAX_DOUBLINGS):
+    while True:
         if grow_box:
             nxt = _doubled_box(params, cur)
         else:
             nxt = _refined_grid(cur)
         # each round must afford its full (h, h/2) pair: a single grid would
-        # fold discretization error into the inter-round delta
+        # fold discretization error into the inter-round delta. N at least
+        # doubles every round, so this ends every run
         if _dim(_refined_grid(nxt)) > DIM_CAP:
             break
-        n_neg, n_pos, scheme = _richardson_levels(params, nxt, count, solved)
+        n_neg, n_pos = _richardson_levels(params, nxt, count, solved)
         rounds += 1
         k = min(len(e_neg), len(n_neg))
         j = min(len(e_pos), len(n_pos))
@@ -404,10 +398,7 @@ def _converge(params, count, tol, base):
 
     records, origins = _build_records(params, e_neg, e_pos, converged, err)
     states = tuple(state_map.get(origin) for origin in origins)
-    return ConvergeResult(
-        records=tuple(records), states=states, base_grid=base, rounds=rounds,
-        scheme=scheme,
-    )
+    return ConvergeResult(records=tuple(records), states=states, base_grid=base, rounds=rounds)
 
 
 # a few entries: a session revisits the configuration it is working on, and

@@ -307,20 +307,21 @@ def _bracket_root(params, sigma, n, grid, branch):
     )
 
 
-def _safe_newton(evaluate, a, b, fa, fb, x, fx, fpx, tol=1e-12):
+def _safe_newton(evaluate, a, b, fa, fb, x, fx, fpx, f_floor, tol=1e-12):
     """Root of f in the sign-change bracket [a, b] by Newton steps from x,
     where evaluate(E) = (f(E), f'(E)) and (fx, fpx) is its value at x. Every
     evaluation narrows the bracket; a step that would leave it is replaced by
     bisection, so a bad or vanishing slope costs speed, never the root.
-    Stops when a step is at most tol * max(1, |E|), which includes a Newton
-    step that rounds to nothing."""
+    Stops when |f| is at most f_floor, the precision f carries, or when a
+    step is at most tol * max(1, |E|), which includes a Newton step that
+    rounds to nothing."""
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
     lo, hi = (a, b) if fa < 0.0 else (b, a)
     for _ in range(120):
-        if fx == 0.0:
+        if abs(fx) <= f_floor:
             return x
         if fx < 0.0:
             lo = x
@@ -336,6 +337,12 @@ def _safe_newton(evaluate, a, b, fa, fb, x, fx, fpx, tol=1e-12):
     return x
 
 
+def _f_floor(grid):
+    """A few ulps of the reduced operator's diagonal 2/h^2, the precision f
+    carries: on the tan grids f is a staircase with steps of about this size."""
+    return 4.0 * np.finfo(float).eps * 2.0 / (grid.h * grid.h)
+
+
 def _solve_branch(params, sigma, n, grid, branch):
     """(E, err_est, converged) of one branch's root. The E = 0 level is
     exact by symmetry and needs no second pass; a root whose fine-grid
@@ -347,7 +354,7 @@ def _solve_branch(params, sigma, n, grid, branch):
     sp = params.superpotential
     evaluate = functools.partial(
         _level_f_slope, params, sigma, n, grid, eval_superpotential(sp, grid.x)[0])
-    e1 = _safe_newton(evaluate, a, b, fa, fb, x, *evaluate(x))
+    e1 = _safe_newton(evaluate, a, b, fa, fb, x, *evaluate(x), _f_floor(grid))
     # second pass on a nested half-spacing grid; the paired extrapolation
     # (4 E2 - E1)/3 cancels the O(h^2) lattice bias of the 3-point Laplacian
     fine = Grid(half_width=grid.half_width, n=2 * grid.n + 1)
@@ -360,7 +367,7 @@ def _solve_branch(params, sigma, n, grid, branch):
         if faa * fbb <= 0.0:
             # Newton from the end nearer the root, whose slope is in hand
             start = (aa, faa, fpa) if abs(faa) <= abs(fbb) else (bb, fbb, fpb)
-            e2 = _safe_newton(evaluate, aa, bb, faa, fbb, *start)
+            e2 = _safe_newton(evaluate, aa, bb, faa, fbb, *start, _f_floor(fine))
             e = (4.0 * e2 - e1) / 3.0
             return e, abs(e2 - e1) / 3.0, True
         delta *= 4.0

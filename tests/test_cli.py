@@ -178,6 +178,16 @@ def test_spectrum_dimension_cap_exit_4():
     assert "convergence failure" in err
 
 
+def test_spectrum_half_spacing_grid_over_cap_exit_4():
+    # 2N+1 = 40001 fits the dimension cap, its h/2 grid does not
+    code, out, err = run_cli([
+        "spectrum", "--solver.route", "dirac", "--model.family", "tan",
+        "--grid.n", "20000", "--solver.levels", "1",
+    ])
+    assert code == 4
+    assert "h/2 grid" in err
+
+
 def test_spectrum_output_file_keeps_stdout_empty(tmp_path):
     path = tmp_path / "levels.csv"
     code, out, err = run_cli([
@@ -380,6 +390,21 @@ def test_verify_pairing_fails_on_split_susy_partners(monkeypatch):
     code, out, _ = run_cli(["verify", "--model.kappa", "0.6"])
     assert code == 1
     assert check_lines(out)[2].startswith("FAIL degeneracy pairing")
+
+
+def test_verify_branch_symmetry_checks_the_lattice(monkeypatch):
+    # the susy minus record mirrors the plus one and the analytic route is
+    # exact, so a broken susy minus branch is the agreement check's to catch
+    solve = susy_reduction.solve_nonlinear_level
+
+    def skewed(params, sigma, n, grid=None):
+        plus, minus = solve(params, sigma, n, grid)
+        return plus, dataclasses.replace(minus, E=minus.E * (1.0 + 1e-4))
+
+    monkeypatch.setattr(susy_reduction, "solve_nonlinear_level", skewed)
+    code, out, _ = run_cli(["verify", "--model.kappa", "0.6"])
+    line = check_lines(out)[3]
+    assert line.startswith("PASS branch symmetry: lattice ")
 
 
 def test_verify_tabulated_rejected(tmp_path):

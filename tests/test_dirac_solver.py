@@ -277,13 +277,14 @@ def test_equivalent_calls_share_one_cached_result():
 
 @pytest.mark.parametrize(
     "kappa,n,count,rounds,solves",
-    [(0.3, 300, 2, 1, 3), (1.4, 1000, 1, 4, 6)],
+    [(0.3, 300, 2, 1, 3), (1.4, 1000, 1, 0, 1)],
 )
 def test_each_grid_is_solved_once_per_convergence_run(monkeypatch, kappa, n, count, rounds, solves):
     """The tan family refines in place, so a round's coarse grid is the
     previous round's fine one: 2 + rounds solves, not 2 (1 + rounds). Each
     grid's matrix is assembled once, and the states come from the base
-    grid's own eigenvalues, as solved, not from the extrapolated ones."""
+    grid's own eigenvalues, as solved, not from the extrapolated ones. A
+    supercritical run solves the base grid alone."""
     dims, solved, assembled, received = [], {}, [], []
     real_eigs = dirac_solver._indexed_eigenvalues
     real_assemble = dirac_solver.assemble_dirac_matrix
@@ -341,6 +342,51 @@ def test_supercritical_levels_all_unbound():
     assert res.records and all(not r.converged for r in res.records)
 
 
+# linear -1.5135833643521661 once stopped after one round with two records
+# flagged converged; tan 1.02 and -1.1 ran rounds up to the dimension cap
+@pytest.mark.parametrize(
+    "params,n,count",
+    [(linear_params(-1.5135833643521661), 2000, 2), (tan_params(1.02), 500, 3),
+     (tan_params(-1.1), 1000, 3), (linear_params(1.0), 2000, 2),
+     (tan_params(-1.0), 500, 2)],
+    ids=["lin-1.5136", "tan+1.02", "tan-1.1", "lin+1.0", "tan-1.0"],
+)
+def test_supercritical_run_solves_the_base_grid_only(monkeypatch, params, n, count):
+    # |kappa| >= 1 binds no level, the rule model.require_subcritical states:
+    # the base grid's values are reported, with their states, and nothing
+    # is refined
+    dims = []
+    real_eigs = dirac_solver._indexed_eigenvalues
+
+    def eigs(t, ks):
+        dims.append(t.n)
+        return real_eigs(t, ks)
+
+    dirac_solver._converge_cached.cache_clear()
+    monkeypatch.setattr(dirac_solver, "_indexed_eigenvalues", eigs)
+    grid = default_grid(params, n=n)
+    res = converge_box_full(params, count=count, grid=grid)
+    assert res.rounds == 0
+    assert dims == [2 * n + 1]
+    assert res.records
+    assert all(not r.converged and r.err_est is None for r in res.records)
+    assert all(st is not None for st in res.states)
+
+
+@pytest.mark.parametrize("n", [32, 100, 200])
+@pytest.mark.parametrize("kappa", [0.0, 0.4])
+def test_linear_flags_only_resolved_levels_on_coarse_grids(kappa, n):
+    # the linear box doubling shrinks h only because of the N raise in
+    # _doubled_box; without it these grids flag every level converged with
+    # errors up to 1.2e-4 relative
+    params = linear_params(kappa)
+    res = converge_box_full(params, count=3, grid=Grid(half_width=20.0, n=n))
+    for r in res.records:
+        if r.converged:
+            exact = analytic.level_energies(params, r.n_sigma)[0 if r.branch > 0 else 1]
+            assert r.E == pytest.approx(exact, rel=1e-5)
+
+
 def test_massless_zero_mode_exists_and_converges():
     params = PhysicalParams(mass=0.0, kappa=0.0, superpotential=Superpotential.linear(1.0))
     res = converge_box_full(params, count=2, tol=1e-6)
@@ -362,18 +408,15 @@ def test_cap_blocks_refinement_rounds():
     # unconverged output rather than an error
     res = converge_box_full(linear_params(0.6), count=2, grid=Grid(half_width=20.0, n=9000))
     assert res.rounds == 0
-    assert res.scheme == "h2"
     assert all(not r.converged for r in res.records)
 
 
-def test_cap_degrades_base_pair_to_one_grid():
-    # 2N+1 = 40001 fits the cap, its h/2 grid (80003 rows) does not: the
-    # single-grid values are reported, unconverged, and say so
+def test_base_grid_whose_half_spacing_grid_passes_the_cap_raises():
+    # 2N+1 = 40001 fits the cap, its h/2 grid (80003 rows) does not, and
+    # every value is extrapolated over the (h, h/2) pair
     params = tan_params(0.5)
-    res = converge_box_full(params, count=1, grid=default_grid(params, n=20000))
-    assert (res.rounds, res.scheme) == (0, "h1")
-    assert all(not r.converged for r in res.records)
-    assert converge_box_full(params, count=1, grid=default_grid(params, n=1000)).scheme == "h2"
+    with pytest.raises(ResourceError, match="h/2 grid"):
+        converge_box_full(params, count=1, grid=default_grid(params, n=20000))
 
 
 def test_tabulated_family_refines_in_place():

@@ -382,11 +382,12 @@ def test_bad_slope_still_finds_the_root_by_bisection(kappa, bad, monkeypatch):
             return susy_reduction._level_f_slope(params, sigma, n, grid, w, E)
 
         a, b, fa, fb, x = susy_reduction._bracket_root(params, sigma, n, grid, 1)
-        good = susy_reduction._safe_newton(evaluate, a, b, fa, fb, x, *evaluate(x))
+        floor = susy_reduction._f_floor(grid)
+        good = susy_reduction._safe_newton(evaluate, a, b, fa, fb, x, *evaluate(x), floor)
         with monkeypatch.context() as patch:
             patch.setattr(susy_reduction, "_hf_slope", BAD_SLOPES[bad])
             calls.clear()
-            root = susy_reduction._safe_newton(evaluate, a, b, fa, fb, x, *evaluate(x))
+            root = susy_reduction._safe_newton(evaluate, a, b, fa, fb, x, *evaluate(x), floor)
         # halving a bracket of width E/2 down to 1e-12 E takes about 40 steps
         assert len(calls) > 30
         assert root == pytest.approx(good, rel=1e-12, abs=0.0)
@@ -401,10 +402,13 @@ def test_certified_labels_keep_closed_form_and_flag(params):
         assert plus.E == pytest.approx(exact, rel=1e-8)
 
 
-@pytest.mark.parametrize("params", CERTIFIED, ids=["lin+0.4", "lin-0.4", "tan+0.5", "tan-0.3"])
+@pytest.mark.parametrize("params", CERTIFIED + [tan_params(-0.42)],
+                         ids=["lin+0.4", "lin-0.4", "tan+0.5", "tan-0.3", "tan-0.42"])
 def test_level_solve_takes_at_most_ten_evaluations(params, monkeypatch):
     # the grids a CLI session solves on; a root search that stops on bracket
-    # width instead of on the Newton step takes 16-30 evaluations here
+    # width instead of on the Newton step takes 16-30 evaluations here. At tan
+    # -0.42, (sigma -1, n 0), f is a staircase at the root and a search that
+    # waits for f == 0 takes 15
     calls = []
     operator = susy_reduction.schrodinger_operator
 
