@@ -104,23 +104,6 @@ class RunConfig:
     path: str | None = None
 
 
-_FIELD_OF_KEY = {
-    "model.family": "family",
-    "model.w1": "w1",
-    "model.alpha0": "alpha0",
-    "model.kappa": "kappa",
-    "model.mass": "mass",
-    "model.table_path": "table_path",
-    "grid.n": "n",
-    "grid.box_half_width": "box_half_width",
-    "solver.route": "route",
-    "solver.levels": "levels",
-    "solver.tolerance": "tolerance",
-    "output.format": "format",
-    "output.path": "path",
-}
-
-
 def _coerce(key: str, raw: str):
     try:
         if key in _INT_KEYS:
@@ -185,7 +168,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         if key not in ALL_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         merged[key] = _coerce(key, str(value))
-    cfg = RunConfig(**{_FIELD_OF_KEY[k]: v for k, v in merged.items()})
+    # the RunConfig field of `section.key` is `key`
+    cfg = RunConfig(**{k.split(".", 1)[1]: v for k, v in merged.items()})
     return _validated(cfg)
 
 
@@ -322,10 +306,6 @@ SPECTRUM_HEADER = ["route", "branch", "sigma", "n", "n_sigma", "E", "epsilon",
                    "converged", "err_est"]
 
 
-def _analytic_records(params, max_n):
-    return analytic.full_spectrum(params, max_n)
-
-
 def _susy_records(params, grid, max_n):
     require_subcritical(params.kappa)
     records = []
@@ -372,7 +352,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     max_n = cfg.levels - 1
     rows: list[dict] = []
     if cfg.route in ("analytic", "all"):
-        rows.extend(_record_row(r) for r in _analytic_records(params, max_n))
+        rows.extend(_record_row(r) for r in analytic.full_spectrum(params, max_n))
     if cfg.route in ("susy", "all"):
         rows.extend(_record_row(r) for r in _susy_records(params, grid, max_n))
     if cfg.route in ("dirac", "all"):
@@ -424,7 +404,7 @@ def _verify_checks(cfg: RunConfig):
         raise ConfigError("verify needs a certified family (linear or tan)")
     max_n = min(cfg.levels - 1, 4)
     admissible = analytic._admissible_n_sigma(params, max_n)
-    ana = _analytic_records(params, max_n)
+    ana = analytic.full_spectrum(params, max_n)
     susy = _susy_records(params, grid, max_n)
     dirac = dirac_solver.converge_box_full(
         params, count=max_n + 1, tol=cfg.tolerance, grid=grid
@@ -456,7 +436,7 @@ def _verify_checks(cfg: RunConfig):
         "lattice resolution", not bad,
         f"levels (branch, n_sigma) = {bad} still drift under refinement, "
         f"max inter-round shift {drift:.3e}" if bad
-        else f"all {len(dirac)} lattice levels stationary under box refinement",
+        else f"all {len(dirac)} lattice levels stationary under refinement",
     ))
 
     # on the susy route the labels (sigma=-1, n=k) and (sigma=+1, n=k-1) of a

@@ -45,6 +45,17 @@ never consult a level law, so certified families, tabulated shapes and
 supercritical couplings are labelled alike; the rule assumes
 W(-L) < 0 < W(L), which puts the unpaired level on the positive branch, and
 converge_box_full refuses a box where it fails.
+
+Refinement
+----------
+converge_box_full extrapolates each grid's levels over its (h, h/2) pair,
+which leaves an O(h^4) error, and runs rounds on one grid rule: L -> widen L
+and N -> 2N + 1. The linear family's box widens by half (widen 1.5), so a
+round moves both the box error and the h^4 error (h shrinks by 3/4); a
+bounded domain is refined in place (widen 1, h halves). The move between the
+last two rounds is each level's err_est (Richardson, Phil. Trans. R. Soc. A
+226 (1927) 299): about 2.2 (linear) or 15 (in place) times the error left
+in the reported value.
 """
 
 from __future__ import annotations
@@ -170,24 +181,33 @@ def _record_sort_key(rec: SpectrumRecord):
     return (abs(rec.E), -rec.branch, rec.sigma)
 
 
-def _build_records(params, e_neg, e_pos, converged=None, err=None):
+def _settled(err, values, tol):
+    """The converged flag: the move between rounds is at most tol relative
+    to max(|E|, 1)."""
+    return err <= tol * np.maximum(np.abs(values), 1.0)
+
+
+def _build_records(params, e_neg, e_pos, errs=(None, None), tol=None):
     """Expand signed eigenvalue lists into label-view SpectrumRecords.
 
-    converged/err are optional parallel dicts keyed by (branch, ordinal).
-    Returns records plus a parallel list of (branch, ordinal) provenance used
-    to attach states.
+    errs holds each branch's move between the last two rounds, (err_neg,
+    err_pos) parallel to the values, or None for a branch without one; a
+    level is converged when _settled at tol. Returns records plus a parallel
+    list of (branch, ordinal) provenance used to attach states.
     """
     # zero modes are snapped to 0, so that the record's sign check sees none
     snap = _zero_tol(params)
     records = []
     origins = []
-    for branch, values in ((1, e_pos), (-1, e_neg)):
+    err_neg, err_pos = errs
+    for branch, values, err in ((1, e_pos, err_pos), (-1, e_neg, err_neg)):
+        flags = _settled(err, values, tol) if err is not None else [False] * len(values)
         # the j-th eigenvalue from E = 0 is the j-th level the branch holds
         held = (k for k in itertools.count() if level_labels(branch, k))
         for j, (raw, n_sigma) in enumerate(zip(values, held)):
             val = 0.0 if abs(float(raw)) <= snap else float(raw)
-            flag = converged[(branch, j)] if converged is not None else False
-            estimate = err[(branch, j)] if err is not None else None
+            flag = bool(flags[j])
+            estimate = float(err[j]) if err is not None else None
             for sigma, n in level_labels(branch, n_sigma):
                 records.append(
                     SpectrumRecord(
@@ -238,10 +258,11 @@ def dirac_spectrum(params: PhysicalParams, grid: Grid, count: int):
 
 @dataclass(frozen=True)
 class ConvergeResult:
-    """converge_box_full output: records (converged flags and error estimates
-    set), states sampled on the caller's base grid, that grid, and the number
-    of refinement rounds actually run (0 past the critical coupling). Tuples,
-    since results are cached and shared between callers."""
+    """converge_box_full output: records (converged flags and error estimates,
+    the move between the last two rounds, set), states sampled on the
+    caller's base grid, that grid, and the number of refinement rounds
+    actually run (0 past the critical coupling). Tuples, since results are
+    cached and shared between callers."""
 
     records: tuple
     states: tuple
@@ -276,27 +297,6 @@ def _richardson_levels(params, grid, count, solved):
     return (4.0 * f_neg[:k] - c_neg[:k]) / 3.0, (4.0 * f_pos[:j] - c_pos[:j]) / 3.0
 
 
-# h * sup|W| on each doubled box is held below this bound. The bonds never
-# change sign, so the scheme does not need it; the raised N shrinks h, the
-# linear family's only test of discretization error (at fixed h a doubled box
-# moves levels by box error alone). It applies up to grid.n 2285 at w1 1,
-# L 20. Linear kappa 0 and 0.4, count 3: without it grid.n 100 and 200 flag
-# all 11 records converged, with errors up to 1.2e-4 and 6.5e-6 relative;
-# with it 0 to 5 are flagged, each within 2.5e-11 of the closed form.
-_SCHEME_VALIDITY = 0.7
-
-
-def _doubled_box(params: PhysicalParams, cur: Grid) -> Grid:
-    """Next box for the wall-artifact test: half-width doubles, and N grows
-    at least proportionally (fixed h), further if the larger box pushes
-    h * sup|W| past _SCHEME_VALIDITY."""
-    half = 2.0 * cur.half_width
-    xs = np.linspace(-half, half, 1025)
-    w_sup = float(np.max(np.abs(eval_superpotential(params.superpotential, xs)[0])))
-    n_valid = int(math.ceil(2.0 * half * w_sup / _SCHEME_VALIDITY))
-    return Grid(half_width=half, n=max(2 * cur.n, n_valid))
-
-
 def converge_box_full(
     params: PhysicalParams,
     count: int,
@@ -305,20 +305,24 @@ def converge_box_full(
 ) -> ConvergeResult:
     """Refine until every level is stationary or the rounds reach DIM_CAP.
 
-    Linear (and tabulated) family: doubles the box half-width with N growing
-    at least proportionally (fixed h), the wall-artifact test. Tangent
-    family: the domain is pinned at (-pi/2, pi/2), so rounds refine N only.
-    Every round's value is Richardson-extrapolated over an (h, h/2) pair, and
-    a round is run only if its whole pair fits the dimension cap.
+    Every round takes the grid Grid(widen * L, 2N + 1), so N + 1 doubles:
+    a W unbounded on both sides (the linear family) widens the box by half
+    (widen 1.5), which shrinks h by 3/4, and a bounded domain (tangent,
+    tabulated) is refined in place (widen 1), which halves h. Every round's
+    value is Richardson-extrapolated over an (h, h/2) pair, and a round is
+    run only if its whole pair fits the dimension cap.
 
-    A level is converged when its value moves by less than tol (relative,
-    against max(|E|, 1)) between rounds. Levels still moving when rounds stop
-    are classified unbound (converged=False). At |kappa| >= 1, the rule of
-    model.require_subcritical, no level is bound: the base grid's values are
-    reported, unconverged with no error estimate, and no round runs. Raises
-    ResourceError unless the base grid's h/2 grid fits the dimension cap.
-    Raises DomainError unless W runs from negative to positive across the
-    base box, the assumption the level labels rest on.
+    err_est is the move of a level between the last two rounds. Both its box
+    error and its h^4 error shrink between rounds, the latter by r^4 for h
+    shrinking by r, so the move is (1 - r^4)/r^4 times the error left in the
+    reported value: 175/81, about 2.2, with the box widened and 15 in place.
+    A level is converged when err_est <= tol * max(|E|, 1). Levels still
+    moving when rounds stop are classified unbound (converged=False). At
+    |kappa| >= 1, the rule of model.require_subcritical, no level is bound:
+    the base grid's values are reported, unconverged with no error estimate,
+    and no round runs. Raises ResourceError unless the base grid's h/2 grid
+    fits the dimension cap. Raises DomainError unless W runs from negative to
+    positive across the base box, the assumption the level labels rest on.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -358,45 +362,38 @@ def _converge(params, count, tol, base):
         records, states = zip(*dirac_spectrum(params, base, count))
         return ConvergeResult(records=records, states=states, base_grid=base, rounds=0)
     lo, hi = params.superpotential.domain
-    grow_box = math.isinf(hi) and math.isinf(lo)
+    widen = 1.5 if math.isinf(lo) and math.isinf(hi) else 1.0
 
-    # the base grid's matrix serves its states; the tangent family refines in
-    # place, so a round's coarse grid is the previous round's fine one: each
-    # grid is solved once per call
+    # the base grid's matrix serves its states; a box that is not widened is
+    # refined in place, so a round's coarse grid is the previous round's fine
+    # one: each grid is solved once per call
     t_base, b_neg, b_pos = _lattice_eigenvalues(params, base, count)
     solved = {(base.half_width, base.n): (b_neg, b_pos)}
     state_map = _states_for(params, base, t_base, b_neg, b_pos)
-    e_neg, e_pos = _richardson_levels(params, base, count, solved)
-    converged = {(-1, j): False for j in range(len(e_neg))}
-    converged.update({(1, j): False for j in range(len(e_pos))})
-    err = {k: None for k in converged}
+    levels = _richardson_levels(params, base, count, solved)
+    errs = (None, None)
     rounds = 0
     cur = base
     while True:
-        if grow_box:
-            nxt = _doubled_box(params, cur)
-        else:
-            nxt = _refined_grid(cur)
+        # N + 1 doubles, so h shrinks by widen/2 and the h^4 error moves
+        # between rounds along with the box error
+        nxt = Grid(half_width=widen * cur.half_width, n=2 * cur.n + 1)
         # each round must afford its full (h, h/2) pair: a single grid would
         # fold discretization error into the inter-round delta. N at least
         # doubles every round, so this ends every run
         if _dim(_refined_grid(nxt)) > DIM_CAP:
             break
-        n_neg, n_pos = _richardson_levels(params, nxt, count, solved)
+        new = _richardson_levels(params, nxt, count, solved)
         rounds += 1
-        k = min(len(e_neg), len(n_neg))
-        j = min(len(e_pos), len(n_pos))
-        for branch, old, new, span in ((-1, e_neg, n_neg, k), (1, e_pos, n_pos, j)):
-            for i in range(span):
-                delta = abs(float(new[i]) - float(old[i]))
-                err[(branch, i)] = delta
-                converged[(branch, i)] = delta <= tol * max(abs(float(new[i])), 1.0)
-        e_neg, e_pos = n_neg[:k], n_pos[:j]
+        # a branch keeps the levels that both rounds hold
+        spans = [min(len(a), len(b)) for a, b in zip(levels, new)]
+        errs = tuple(np.abs(b[:k] - a[:k]) for a, b, k in zip(levels, new, spans))
+        levels = tuple(b[:k] for b, k in zip(new, spans))
         cur = nxt
-        if all(converged.values()):
+        if all(_settled(e, v, tol).all() for e, v in zip(errs, levels)):
             break
 
-    records, origins = _build_records(params, e_neg, e_pos, converged, err)
+    records, origins = _build_records(params, *levels, errs, tol)
     states = tuple(state_map.get(origin) for origin in origins)
     return ConvergeResult(records=tuple(records), states=states, base_grid=base, rounds=rounds)
 

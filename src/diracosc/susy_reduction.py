@@ -270,14 +270,16 @@ def _bracket_root(params, sigma, n, grid, branch):
         ep, em = analytic.level_energies(params, n_sigma)
         seed = ep if branch > 0 else em
         if seed == 0.0:
-            # the E=0 level: the condition must already hold there up to
-            # lattice bias, with no second root nearby to confuse it with
+            # the E=0 level: the condition must already hold there up to the
+            # lattice's h^2 bias, which the nested h/2 grid divides by 4
             f0 = _level_f(params, sigma, n, grid, 0.0)
-            if abs(f0) <= 1e-4:
+            fine = Grid(half_width=grid.half_width, n=2 * grid.n + 1)
+            f0_fine = _level_f(params, sigma, n, fine, 0.0)
+            if abs(4.0 * f0_fine - f0) <= abs(f0 - f0_fine):
                 return 0.0, 0.0, 0.0, 0.0, 0.0
             raise BracketError(
                 f"level condition fails at the E=0 seed for (sigma={sigma}, "
-                f"n={n}): f(0) = {f0:.3g}"
+                f"n={n}): f(0) = {f0:.3g}, {f0_fine:.3g} on the h/2 grid"
             )
         a, b = sorted((0.75 * seed, 1.25 * seed))
         fa = _level_f(params, sigma, n, grid, a)

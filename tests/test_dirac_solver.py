@@ -376,15 +376,56 @@ def test_supercritical_run_solves_the_base_grid_only(monkeypatch, params, n, cou
 @pytest.mark.parametrize("n", [32, 100, 200])
 @pytest.mark.parametrize("kappa", [0.0, 0.4])
 def test_linear_flags_only_resolved_levels_on_coarse_grids(kappa, n):
-    # the linear box doubling shrinks h only because of the N raise in
-    # _doubled_box; without it these grids flag every level converged with
-    # errors up to 1.2e-4 relative
+    # each linear round shrinks h by 3/4 as the box widens by half, so the
+    # move between rounds sees the h^4 error; a doubled box at fixed h sees
+    # box error only and flags levels with errors up to 1.2e-4 relative
     params = linear_params(kappa)
     res = converge_box_full(params, count=3, grid=Grid(half_width=20.0, n=n))
     for r in res.records:
         if r.converged:
             exact = analytic.level_energies(params, r.n_sigma)[0 if r.branch > 0 else 1]
             assert r.E == pytest.approx(exact, rel=1e-5)
+
+
+def _exact(params, rec):
+    return analytic.level_energies(params, rec.n_sigma)[0 if rec.branch > 0 else 1]
+
+
+@pytest.mark.parametrize(
+    "family,kappa,n",
+    [("linear", k, n) for k in (0.2, 0.4, -0.6) for n in (200, 2286, 3000)]
+    + [("tan", k, n) for k in (0.3, 0.5, -0.42) for n in (500, 1000)],
+)
+def test_err_est_bounds_the_true_error(family, kappa, n):
+    # the move between rounds is 175/81 (linear, h shrinks by 3/4) or 15 (tan,
+    # h halves) times the error left in the reported value: it bounds that
+    # error without overstating it a hundredfold, at every grid.n
+    params = linear_params(kappa) if family == "linear" else tan_params(kappa)
+    res = converge_box_full(params, count=3, grid=default_grid(params, n=n))
+    converged = [r for r in res.records if r.converged]
+    assert converged
+    for r in converged:
+        err = abs(r.E - _exact(params, r))
+        assert err <= r.err_est + 1e-13 * max(1.0, abs(r.E))
+        assert r.err_est <= 100.0 * err + 1e-12
+
+
+# near the critical coupling every level converges at grid.n 2000; a box far
+# too small (L = 3) widens until its levels converge, where a box held fixed
+# never would
+@pytest.mark.parametrize(
+    "kappa,grid,rounds",
+    [(-0.99, Grid(half_width=20.0, n=2000), 2), (0.6, Grid(half_width=3.0, n=300), 4)],
+    ids=["near-critical", "small-box"],
+)
+def test_linear_levels_converge_to_the_closed_form(kappa, grid, rounds):
+    params = linear_params(kappa)
+    res = converge_box_full(params, count=3, grid=grid)
+    assert res.rounds == rounds
+    assert len(res.records) == 11 and all(r.converged for r in res.records)
+    for r in res.records:
+        exact = _exact(params, r)
+        assert abs(r.E - exact) <= 1e-8 * max(1.0, abs(exact))
 
 
 def test_massless_zero_mode_exists_and_converges():
@@ -403,8 +444,8 @@ def test_initial_grid_over_cap_raises():
 
 
 def test_cap_blocks_refinement_rounds():
-    # the base pair fits (2N+1 = 18001 and 36003) but no doubled box's pair
-    # does (N >= 18000 there, so its h/2 grid has 72003 rows) -> honest
+    # the base pair fits (2N+1 = 18001 and 36003) but the first round's does
+    # not (its grid is (30, 18001), whose h/2 grid has 72007 rows) -> honest
     # unconverged output rather than an error
     res = converge_box_full(linear_params(0.6), count=2, grid=Grid(half_width=20.0, n=9000))
     assert res.rounds == 0

@@ -267,6 +267,27 @@ def test_solve_massless_zero_level():
     assert plus.converged
 
 
+@pytest.mark.parametrize(
+    "sp,n", [(Superpotential.linear(1.0), 500), (Superpotential.tangent(5.0), 250)],
+    ids=["linear-500", "tan-250"],
+)
+def test_massless_zero_level_on_coarse_grids(sp, n):
+    # f(0) is the lattice's h^2 bias, -4.0e-4 on linear grid.n 500: the E = 0
+    # seed holds when the nested h/2 grid divides f(0) by about 4
+    params = PhysicalParams(mass=0.0, kappa=0.0, superpotential=sp)
+    plus, minus = solve_nonlinear_level(params, -1, 0, grid=default_grid(params, n=n))
+    assert plus.E == 0.0 and minus.E == 0.0
+    assert plus.converged and minus.converged
+
+
+def test_massive_level_forced_to_the_zero_seed_is_refused(monkeypatch):
+    # f(0) = 1 on both grids: no h^2 bias, so no E = 0 level
+    monkeypatch.setattr(analytic, "level_energies", lambda params, k: (0.0, 0.0))
+    params = linear_params(0.3)
+    with pytest.raises(BracketError, match="E=0 seed"):
+        susy_reduction._bracket_root(params, -1, 0, default_grid(params, n=500), 1)
+
+
 def test_solve_coarse_grid_cannot_bracket():
     # lattice bias on a 25-node grid pushes the level far outside the seeded
     # search window; the honest outcome is a refusal, not a wrong level
