@@ -56,6 +56,16 @@ bounded domain is refined in place (widen 1, h halves). The move between the
 last two rounds is each level's err_est (Richardson, Phil. Trans. R. Soc. A
 226 (1927) 299): about 2.2 (linear) or 15 (in place) times the error left
 in the reported value.
+
+A run knows several of its grids before it solves any: the base grid, its
+h/2 grid and round 1's pair, since round 1 runs whenever its pair fits the
+dimension cap. These are solved concurrently, largest first, and so are the
+new grids of each later round (two when the box widens, one in place). The
+calling thread solves the largest and helper threads, one fewer than the
+CPUs the process may run on, the rest; LAPACK releases the GIL while it
+works. Each solve is deterministic and depends on its own grid alone, so
+records, states and rounds are those of solving the grids one after
+another, which is what a process on one CPU does.
 """
 
 from __future__ import annotations
@@ -63,6 +73,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,19 +290,13 @@ def _refined_grid(grid: Grid) -> Grid:
     return Grid(half_width=grid.half_width, n=2 * grid.n + 1)
 
 
-def _richardson_levels(params, grid, count, solved):
+def _richardson_levels(grid, count, solved):
     """(E_neg, E_pos) on the (h, h/2) pair combined as (4 E2 - E1)/3, which
-    cancels the h^2 error term of the staggered scheme.
-
-    `solved` maps (half_width, n) to a grid's (E_neg, E_pos); grids found
-    there are not solved again, and new solutions are added to it."""
-    sols = []
-    for g in (grid, _refined_grid(grid)):
-        key = (g.half_width, g.n)
-        if key not in solved:
-            solved[key] = _lattice_eigenvalues(params, g, count)[1:]
-        sols.append(solved[key])
-    (c_neg, c_pos), (f_neg, f_pos) = sols
+    cancels the h^2 error term of the staggered scheme. `solved` maps
+    (half_width, n) to a grid's (E_neg, E_pos) and holds both grids of the
+    pair."""
+    (c_neg, c_pos), (f_neg, f_pos) = (
+        solved[g.half_width, g.n] for g in (grid, _refined_grid(grid)))
     k = min(len(c_neg), len(f_neg), count)
     j = min(len(c_pos), len(f_pos), count)
     return (4.0 * f_neg[:k] - c_neg[:k]) / 3.0, (4.0 * f_pos[:j] - c_pos[:j]) / 3.0
@@ -310,7 +315,10 @@ def converge_box_full(
     (widen 1.5), which shrinks h by 3/4, and a bounded domain (tangent,
     tabulated) is refined in place (widen 1), which halves h. Every round's
     value is Richardson-extrapolated over an (h, h/2) pair, and a round is
-    run only if its whole pair fits the dimension cap.
+    run only if its whole pair fits the dimension cap. The base pair and
+    round 1's pair are solved concurrently, as are each later round's new
+    grids (see the module docstring); the results are those of solving them
+    one after another.
 
     err_est is the move of a level between the last two rounds. Both its box
     error and its h^4 error shrink between rounds, the latter by r^4 for h
@@ -364,38 +372,123 @@ def _converge(params, count, tol, base):
     lo, hi = params.superpotential.domain
     widen = 1.5 if math.isinf(lo) and math.isinf(hi) else 1.0
 
-    # the base grid's matrix serves its states; a box that is not widened is
-    # refined in place, so a round's coarse grid is the previous round's fine
-    # one: each grid is solved once per call
-    t_base, b_neg, b_pos = _lattice_eigenvalues(params, base, count)
-    solved = {(base.half_width, base.n): (b_neg, b_pos)}
-    state_map = _states_for(params, base, t_base, b_neg, b_pos)
-    levels = _richardson_levels(params, base, count, solved)
-    errs = (None, None)
-    rounds = 0
-    cur = base
-    while True:
+    def round_grid(grid):
         # N + 1 doubles, so h shrinks by widen/2 and the h^4 error moves
         # between rounds along with the box error
-        nxt = Grid(half_width=widen * cur.half_width, n=2 * cur.n + 1)
+        return Grid(half_width=widen * grid.half_width, n=2 * grid.n + 1)
+
+    def fits(grid):
         # each round must afford its full (h, h/2) pair: a single grid would
         # fold discretization error into the inter-round delta. N at least
         # doubles every round, so this ends every run
-        if _dim(_refined_grid(nxt)) > DIM_CAP:
-            break
-        new = _richardson_levels(params, nxt, count, solved)
+        return _dim(_refined_grid(grid)) <= DIM_CAP
+
+    solved, state_map = {}, {}
+    nxt = round_grid(base)
+    # round 1 runs whenever it fits, so its pair is solved along with the
+    # base pair; the base grid's matrix serves its states
+    _solve_pairs(params, count, [base, nxt] if fits(nxt) else [base], solved, state_map)
+    levels = _richardson_levels(base, count, solved)
+    errs = (None, None)
+    rounds = 0
+    while fits(nxt):
+        _solve_pairs(params, count, [nxt], solved)
+        new = _richardson_levels(nxt, count, solved)
         rounds += 1
         # a branch keeps the levels that both rounds hold
         spans = [min(len(a), len(b)) for a, b in zip(levels, new)]
         errs = tuple(np.abs(b[:k] - a[:k]) for a, b, k in zip(levels, new, spans))
         levels = tuple(b[:k] for b, k in zip(new, spans))
-        cur = nxt
         if all(_settled(e, v, tol).all() for e, v in zip(errs, levels)):
             break
+        nxt = round_grid(nxt)
 
     records, origins = _build_records(params, *levels, errs, tol)
     states = tuple(state_map.get(origin) for origin in origins)
     return ConvergeResult(records=tuple(records), states=states, base_grid=base, rounds=rounds)
+
+
+def _solve_pairs(params, count, grids, solved, state_map=None):
+    """Solve the (h, h/2) pairs of `grids` into `solved`, which maps
+    (half_width, n) to a grid's (E_neg, E_pos). A grid already there is not
+    solved again: a box that is not widened is refined in place, so a round's
+    coarse grid is the previous round's fine one. Given `state_map`, the task
+    of the first grid also puts that grid's states into it, keyed by (branch,
+    ordinal), from its own matrix and eigenvalues.
+
+    The new grids are independent and each solve is deterministic, so they
+    run concurrently (_run_all), largest first, with the results they would
+    have one after another."""
+    new = {
+        (g.half_width, g.n): g
+        for grid in grids
+        for g in (grid, _refined_grid(grid))
+        if (g.half_width, g.n) not in solved
+    }
+    first = (grids[0].half_width, grids[0].n) if state_map is not None else None
+    keys = sorted(new, key=lambda key: -_dim(new[key]))
+
+    def task(key):
+        t, e_neg, e_pos = _lattice_eigenvalues(params, new[key], count)
+        if key == first:
+            state_map.update(_states_for(params, new[key], t, e_neg, e_pos))
+        return e_neg, e_pos
+
+    solved.update(zip(keys, _run_all([functools.partial(task, key) for key in keys])))
+
+
+# (pid, executor of the helper threads, or None on one CPU), made on first use
+_HELPERS = None
+
+
+def _helpers():
+    """The executor whose threads help the calling one, or None when the
+    process may run on one CPU only. It holds one thread fewer than the CPUs
+    the process may run on. A forked child has a copy of its parent's
+    executor but none of its threads, so each process makes its own."""
+    global _HELPERS
+    pid = os.getpid()
+    if _HELPERS is None or _HELPERS[0] != pid:
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        executor = None
+        if cpus > 1:
+            # imported here, so that importing the package does not pay for it
+            from concurrent.futures import ThreadPoolExecutor
+
+            executor = ThreadPoolExecutor(cpus - 1, thread_name_prefix="diracosc")
+        _HELPERS = (pid, executor)
+    return _HELPERS[1]
+
+
+def _run_all(tasks):
+    """Results of the zero-argument callables `tasks`, in order. The calling
+    thread runs the first, the helper threads the rest; LAPACK releases the
+    GIL, so they run in parallel. Once done with its own, the calling thread
+    runs each task no helper has started yet. If a task raises, the tasks not
+    yet started are dropped and the running ones waited for before the
+    exception propagates, so that no solve outlives the call. With no helper
+    the tasks run one after another."""
+    pool = _helpers() if len(tasks) > 1 else None
+    if pool is None:
+        return [task() for task in tasks]
+    futures = [pool.submit(task) for task in tasks[1:]]
+    try:
+        results = [tasks[0]()] + [None] * len(futures)
+        for i, future in enumerate(futures, 1):
+            if future.cancel():
+                results[i] = tasks[i]()
+        for i, future in enumerate(futures, 1):
+            if not future.cancelled():
+                results[i] = future.result()
+    except BaseException:
+        for future in futures:
+            if not future.cancel():
+                future.exception()
+        raise
+    return results
 
 
 # a few entries: a session revisits the configuration it is working on, and

@@ -31,6 +31,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,6 +236,9 @@ def eigen_bisect(t: Tridiagonal, k_lo: int, k_hi: int) -> np.ndarray:
 
 _CYTHON_LAPACK = None
 _ROUTINES: dict = {}
+# held while a module or routine is loaded: two threads executing the module
+# at once can leave one of them with a module that holds no capsules
+_LOAD_LOCK = threading.Lock()
 _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
     ("PyCapsule_GetName", ctypes.pythonapi)
 )
@@ -248,18 +252,21 @@ def _cython_lapack():
     module docstring for why `scipy.linalg` is not imported)."""
     global _CYTHON_LAPACK
     if _CYTHON_LAPACK is None:
-        scipy_spec = importlib.util.find_spec("scipy")
-        if scipy_spec is None or not scipy_spec.submodule_search_locations:
-            raise ImportError("scipy is required for the LAPACK eigensolver")
-        where = [
-            os.path.join(loc, "linalg") for loc in scipy_spec.submodule_search_locations
-        ]
-        spec = importlib.machinery.PathFinder.find_spec("cython_lapack", where)
-        if spec is None:
-            raise ImportError("scipy's compiled module cython_lapack was not found")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        _CYTHON_LAPACK = module
+        with _LOAD_LOCK:
+            if _CYTHON_LAPACK is None:
+                scipy_spec = importlib.util.find_spec("scipy")
+                if scipy_spec is None or not scipy_spec.submodule_search_locations:
+                    raise ImportError("scipy is required for the LAPACK eigensolver")
+                where = [
+                    os.path.join(loc, "linalg")
+                    for loc in scipy_spec.submodule_search_locations
+                ]
+                spec = importlib.machinery.PathFinder.find_spec("cython_lapack", where)
+                if spec is None:
+                    raise ImportError("scipy's compiled module cython_lapack was not found")
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                _CYTHON_LAPACK = module
     return _CYTHON_LAPACK
 
 
@@ -274,14 +281,18 @@ def _lapack(name: str):
     argument)."""
     routine = _ROUTINES.get(name)
     if routine is None:
-        capsule = _cython_lapack().__pyx_capi__[name]
-        # the capsule's name is the C prototype, "void (int *, double *, ...)"
-        prototype = _capsule_name(capsule)
-        address = _capsule_pointer(capsule, prototype)
-        args = prototype.decode()[len("void ("):-1].split(", ")
-        dtypes = tuple(_ARG_DTYPES[arg.rsplit("_", 1)[-1]] for arg in args)
-        fn = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * len(args))(address)
-        routine = _ROUTINES[name] = (fn, dtypes)
+        capi = _cython_lapack().__pyx_capi__
+        with _LOAD_LOCK:
+            routine = _ROUTINES.get(name)
+            if routine is None:
+                capsule = capi[name]
+                # the capsule's name is the C prototype, "void (int *, double *, ...)"
+                prototype = _capsule_name(capsule)
+                address = _capsule_pointer(capsule, prototype)
+                args = prototype.decode()[len("void ("):-1].split(", ")
+                dtypes = tuple(_ARG_DTYPES[arg.rsplit("_", 1)[-1]] for arg in args)
+                fn = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * len(args))(address)
+                routine = _ROUTINES[name] = (fn, dtypes)
     return routine
 
 

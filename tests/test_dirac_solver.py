@@ -1,6 +1,10 @@
 """Lattice route: assembly structure, spectra, box convergence, localization."""
 
 import math
+import multiprocessing
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from diracosc.dirac_solver import (
     dirac_spectrum,
     eigenvalue_count_in_window,
 )
-from diracosc.errors import DomainError, ResourceError
+from diracosc.errors import ConvergenceError, DomainError, ResourceError
 from diracosc.model import Grid, PhysicalParams, Superpotential
 from diracosc import analytic
 
@@ -489,6 +493,125 @@ def test_one_sign_superpotential_is_refused():
     falling = PhysicalParams(mass=1.0, kappa=0.3, superpotential=Superpotential.linear(-1.0))
     with pytest.raises(DomainError):
         converge_box_full(falling, count=2, grid=Grid(half_width=8.0, n=400))
+
+
+# ---------------------------------------------------------------- concurrent grid solves
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """use(n) makes the process see n CPUs, with a fresh helper pool and an
+    empty result cache; the pools made in the test are shut down after it."""
+    made = []
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+        made.append(dirac_solver._HELPERS)
+        monkeypatch.setattr(dirac_solver, "_HELPERS", None)
+        dirac_solver._converge_cached.cache_clear()
+
+    yield use
+    made.append(dirac_solver._HELPERS)
+    for entry in made[1:]:
+        if entry is not None and entry[1] is not None:
+            entry[1].shutdown()
+
+
+def _fingerprint(res):
+    """Everything a convergence run reports, as bytes-exact values."""
+    records = [
+        (r.branch, r.sigma, r.n, r.E.hex(), r.converged, r.err_est) for r in res.records
+    ]
+    states = [
+        None if st is None else (st.E, st.psi1.tobytes(), st.psi2.tobytes())
+        for st in res.states
+    ]
+    return records, states, res.rounds, res.base_grid
+
+
+@pytest.mark.parametrize(
+    "params,n,count",
+    [(linear_params(0.4), 500, 2), (tan_params(0.3), 300, 3), (linear_params(1.2), 500, 2)],
+    ids=["linear", "tan", "supercritical"],
+)
+def test_one_cpu_runs_serially_with_the_threaded_results(cpus, params, n, count):
+    grid = default_grid(params, n=n)
+    cpus(2)
+    threaded = _fingerprint(converge_box_full(params, count, grid=grid))
+    cpus(1)
+    before = set(threading.enumerate())
+    serial = _fingerprint(converge_box_full(params, count, grid=grid))
+    assert set(threading.enumerate()) == before
+    assert dirac_solver._HELPERS in (None, (os.getpid(), None))
+    assert serial == threaded
+
+
+@pytest.mark.parametrize("failing", [4007, 1001], ids=["caller", "last"])
+def test_a_failing_grid_solve_propagates_and_leaves_nothing_running(
+    cpus, monkeypatch, failing
+):
+    # linear kappa 0.4 on Grid(20, 500) solves 4 grids at once: 4007 rows on
+    # the calling thread, then 2003 (twice) and 1001 rows
+    cpus(2)
+    lock = threading.Lock()
+    started, running = [], [0]
+    real_eigs = dirac_solver._indexed_eigenvalues
+
+    def eigs(t, ks):
+        with lock:
+            started.append(t.n)
+            running[0] += 1
+        try:
+            if t.n == failing:
+                raise ConvergenceError(f"no eigenvalues at {t.n} rows")
+            time.sleep(0.2)
+            return real_eigs(t, ks)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(dirac_solver, "_indexed_eigenvalues", eigs)
+    with pytest.raises(ConvergenceError, match=f"at {failing} rows"):
+        converge_box_full(linear_params(0.4), count=2, grid=Grid(half_width=20.0, n=500))
+    with lock:
+        assert running[0] == 0
+        at_return = list(started)
+    time.sleep(0.5)
+    assert started == at_return
+    assert failing in started
+
+
+def _converge_in_child():
+    threads = set()
+    real_eigs = dirac_solver._indexed_eigenvalues
+
+    def eigs(t, ks):
+        threads.add(threading.get_ident())
+        time.sleep(0.05)
+        return real_eigs(t, ks)
+
+    # this process ends with the call, so the module is patched for good
+    dirac_solver._indexed_eigenvalues = eigs
+    params = tan_params(0.3)
+    res = converge_box_full(params, count=3, grid=default_grid(params, n=300))
+    assert res.rounds == 1 and all(r.converged for r in res.records)
+    assert len(threads) == 2
+
+
+def test_forked_child_runs_on_helper_threads_of_its_own(cpus):
+    # a fork copies the parent's pool but none of its threads: the child
+    # must finish, and share its solves with helper threads it starts itself
+    cpus(2)
+    converge_box_full(linear_params(0.4), count=2, grid=Grid(half_width=20.0, n=500))
+    assert dirac_solver._HELPERS[1] is not None
+    child = multiprocessing.get_context("fork").Process(target=_converge_in_child)
+    child.start()
+    child.join(20)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
 
 
 # ---------------------------------------------------------------- states

@@ -292,3 +292,35 @@ def test_lattice_solve_leaves_scipy_linalg_unimported():
         capture_output=True, text=True, timeout=300, check=True,
     )
     assert "scipy.linalg" not in out.stdout.split()
+
+
+def test_first_lapack_load_is_thread_safe():
+    """Four threads make their first LAPACK call at once, in a fresh process
+    that switches threads as often as the interpreter allows. Loading
+    scipy's module in two threads at once used to leave one of them without
+    the module's capsules (AttributeError) or refused as imported twice."""
+    code = (
+        "import sys, threading\n"
+        "import numpy as np\n"
+        "from diracosc import linalg\n"
+        "t = linalg.Tridiagonal(np.arange(10.0), np.zeros(9))\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "barrier = threading.Barrier(4)\n"
+        "counts = []\n"
+        "def first_count():\n"
+        "    barrier.wait()\n"
+        "    counts.append(int(linalg._counts_below(t, [4.5])[0]))\n"
+        "threads = [threading.Thread(target=first_count) for _ in range(4)]\n"
+        "for th in threads:\n"
+        "    th.start()\n"
+        "for th in threads:\n"
+        "    th.join()\n"
+        "assert counts == [5, 5, 5, 5], counts\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diracosc.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
