@@ -391,7 +391,7 @@ def cmd_sweep_kappa(cfg: RunConfig, kappa_list: list[float]) -> int:
             continue
         for rec, state in zip(result.records, result.states):
             row = {"kappa": kappa, **_record_row(rec)}
-            row["pr"] = state.participation_ratio if state is not None else None
+            row["pr"] = state.participation_ratio
             rows.append(row)
     _emit(_row_columns(rows, SWEEP_HEADER), cfg)
     return EXIT_OK
@@ -537,7 +537,7 @@ def cmd_wavefunction(cfg: RunConfig, sigma: int, n: int, branch: int = 1) -> int
             f"no lattice level with sigma={sigma}, n={n}, branch={branch:+d}"
         )
     rec, dstate = match
-    if not rec.converged or dstate is None:
+    if not rec.converged:
         raise ConvergenceError(
             f"level (sigma={sigma}, n={n}, branch={branch:+d}) is not a "
             "converged bound state"

@@ -59,13 +59,14 @@ in the reported value.
 
 A run knows several of its grids before it solves any: the base grid, its
 h/2 grid and round 1's pair, since round 1 runs whenever its pair fits the
-dimension cap. These are solved concurrently, largest first, and so are the
-new grids of each later round (two when the box widens, one in place). The
-calling thread solves the largest and helper threads, one fewer than the
-CPUs the process may run on, the rest; LAPACK releases the GIL while it
-works. Each solve is deterministic and depends on its own grid alone, so
-records, states and rounds are those of solving the grids one after
-another, which is what a process on one CPU does.
+dimension cap. These are solved concurrently, and so are the new grids of
+each later round (two when the box widens, one in place). The calling thread
+solves the largest and a pool of helper threads, one fewer than the CPUs the
+process may run on, the rest; LAPACK releases the GIL while it works. Each
+solve is deterministic and depends on its own grid alone, so records, states
+and rounds are those of solving the grids one after another, which is what a
+process on one CPU does. Results are cached by call, tabulated shapes
+included, since a table compares by its samples.
 """
 
 from __future__ import annotations
@@ -285,18 +286,11 @@ def _dim(grid: Grid) -> int:
     return 2 * grid.n + 1
 
 
-def _refined_grid(grid: Grid) -> Grid:
-    # halving h exactly: N -> 2N+1 keeps x_i = -L + i h nested
-    return Grid(half_width=grid.half_width, n=2 * grid.n + 1)
-
-
 def _richardson_levels(grid, count, solved):
     """(E_neg, E_pos) on the (h, h/2) pair combined as (4 E2 - E1)/3, which
-    cancels the h^2 error term of the staggered scheme. `solved` maps
-    (half_width, n) to a grid's (E_neg, E_pos) and holds both grids of the
-    pair."""
-    (c_neg, c_pos), (f_neg, f_pos) = (
-        solved[g.half_width, g.n] for g in (grid, _refined_grid(grid)))
+    cancels the h^2 error term of the staggered scheme. `solved` maps a grid
+    to its (E_neg, E_pos) and holds both grids of the pair."""
+    (c_neg, c_pos), (f_neg, f_pos) = solved[grid], solved[grid.refined()]
     k = min(len(c_neg), len(f_neg), count)
     j = min(len(c_pos), len(f_pos), count)
     return (4.0 * f_neg[:k] - c_neg[:k]) / 3.0, (4.0 * f_pos[:j] - c_pos[:j]) / 3.0
@@ -335,16 +329,13 @@ def converge_box_full(
     if count < 1:
         raise ValueError("count must be >= 1")
     base = grid if grid is not None else default_grid(params)
-    fine = _dim(_refined_grid(base))
+    fine = _dim(base.refined())
     if fine > DIM_CAP:
         raise ResourceError(
             f"h/2 grid of the initial grid, 2N+1 = {fine}, exceeds the dimension cap {DIM_CAP}")
     # positional and with its defaults resolved, so that equivalent calls
-    # share one cache key; table arrays do not hash, so tables are not cached
-    args = (params, count, tol, base)
-    if params.superpotential.family is Family.TABULATED:
-        return _converge(*args)
-    return _converge_cached(*args)
+    # share one cache key
+    return _converge_cached(params, count, tol, base)
 
 
 def _require_sign_change(params: PhysicalParams, grid: Grid) -> None:
@@ -381,7 +372,7 @@ def _converge(params, count, tol, base):
         # each round must afford its full (h, h/2) pair: a single grid would
         # fold discretization error into the inter-round delta. N at least
         # doubles every round, so this ends every run
-        return _dim(_refined_grid(grid)) <= DIM_CAP
+        return _dim(grid.refined()) <= DIM_CAP
 
     solved, state_map = {}, {}
     nxt = round_grid(base)
@@ -404,91 +395,75 @@ def _converge(params, count, tol, base):
         nxt = round_grid(nxt)
 
     records, origins = _build_records(params, *levels, errs, tol)
-    states = tuple(state_map.get(origin) for origin in origins)
+    states = tuple(state_map[origin] for origin in origins)
     return ConvergeResult(records=tuple(records), states=states, base_grid=base, rounds=rounds)
 
 
 def _solve_pairs(params, count, grids, solved, state_map=None):
-    """Solve the (h, h/2) pairs of `grids` into `solved`, which maps
-    (half_width, n) to a grid's (E_neg, E_pos). A grid already there is not
-    solved again: a box that is not widened is refined in place, so a round's
-    coarse grid is the previous round's fine one. Given `state_map`, the task
-    of the first grid also puts that grid's states into it, keyed by (branch,
-    ordinal), from its own matrix and eigenvalues.
+    """Solve the (h, h/2) pairs of `grids` into `solved`, which maps a grid
+    to its (E_neg, E_pos). A grid already there is not solved again: a box
+    that is not widened is refined in place, so a round's coarse grid is the
+    previous round's fine one. Given `state_map`, the task of the first grid
+    also puts that grid's states into it, keyed by (branch, ordinal), from
+    its own matrix and eigenvalues.
 
     The new grids are independent and each solve is deterministic, so they
     run concurrently (_run_all), largest first, with the results they would
     have one after another."""
-    new = {
-        (g.half_width, g.n): g
-        for grid in grids
-        for g in (grid, _refined_grid(grid))
-        if (g.half_width, g.n) not in solved
-    }
-    first = (grids[0].half_width, grids[0].n) if state_map is not None else None
-    keys = sorted(new, key=lambda key: -_dim(new[key]))
+    new = dict.fromkeys(g for grid in grids for g in (grid, grid.refined()) if g not in solved)
+    new = sorted(new, key=_dim, reverse=True)
+    first = grids[0] if state_map is not None else None
 
-    def task(key):
-        t, e_neg, e_pos = _lattice_eigenvalues(params, new[key], count)
-        if key == first:
-            state_map.update(_states_for(params, new[key], t, e_neg, e_pos))
+    def task(grid):
+        t, e_neg, e_pos = _lattice_eigenvalues(params, grid, count)
+        if grid == first:
+            state_map.update(_states_for(params, grid, t, e_neg, e_pos))
         return e_neg, e_pos
 
-    solved.update(zip(keys, _run_all([functools.partial(task, key) for key in keys])))
+    solved.update(zip(new, _run_all([functools.partial(task, g) for g in new])))
 
 
-# (pid, executor of the helper threads, or None on one CPU), made on first use
-_HELPERS = None
-
-
+@functools.cache
 def _helpers():
-    """The executor whose threads help the calling one, or None when the
-    process may run on one CPU only. It holds one thread fewer than the CPUs
-    the process may run on. A forked child has a copy of its parent's
-    executor but none of its threads, so each process makes its own."""
-    global _HELPERS
-    pid = os.getpid()
-    if _HELPERS is None or _HELPERS[0] != pid:
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
-        else:
-            cpus = os.cpu_count() or 1
-        executor = None
-        if cpus > 1:
-            # imported here, so that importing the package does not pay for it
-            from concurrent.futures import ThreadPoolExecutor
+    """The executor whose threads help the calling one, made on first use,
+    or None when the process may run on one CPU only. It holds one thread
+    fewer than the CPUs the process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return None
+    # imported here, so that importing the package does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
 
-            executor = ThreadPoolExecutor(cpus - 1, thread_name_prefix="diracosc")
-        _HELPERS = (pid, executor)
-    return _HELPERS[1]
+    return ThreadPoolExecutor(cpus - 1, thread_name_prefix="diracosc")
+
+
+# a forked child has a copy of its parent's executor but none of its
+# threads, so it makes its own
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_helpers.cache_clear)
 
 
 def _run_all(tasks):
     """Results of the zero-argument callables `tasks`, in order. The calling
     thread runs the first, the helper threads the rest; LAPACK releases the
-    GIL, so they run in parallel. Once done with its own, the calling thread
-    runs each task no helper has started yet. If a task raises, the tasks not
-    yet started are dropped and the running ones waited for before the
-    exception propagates, so that no solve outlives the call. With no helper
-    the tasks run one after another."""
+    GIL, so they run in parallel. If a task raises, the tasks not yet started
+    are dropped and the running ones waited for before the exception
+    propagates, so that no solve outlives the call. With no helper the tasks
+    run one after another."""
     pool = _helpers() if len(tasks) > 1 else None
     if pool is None:
         return [task() for task in tasks]
     futures = [pool.submit(task) for task in tasks[1:]]
     try:
-        results = [tasks[0]()] + [None] * len(futures)
-        for i, future in enumerate(futures, 1):
-            if future.cancel():
-                results[i] = tasks[i]()
-        for i, future in enumerate(futures, 1):
-            if not future.cancelled():
-                results[i] = future.result()
+        return [tasks[0]()] + [future.result() for future in futures]
     except BaseException:
         for future in futures:
             if not future.cancel():
                 future.exception()
         raise
-    return results
 
 
 # a few entries: a session revisits the configuration it is working on, and

@@ -9,8 +9,8 @@ The superpotential catalog carries three families:
 
 * Linear:    W(x) = w1 * x,            W'(x) = w1           (whole real line)
 * Tangent:   W(x) = alpha0 * tan(x),   W'(x) = alpha0/cos^2(x)   on (-pi/2, pi/2)
-* Tabulated: (x, W, W') samples, monotone cubic interpolation, certified for
-  the lattice route only.
+* Tabulated: (x, W, W') samples, monotone cubic interpolation, solved by the
+  lattice and susy routes (the closed forms cover the first two only).
 """
 
 from __future__ import annotations
@@ -58,14 +58,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Superpotential:
-    """Descriptor for W(x) and W'(x). Construct via the factory classmethods."""
+    """Descriptor for W(x) and W'(x). Construct via the factory classmethods.
+    A table compares and hashes by table_key, the bytes of its samples."""
 
     family: Family
     w1: float | None = None
     alpha0: float | None = None
-    table_x: np.ndarray | None = field(default=None, repr=False)
-    table_w: np.ndarray | None = field(default=None, repr=False)
-    table_wp: np.ndarray | None = field(default=None, repr=False)
+    table_x: np.ndarray | None = field(default=None, repr=False, compare=False)
+    table_w: np.ndarray | None = field(default=None, repr=False, compare=False)
+    table_wp: np.ndarray | None = field(default=None, repr=False, compare=False)
+    table_key: bytes | None = field(default=None, repr=False)
 
     @classmethod
     def linear(cls, w1: float) -> "Superpotential":
@@ -93,12 +95,10 @@ class Superpotential:
         if not np.all(np.diff(x) > 0.0):
             raise ConfigError("tabulated x values must be strictly increasing")
         _validate_table_derivative(x, w, wp)
-        return cls(
-            family=Family.TABULATED,
-            table_x=_readonly(x),
-            table_w=_readonly(w),
-            table_wp=_readonly(wp),
-        )
+        x, w, wp = _readonly(x), _readonly(w), _readonly(wp)
+        # the columns have one length, so their bytes in a row are the content
+        return cls(family=Family.TABULATED, table_x=x, table_w=w, table_wp=wp,
+                   table_key=x.tobytes() + w.tobytes() + wp.tobytes())
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -217,6 +217,11 @@ class Grid:
     @property
     def h(self) -> float:
         return 2.0 * self.half_width / (self.n + 1)
+
+    def refined(self) -> "Grid":
+        """The nested grid of half the spacing: N -> 2N + 1 keeps every point
+        x_i = -L + i h a point of it."""
+        return Grid(half_width=self.half_width, n=2 * self.n + 1)
 
     @cached_property
     def x(self) -> np.ndarray:

@@ -273,8 +273,7 @@ def _bracket_root(params, sigma, n, grid, branch):
             # the E=0 level: the condition must already hold there up to the
             # lattice's h^2 bias, which the nested h/2 grid divides by 4
             f0 = _level_f(params, sigma, n, grid, 0.0)
-            fine = Grid(half_width=grid.half_width, n=2 * grid.n + 1)
-            f0_fine = _level_f(params, sigma, n, fine, 0.0)
+            f0_fine = _level_f(params, sigma, n, grid.refined(), 0.0)
             if abs(4.0 * f0_fine - f0) <= abs(f0 - f0_fine):
                 return 0.0, 0.0, 0.0, 0.0, 0.0
             raise BracketError(
@@ -359,7 +358,7 @@ def _solve_branch(params, sigma, n, grid, branch):
     e1 = _safe_newton(evaluate, a, b, fa, fb, x, *evaluate(x), _f_floor(grid))
     # second pass on a nested half-spacing grid; the paired extrapolation
     # (4 E2 - E1)/3 cancels the O(h^2) lattice bias of the 3-point Laplacian
-    fine = Grid(half_width=grid.half_width, n=2 * grid.n + 1)
+    fine = grid.refined()
     evaluate = functools.partial(
         _level_f_slope, params, sigma, n, fine, eval_superpotential(sp, fine.x)[0])
     delta = max(1e-4 * max(abs(e1), 1.0), 1e-9)
@@ -415,9 +414,7 @@ def solve_nonlinear_level(
         base = default_grid(params)
         grid = Grid(half_width=base.half_width, n=2000)
     # positional and with the grid resolved, so that equivalent calls share
-    # one cache key; table arrays do not hash, so tables are not cached
-    if params.superpotential.family is Family.TABULATED:
-        return _solve_level(params, sigma, n, grid)
+    # one cache key
     return _solve_level_cached(params, sigma, n, grid)
 
 
@@ -511,10 +508,14 @@ def reconstruct_spinor(
             f"reconstruction annihilated the state at E = {E:.6g} "
             f"(norm {raw:.3g}); it has no counterpart on this branch"
         )
-    state = SpinorState.from_samples(E, psi1, psi2, grid)
+    return _with_residual(params, grid, SpinorState.from_samples(E, psi1, psi2, grid))
+
+
+def _with_residual(params, grid, state):
+    """The state carrying its first-order eigenvalue residual."""
     r1, r2 = _apply_dirac(params, grid, state.psi1, state.psi2)
-    r1 = r1 - E * state.psi1
-    r2 = r2 - E * state.psi2
+    r1 = r1 - state.E * state.psi1
+    r2 = r2 - state.E * state.psi2
     residual = math.sqrt(grid.h * float(np.sum(np.abs(r1) ** 2 + np.abs(r2) ** 2)))
     return replace(state, residual=residual)
 
@@ -528,16 +529,22 @@ def susy_state(
 ) -> tuple[SpectrumRecord, SpinorState]:
     """End-to-end reduced route for one level: solve the nonlinear level
     condition, take the reduced eigenfunction at the solved energy, and
-    reconstruct the two-component state."""
+    reconstruct the two-component state; the massless ground level, which
+    the reconstruction annihilates, is built directly."""
     if grid is None:
         grid = default_grid(params)
     plus, minus = solve_nonlinear_level(params, sigma, n, grid)
     rec = plus if branch > 0 else minus
-    weff = effective_superpotential(params.superpotential, params.kappa, rec.E)
-    t = schrodinger_operator(weff, sigma, grid)
-    # the level the root solve tracked: eigenvalue n + 1 of the reduced operator
-    eps = _indexed_eigenvalues(t, [n + 1])
+    # the level the root solve tracked, at the solved energy
+    t, eps, _ = _level_condition(params, sigma, n, grid, rec.E)
     phi = tridiagonal_eigenvectors(t, eps)[:, 0]
+    if rec.E == 0.0 and params.mass == 0.0:
+        # the one level at E = 0, (sigma=-1, n=0): phi is exp(-gamma int W dx)
+        # on the lattice, gamma = sqrt(1 - kappa^2), and psi = (phi, -i beta
+        # phi) with beta = -kappa/(1 + gamma) solves the first-order equation
+        beta = -params.kappa / (1.0 + math.sqrt(1.0 - params.kappa**2))
+        state = SpinorState.from_samples(0.0, phi, -1j * beta * phi, grid)
+        return rec, _with_residual(params, grid, state)
     pair = spin_eigensystem(params.kappa)
     chi = pair[0] if sigma > 0 else pair[1]
     state = reconstruct_spinor(params, rec.E, chi, phi, grid)

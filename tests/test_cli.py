@@ -451,6 +451,23 @@ def test_wavefunction_json_payload():
     }
 
 
+@pytest.mark.parametrize("family", ["linear", "tan"])
+@pytest.mark.parametrize("kappa", ["0", "0.4"])
+def test_wavefunction_massless_zero_mode(family, kappa):
+    # the massless ground level sits at E = 0, where the reconstruction
+    # annihilates it; the reduced route builds its state directly
+    code, out, err = run_cli([
+        "wavefunction", "--model.family", family, "--model.kappa", kappa,
+        "--model.mass", "0", "--solver.levels", "2", "--grid.n", "500",
+        "--sigma", "-1", "--n", "0",
+    ])
+    assert code == 0, err
+    preamble, _, rows = parse_csv(out)
+    assert preamble[0] == "level sigma=-1 n=0 branch=+1 E=0"
+    assert float(preamble[1].split("=")[1]) >= 0.999
+    assert float(rows[-1]["cum_susy"]) == pytest.approx(1.0, abs=1e-8)
+
+
 def test_wavefunction_unbound_exit_5():
     code, _, err = run_cli([
         "wavefunction", "--model.kappa", "1.2", "--grid.n", "200",

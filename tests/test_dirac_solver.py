@@ -480,6 +480,25 @@ def test_tabulated_family_refines_in_place():
         (1, -1, 0), (1, -1, 1), (1, 1, 0)]
 
 
+def test_tabulated_runs_share_the_cache():
+    # a table compares by its samples: an equal table made anew is the same
+    # call, and a one-sample change is another
+    xs = np.linspace(-12.0, 12.0, 2401)
+
+    def params(wp):
+        tab = Superpotential.tabulated(xs, xs, wp)
+        return PhysicalParams(mass=1.0, kappa=0.0, superpotential=tab)
+
+    grid = Grid(half_width=12.0, n=400)
+    dirac_solver._converge_cached.cache_clear()
+    first = converge_box_full(params(np.ones_like(xs)), count=2, grid=grid)
+    assert converge_box_full(params(np.ones_like(xs)), count=2, grid=grid) is first
+    changed = np.ones_like(xs)
+    changed[0] = 1.01
+    assert converge_box_full(params(changed), count=2, grid=grid) is not first
+    assert dirac_solver._converge_cached.cache_info().misses == 2
+
+
 def test_one_sign_superpotential_is_refused():
     # W = x + 8 stays positive on (-6, 6): the unpaired level sits against
     # the left wall (E = m), a state of the box that refinement used to flag
@@ -501,21 +520,26 @@ def test_one_sign_superpotential_is_refused():
 @pytest.fixture
 def cpus(monkeypatch):
     """use(n) makes the process see n CPUs, with a fresh helper pool and an
-    empty result cache; the pools made in the test are shut down after it."""
-    made = []
+    empty result cache. After the test its pools are shut down, and the next
+    caller makes one for the CPUs the process has."""
+    pools = []
+
+    def drop_pool():
+        if dirac_solver._helpers.cache_info().currsize:
+            pools.append(dirac_solver._helpers())
+        dirac_solver._helpers.cache_clear()
 
     def use(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: n)
-        made.append(dirac_solver._HELPERS)
-        monkeypatch.setattr(dirac_solver, "_HELPERS", None)
+        drop_pool()
         dirac_solver._converge_cached.cache_clear()
 
     yield use
-    made.append(dirac_solver._HELPERS)
-    for entry in made[1:]:
-        if entry is not None and entry[1] is not None:
-            entry[1].shutdown()
+    drop_pool()
+    for pool in pools:
+        if pool is not None:
+            pool.shutdown()
 
 
 def _fingerprint(res):
@@ -543,7 +567,7 @@ def test_one_cpu_runs_serially_with_the_threaded_results(cpus, params, n, count)
     before = set(threading.enumerate())
     serial = _fingerprint(converge_box_full(params, count, grid=grid))
     assert set(threading.enumerate()) == before
-    assert dirac_solver._HELPERS in (None, (os.getpid(), None))
+    assert dirac_solver._helpers() is None
     assert serial == threaded
 
 
@@ -604,7 +628,7 @@ def test_forked_child_runs_on_helper_threads_of_its_own(cpus):
     # must finish, and share its solves with helper threads it starts itself
     cpus(2)
     converge_box_full(linear_params(0.4), count=2, grid=Grid(half_width=20.0, n=500))
-    assert dirac_solver._HELPERS[1] is not None
+    assert dirac_solver._helpers() is not None
     child = multiprocessing.get_context("fork").Process(target=_converge_in_child)
     child.start()
     child.join(20)

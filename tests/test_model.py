@@ -10,6 +10,7 @@ from diracosc.model import (
     Family,
     Grid,
     LevelIndex,
+    PhysicalParams,
     SpectrumRecord,
     SpinorState,
     Superpotential,
@@ -85,6 +86,30 @@ def test_tabulated_rejects_malformed_tables():
         Superpotential.tabulated(x[:3], np.sin(x[:3]), np.cos(x[:3]))
     with pytest.raises(ConfigError):
         Superpotential.tabulated(x, np.sin(x)[:-1], np.cos(x))
+
+
+def test_tables_compare_and_hash_by_content():
+    # two tables made from equal samples are one superpotential, and a
+    # one-sample change makes another
+    x = np.linspace(-10.0, 10.0, 801)
+
+    def params(wp):
+        sp = Superpotential.tabulated(x, x, wp)
+        return PhysicalParams(mass=1.0, kappa=0.3, superpotential=sp)
+
+    a, b = params(np.ones_like(x)), params(np.ones_like(x))
+    assert a == b and hash(a) == hash(b)
+    changed = np.ones_like(x)
+    changed[0] = 1.01
+    assert params(changed) != a
+
+
+def test_refined_grid_halves_the_spacing_on_nested_points():
+    grid = Grid(half_width=3.0, n=5)
+    fine = grid.refined()
+    assert (fine.half_width, fine.n) == (3.0, 11)
+    assert fine.h == grid.h / 2.0
+    assert np.array_equal(fine.x[1::2], grid.x)
 
 
 @pytest.mark.parametrize(

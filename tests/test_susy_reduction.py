@@ -331,6 +331,8 @@ def test_mirrored_minus_root_matches_an_explicit_minus_solve(params):
 
 
 def test_branch_solves_per_level(monkeypatch):
+    # a cached solve would not reach the spy
+    susy_reduction._solve_level_cached.cache_clear()
     calls = []
     solve_branch = susy_reduction._solve_branch
 
@@ -456,6 +458,23 @@ def test_equivalent_solves_share_one_cached_result():
     assert solve_nonlinear_level(params, sigma=-1, n=1, grid=default) is first
 
 
+def test_tabulated_solves_share_the_cache():
+    # a table compares by its samples: an equal table made anew is the same
+    # call, and a one-sample change is another
+    xs = np.linspace(-10.0, 10.0, 801)
+
+    def params(wp):
+        tab = Superpotential.tabulated(xs, xs, wp)
+        return PhysicalParams(mass=1.0, kappa=0.3, superpotential=tab)
+
+    grid = Grid(half_width=8.0, n=400)
+    first = solve_nonlinear_level(params(np.ones_like(xs)), -1, 1, grid)
+    assert solve_nonlinear_level(params(np.ones_like(xs)), -1, 1, grid) is first
+    changed = np.ones_like(xs)
+    changed[0] = 1.01
+    assert solve_nonlinear_level(params(changed), -1, 1, grid) is not first
+
+
 def test_solve_argument_validation():
     with pytest.raises(ValueError):
         solve_nonlinear_level(linear_params(0.0), 0, 1)
@@ -496,6 +515,19 @@ def test_reconstruction_residual_shrinks_with_spacing():
 def test_reconstruction_annihilates_minimal_negative_level():
     with pytest.raises(DegenerateStateError):
         susy_state(linear_params(0.0), -1, 0, branch=-1)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.4, -0.7])
+def test_massless_zero_mode_is_built_directly(kappa):
+    # the reconstruction annihilates the E = 0 level; its state is
+    # (phi, -i beta phi), phi the sigma=-1 reduced ground state
+    params = PhysicalParams(mass=0.0, kappa=kappa, superpotential=Superpotential.linear(1.0))
+    rec, st = susy_state(params, -1, 0, grid=Grid(half_width=20.0, n=1000))
+    assert rec.E == 0.0 and st.E == 0.0
+    assert st.norm == pytest.approx(1.0, abs=1e-10)
+    assert st.residual <= 1e-3
+    beta = -kappa / (1.0 + math.sqrt(1.0 - kappa**2))
+    np.testing.assert_allclose(st.psi2, -1j * beta * st.psi1, rtol=1e-14, atol=0.0)
 
 
 def test_negative_branch_excited_level_reconstructs():
