@@ -11,7 +11,7 @@ Config files are flat UTF-8 text, one `section.key = value` per line, with
     model.mass            fermion mass
     model.table_path      3-column text file (x, W, W') for tabulated W
     grid.n                interior lattice points
-    grid.box_half_width   half-width L of the solver box
+    grid.box_half_width   half-width L of the solver box (tan: pi/2 only)
     solver.route          analytic | dirac | susy | all
     solver.levels         number of reduced levels (n_sigma <= levels-1)
     solver.tolerance      convergence tolerance for the lattice route
@@ -571,23 +571,16 @@ def cmd_wavefunction(cfg: RunConfig, sigma: int, n: int, branch: int = 1) -> int
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="config file (section.key = value lines)")
-    for key in sorted(ALL_KEYS):
+    for key in sorted(ALL_KEYS - {"output.path", "output.format"}):
         p.add_argument(f"--{key}", dest=key, metavar="V", help=argparse.SUPPRESS)
-    p.add_argument("--output", dest="output.path_alias", metavar="PATH",
+    p.add_argument("--output.path", "--output", dest="output.path", metavar="PATH",
                    help="output file (default stdout)")
-    p.add_argument("--format", dest="output.format_alias", choices=("csv", "json"),
+    p.add_argument("--output.format", "--format", dest="output.format", metavar="csv|json",
                    help="output format (default csv)")
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {key: getattr(args, key, None) for key in ALL_KEYS}
-    alias_path = getattr(args, "output.path_alias", None)
-    if alias_path is not None:
-        overrides["output.path"] = alias_path
-    alias_fmt = getattr(args, "output.format_alias", None)
-    if alias_fmt is not None:
-        overrides["output.format"] = alias_fmt
-    return load_config(args.config, overrides)
+    return load_config(args.config, {key: getattr(args, key, None) for key in ALL_KEYS})
 
 
 def _parse_kappas(raw: str) -> list[float]:

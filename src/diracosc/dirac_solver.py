@@ -96,6 +96,7 @@ from .model import (
     build_grid,
     eval_superpotential,
     level_labels,
+    require_whole_domain,
 )
 
 __all__ = [
@@ -323,12 +324,14 @@ def converge_box_full(
     |kappa| >= 1, the rule of model.require_subcritical, no level is bound:
     the base grid's values are reported, unconverged with no error estimate,
     and no round runs. Raises ResourceError unless the base grid's h/2 grid
-    fits the dimension cap. Raises DomainError unless W runs from negative to
-    positive across the base box, the assumption the level labels rest on.
+    fits the dimension cap. Raises DomainError on a tan box other than
+    (-pi/2, pi/2), and unless W runs from negative to positive across the
+    base box, the assumption the level labels rest on.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     base = grid if grid is not None else default_grid(params)
+    require_whole_domain(params.superpotential, base)
     fine = _dim(base.refined())
     if fine > DIM_CAP:
         raise ResourceError(

@@ -36,6 +36,7 @@ __all__ = [
     "level_labels",
     "potential_energy",
     "require_subcritical",
+    "require_whole_domain",
     "build_grid",
 ]
 
@@ -232,17 +233,22 @@ class Grid:
 
 def build_grid(L: float, N: int, family: Family = Family.LINEAR) -> Grid:
     """Uniform interior grid. N >= 3 so a centered stencil exists everywhere;
-    for the Tangent family pass L = pi/2 (the builder keeps the points strictly
-    inside the open interval by construction)."""
+    the Tangent family takes L = pi/2 alone (the builder keeps the points
+    strictly inside the open interval by construction)."""
     if not (isinstance(N, (int, np.integer)) and N >= 3):
         raise ConfigError(f"grid needs at least 3 interior points, got {N!r}")
     if not (math.isfinite(L) and L > 0.0):
         raise ConfigError(f"grid half-width must be positive, got {L!r}")
-    if family is Family.TANGENT and L > HALF_PI + 1e-15:
-        raise ConfigError(
-            f"tangent-family grid half-width must not exceed pi/2, got {L!r}"
-        )
+    if family is Family.TANGENT and abs(L - HALF_PI) > 1e-15:
+        raise ConfigError(f"tangent-family grid half-width must be pi/2, got {L!r}")
     return Grid(half_width=float(L), n=int(N))
+
+
+def require_whole_domain(sp: Superpotential, grid: Grid) -> None:
+    """Raises DomainError unless a tangent-family box is the whole (-pi/2, pi/2),
+    where W diverges: walls inside it cut the levels into states of the box."""
+    if sp.family is Family.TANGENT and abs(grid.half_width - HALF_PI) > 1e-15:
+        raise DomainError(f"tangent-family box half-width must be pi/2, got {grid.half_width!r}")
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ where the effective superpotential absorbs the coupling and the energy,
 
 and epsilon = E^2/(1-kappa^2) - m^2. Because Weff depends on E, the level
 condition  epsilon_n(Weff(E)) = E^2/(1-kappa^2) - m^2  is nonlinear in E;
-solve_nonlinear_level finds its roots by Newton steps, with the slope from the
-Hellmann-Feynman theorem and a sign-change bracket as the safeguard. This
-route needs no closed form, so it generalizes beyond the certified families;
+solve_nonlinear_level finds each root on two nested grids by one search: Newton
+steps, with the slope from the Hellmann-Feynman theorem, in a sign-change
+bracket widened around a seed. This route needs no closed form, so it
+generalizes beyond the certified families;
 on them it must reproduce the closed-form levels, which is the cross-check
 the package leans on.
 
@@ -50,6 +51,7 @@ from .model import (
     Superpotential,
     eval_superpotential,
     require_subcritical,
+    require_whole_domain,
 )
 
 __all__ = [
@@ -112,15 +114,10 @@ def spin_eigensystem(kappa: float) -> tuple[SpinEigenpair, SpinEigenpair]:
 
 @dataclass(frozen=True)
 class EffectiveSuperpotential:
-    """The energy-instantiated superpotential Weff of the reduced problem.
-
-    Generic form: Weff = scale * W + offset with scale = sqrt(1-kappa^2) and
-    offset = kappa E / sqrt(1-kappa^2). The certified families re-express it
-    in their own parameters - linear: slope * (x + x0); trigonometric:
-    alpha tan x + beta - and value() evaluates through those, while
-    value_reference() always takes the generic path, keeping the two
-    derivations independently checkable.
-    """
+    """The energy-instantiated superpotential Weff = scale * W + offset of the
+    reduced problem, scale = sqrt(1-kappa^2), offset = kappa E/sqrt(1-kappa^2).
+    The certified families' own parameters stay as data (linear: slope *
+    (x + x0); trigonometric: alpha tan x + beta)."""
 
     base: Superpotential
     kappa: float
@@ -132,21 +129,16 @@ class EffectiveSuperpotential:
     alpha: float | None = None
     beta: float | None = None
 
-    def value(self, x):
-        if self.base.family is Family.LINEAR:
-            return self.slope * (np.asarray(x, dtype=float) + self.x0)
-        if self.base.family is Family.TANGENT:
-            w, _ = eval_superpotential(self.base, x)
-            return (self.alpha / self.base.alpha0) * w + self.beta
-        return self.value_reference(x)
+    def values(self, x):
+        """(Weff(x), Weff'(x)) from one evaluation of W."""
+        w, wp = eval_superpotential(self.base, x)
+        return self.scale * w + self.offset, self.scale * wp
 
-    def value_reference(self, x):
-        w, _ = eval_superpotential(self.base, x)
-        return self.scale * w + self.offset
+    def value(self, x):
+        return self.values(x)[0]
 
     def derivative(self, x):
-        _, wp = eval_superpotential(self.base, x)
-        return self.scale * wp
+        return self.values(x)[1]
 
 
 def effective_superpotential(
@@ -199,8 +191,8 @@ def schrodinger_operator(
     leaves the base superpotential's domain."""
     if sigma not in (-1, 1):
         raise ValueError("sigma must be -1 or +1")
-    x = grid.x
-    v = weff.value(x) ** 2 + sigma * weff.derivative(x)
+    w, wp = weff.values(grid.x)
+    v = w**2 + sigma * wp
     h2 = grid.h * grid.h
     d = 2.0 / h2 + v
     e = np.full(grid.n - 1, -1.0 / h2)
@@ -259,35 +251,25 @@ def _hf_slope(kappa, phi, w, E):
     return 2.0 * kappa * float(np.dot(phi * phi, w)) - 2.0 * E
 
 
-def _bracket_root(params, sigma, n, grid, branch):
-    """Sign-changing interval (a, b, f(a), f(b)) of f along one branch and the
-    point to start the root search from. Certified families bracket the
-    closed form +-25% and start at it; otherwise scan outward in steps of m/4
-    and start at the secant point of the bracket."""
-    sp = params.superpotential
-    n_sigma = n + (1 + sigma) // 2
-    if sp.family in (Family.LINEAR, Family.TANGENT):
-        ep, em = analytic.level_energies(params, n_sigma)
+def _seed(params, sigma, n, grid, branch):
+    """(seed, reach) of one branch's root search. Certified families start at
+    the closed form and reach 25% of it, the E = 0 level (reach 0) only after
+    an h^2 test; otherwise the secant point of the first sign change an
+    outward scan in steps of m/4 finds, reaching one step."""
+    if params.superpotential.family in (Family.LINEAR, Family.TANGENT):
+        ep, em = analytic.level_energies(params, n + (1 + sigma) // 2)
         seed = ep if branch > 0 else em
-        if seed == 0.0:
-            # the E=0 level: the condition must already hold there up to the
-            # lattice's h^2 bias, which the nested h/2 grid divides by 4
-            f0 = _level_f(params, sigma, n, grid, 0.0)
-            f0_fine = _level_f(params, sigma, n, grid.refined(), 0.0)
-            if abs(4.0 * f0_fine - f0) <= abs(f0 - f0_fine):
-                return 0.0, 0.0, 0.0, 0.0, 0.0
-            raise BracketError(
-                f"level condition fails at the E=0 seed for (sigma={sigma}, "
-                f"n={n}): f(0) = {f0:.3g}, {f0_fine:.3g} on the h/2 grid"
-            )
-        a, b = sorted((0.75 * seed, 1.25 * seed))
-        fa = _level_f(params, sigma, n, grid, a)
-        fb = _level_f(params, sigma, n, grid, b)
-        if fa * fb <= 0.0:
-            return a, b, fa, fb, seed
+        if seed != 0.0:
+            return seed, 0.25 * abs(seed)
+        # the E=0 level: the condition must already hold there up to the
+        # lattice's h^2 bias, which the nested h/2 grid divides by 4
+        f0 = _level_f(params, sigma, n, grid, 0.0)
+        f0_fine = _level_f(params, sigma, n, grid.refined(), 0.0)
+        if abs(4.0 * f0_fine - f0) <= abs(f0 - f0_fine):
+            return 0.0, 0.0
         raise BracketError(
-            f"no sign change around the closed-form seed {seed:.6g} for "
-            f"(sigma={sigma}, n={n}); no such bound level"
+            f"level condition fails at the E=0 seed for (sigma={sigma}, "
+            f"n={n}): f(0) = {f0:.3g}, {f0_fine:.3g} on the h/2 grid"
         )
     step = params.mass / 4.0 if params.mass > 0.0 else 0.25
     e_max = 100.0 * max(params.mass, 1.0)
@@ -298,14 +280,31 @@ def _bracket_root(params, sigma, n, grid, branch):
         b = branch * k * step
         fb = _level_f(params, sigma, n, grid, b)
         if fa * fb <= 0.0:
-            start = (a * fb - b * fa) / (fb - fa) if fb != fa else a
-            return (a, b, fa, fb, start) if a < b else (b, a, fb, fa, start)
+            return ((a * fb - b * fa) / (fb - fa) if fb != fa else a), step
         a, fa = b, fb
         k += 1
     raise BracketError(
         f"no sign change of the level condition on (0, {e_max:.3g}] for "
         f"(sigma={sigma}, n={n}); no such bound level"
     )
+
+
+def _root(evaluate, seed, reach, f_floor):
+    """Root of f within reach of seed, evaluate(E) = (f(E), f'(E)), or None.
+    The bracket seed +- delta widens fourfold from delta = 1e-4 max(|seed|, 1)
+    to exactly +-reach; _safe_newton takes the first that changes sign, from
+    its end nearer the root."""
+    delta = 1e-4 * max(abs(seed), 1.0)
+    while True:
+        delta = min(delta, reach)
+        a, b = seed - delta, seed + delta
+        (fa, fpa), (fb, fpb) = evaluate(a), evaluate(b)
+        if fa * fb <= 0.0:
+            start = (a, fa, fpa) if abs(fa) <= abs(fb) else (b, fb, fpb)
+            return _safe_newton(evaluate, a, b, fa, fb, *start, f_floor)
+        if delta == reach:
+            return None
+        delta *= 4.0
 
 
 def _safe_newton(evaluate, a, b, fa, fb, x, fx, fpx, f_floor, tol=1e-12):
@@ -345,34 +344,29 @@ def _f_floor(grid):
 
 
 def _solve_branch(params, sigma, n, grid, branch):
-    """(E, err_est, converged) of one branch's root. The E = 0 level is
-    exact by symmetry and needs no second pass; a root whose fine-grid
-    bracket fails keeps the base-grid value, flagged unconverged."""
-    a, b, fa, fb, x = _bracket_root(params, sigma, n, grid, branch)
-    if a == b:
+    """(E, err_est, converged) of one branch's root: _root on the base grid,
+    then on the nested h/2 grid from the base root e1, and the extrapolation
+    (4 e2 - e1)/3, which cancels the O(h^2) bias of the 3-point Laplacian. The
+    E = 0 level is exact by symmetry. A root missing on the h/2 grid keeps e1,
+    unconverged, with the base-grid window 2 reach as err_est."""
+    seed, reach = _seed(params, sigma, n, grid, branch)
+    if reach == 0.0:
         # the E=0 seed: f is even there, so no bracket around it can exist
-        return a, 0.0, True
-    sp = params.superpotential
-    evaluate = functools.partial(
-        _level_f_slope, params, sigma, n, grid, eval_superpotential(sp, grid.x)[0])
-    e1 = _safe_newton(evaluate, a, b, fa, fb, x, *evaluate(x), _f_floor(grid))
-    # second pass on a nested half-spacing grid; the paired extrapolation
-    # (4 E2 - E1)/3 cancels the O(h^2) lattice bias of the 3-point Laplacian
-    fine = grid.refined()
-    evaluate = functools.partial(
-        _level_f_slope, params, sigma, n, fine, eval_superpotential(sp, fine.x)[0])
-    delta = max(1e-4 * max(abs(e1), 1.0), 1e-9)
-    for _ in range(4):
-        aa, bb = e1 - delta, e1 + delta
-        (faa, fpa), (fbb, fpb) = evaluate(aa), evaluate(bb)
-        if faa * fbb <= 0.0:
-            # Newton from the end nearer the root, whose slope is in hand
-            start = (aa, faa, fpa) if abs(faa) <= abs(fbb) else (bb, fbb, fpb)
-            e2 = _safe_newton(evaluate, aa, bb, faa, fbb, *start, _f_floor(fine))
-            e = (4.0 * e2 - e1) / 3.0
-            return e, abs(e2 - e1) / 3.0, True
-        delta *= 4.0
-    return e1, abs(b - a), False
+        return seed, 0.0, True
+
+    def search(g, seed, reach):
+        w = eval_superpotential(params.superpotential, g.x)[0]
+        evaluate = functools.partial(_level_f_slope, params, sigma, n, g, w)
+        return _root(evaluate, seed, reach, _f_floor(g))
+
+    e1 = search(grid, seed, reach)
+    if e1 is None:
+        raise BracketError(f"no sign change within {reach:.3g} of the seed {seed:.6g} "
+                           f"for (sigma={sigma}, n={n}); no such bound level")
+    e2 = search(grid.refined(), e1, 6.4e-3 * max(abs(e1), 1.0))
+    if e2 is None:
+        return e1, 2.0 * reach, False
+    return (4.0 * e2 - e1) / 3.0, abs(e2 - e1) / 3.0, True
 
 
 def solve_nonlinear_level(
@@ -386,9 +380,9 @@ def solve_nonlinear_level(
     fetched by sorted index at every E so the root-finder always sees the
     same level regardless of step size. The root is found by Newton steps
     with the Hellmann-Feynman slope f'(E) = 2 kappa <phi|W|phi> - 2E (phi the
-    level's unit eigenvector), from the closed-form seed for the certified
-    families; each evaluation narrows a sign-change bracket, and a step that
-    would leave it is a bisection step instead. Returns (plus,
+    level's unit eigenvector) in a sign-change bracket widened around a seed,
+    the closed form for the certified families; each evaluation narrows the
+    bracket, and a step that would leave it is a bisection step. Returns (plus,
     minus) records with route "susy". For the certified families W is odd,
     so f is even in E: the plus root is solved and the minus record is its
     mirror -E with the same err_est. A tabulated W need not be odd, and its
@@ -397,11 +391,12 @@ def solve_nonlinear_level(
     level, and model.level_labels leaves it out.
 
     Each root is refined on a half-spacing grid and extrapolated; when no
-    bracket around it is found there, the record keeps the base-grid root
-    with the width of its search bracket as err_est and converged=False.
+    root is found there, the record keeps the base-grid root with the width
+    of its search window as err_est and converged=False.
 
-    Raises CriticalFieldError for |kappa| >= 1 and BracketError when the
-    search window contains no sign change (no such bound level).
+    Raises CriticalFieldError for |kappa| >= 1, BracketError when the search
+    window holds no sign change (no such bound level) and DomainError on a
+    tan box other than (-pi/2, pi/2).
     """
     require_subcritical(params.kappa)
     if sigma not in (-1, 1):
@@ -413,6 +408,7 @@ def solve_nonlinear_level(
         # extrapolation in _solve_branch recovers the lost order
         base = default_grid(params)
         grid = Grid(half_width=base.half_width, n=2000)
+    require_whole_domain(params.superpotential, grid)
     # positional and with the grid resolved, so that equivalent calls share
     # one cache key
     return _solve_level_cached(params, sigma, n, grid)

@@ -169,6 +169,17 @@ def test_spectrum_bad_flag_value_exit_2():
     assert code == 2 and "config error" in err
 
 
+def test_spectrum_tan_box_inside_the_domain_exit_2():
+    # walls at +-1.0 cut the tan levels into states of the box, which both
+    # solver routes flagged converged while xcheck read 4.7e-2
+    code, out, err = run_cli([
+        "spectrum", "--model.family", "tan", "--model.kappa", "0.3",
+        "--grid.box_half_width", "1.0", "--grid.n", "300", "--solver.levels", "3",
+    ])
+    assert code == 2 and out == ""
+    assert "config error" in err and "pi/2" in err
+
+
 def test_spectrum_dimension_cap_exit_4():
     code, out, err = run_cli([
         "spectrum", "--solver.route", "dirac", "--grid.n", "40000",
@@ -197,6 +208,24 @@ def test_spectrum_output_file_keeps_stdout_empty(tmp_path):
     assert code == 0
     assert out == "" and err == ""
     assert path.read_text().startswith("route,branch,")
+
+
+def test_output_flags_take_either_spelling(tmp_path):
+    base = ["spectrum", "--solver.route", "analytic", "--solver.levels", "2"]
+    short, full = tmp_path / "short.json", tmp_path / "full.json"
+    assert run_cli(base + ["--format", "json", "--output", str(short)]) == (0, "", "")
+    assert run_cli(base + ["--output.format", "json", "--output.path", str(full)]) == (0, "", "")
+    assert short.read_bytes() == full.read_bytes()
+    assert isinstance(json.loads(full.read_text()), list)
+    # a setting given twice takes the last value, whichever the spelling
+    code, out, _ = run_cli(base + ["--format", "csv", "--output.format", "json"])
+    assert code == 0 and isinstance(json.loads(out), list)
+    code, out, _ = run_cli(base + ["--output.format", "json", "--format", "csv"])
+    assert code == 0 and out.startswith("route,branch,")
+    for flag in ("--format", "--output.format"):
+        code, out, err = run_cli(base + [flag, "xml"])
+        assert code == 2 and out == ""
+        assert "config error" in err and "output.format" in err
 
 
 def test_spectrum_json_mirrors_csv_fields():

@@ -1,10 +1,13 @@
-"""Every exported name resolves: each module's __all__ and the package's
-re-exports, so a deleted function cannot leave a stale export behind."""
+"""Every exported name resolves: each module's __all__, the package's
+re-exports and the bindings the benchmark's tracer wraps, so a deleted or
+moved function cannot leave a stale name behind."""
 
 import ast
 import importlib
 import pathlib
 import pkgutil
+import sys
+import types
 
 import pytest
 
@@ -32,3 +35,19 @@ def test_package_reexports_resolve():
             )
             bound = alias.asname or alias.name
             assert getattr(diracosc, bound) is getattr(source, alias.name)
+
+
+def test_every_traced_layer_keeps_a_binding(monkeypatch):
+    # perfbench/layers.py wraps each kind's (module, attribute) bindings; a
+    # kind with none left is reported absent, and its per-layer metrics drop
+    # out of the traced result. The file is read and run, never imported, so
+    # no bytecode is written beside it
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    layers = types.ModuleType("perfbench_layers")
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, layers.__name__, layers)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), layers.__dict__)
+    unbound = [kind for kind, targets in layers.TARGETS.items()
+               if not any(callable(getattr(getattr(diracosc, module, None), attr, None))
+                          for module, attr in targets)]
+    assert layers.TARGETS and not unbound
