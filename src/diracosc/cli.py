@@ -471,7 +471,8 @@ def _verify_checks(cfg: RunConfig):
             params.superpotential, params.kappa, e_probe)
         shift = (params.kappa * e_probe) ** 2 / (1.0 - params.kappa**2)
         for sigma in (-1, 1):
-            v13 = weff.value(x) ** 2 + sigma * weff.derivative(x)
+            w, wp = weff.values(x)
+            v13 = w**2 + sigma * wp
             v12 = susy_reduction.squared_form_potential(
                 params.superpotential, params.kappa, e_probe, sigma, x)
             scale = np.maximum(1.0, np.maximum(np.abs(v12), np.abs(v13)))

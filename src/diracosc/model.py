@@ -239,15 +239,20 @@ def build_grid(L: float, N: int, family: Family = Family.LINEAR) -> Grid:
         raise ConfigError(f"grid needs at least 3 interior points, got {N!r}")
     if not (math.isfinite(L) and L > 0.0):
         raise ConfigError(f"grid half-width must be positive, got {L!r}")
-    if family is Family.TANGENT and abs(L - HALF_PI) > 1e-15:
+    if not _is_whole_domain(family, L):
         raise ConfigError(f"tangent-family grid half-width must be pi/2, got {L!r}")
     return Grid(half_width=float(L), n=int(N))
 
 
+def _is_whole_domain(family: Family, L: float) -> bool:
+    """False for a tangent-family half-width other than pi/2, where W diverges:
+    walls inside (-pi/2, pi/2) cut the levels into states of the box."""
+    return family is not Family.TANGENT or abs(L - HALF_PI) <= 1e-15
+
+
 def require_whole_domain(sp: Superpotential, grid: Grid) -> None:
-    """Raises DomainError unless a tangent-family box is the whole (-pi/2, pi/2),
-    where W diverges: walls inside it cut the levels into states of the box."""
-    if sp.family is Family.TANGENT and abs(grid.half_width - HALF_PI) > 1e-15:
+    """Raises DomainError unless a tangent-family box is the whole (-pi/2, pi/2)."""
+    if not _is_whole_domain(sp.family, grid.half_width):
         raise DomainError(f"tangent-family box half-width must be pi/2, got {grid.half_width!r}")
 
 

@@ -134,12 +134,6 @@ class EffectiveSuperpotential:
         w, wp = eval_superpotential(self.base, x)
         return self.scale * w + self.offset, self.scale * wp
 
-    def value(self, x):
-        return self.values(x)[0]
-
-    def derivative(self, x):
-        return self.values(x)[1]
-
 
 def effective_superpotential(
     sp: Superpotential, kappa: float, E: float
@@ -252,21 +246,22 @@ def _hf_slope(kappa, phi, w, E):
 
 
 def _seed(params, sigma, n, grid, branch):
-    """(seed, reach) of one branch's root search. Certified families start at
-    the closed form and reach 25% of it, the E = 0 level (reach 0) only after
-    an h^2 test; otherwise the secant point of the first sign change an
-    outward scan in steps of m/4 finds, reaching one step."""
+    """(seed, delta, reach) of one branch's root search, whose first bracket
+    is seed +- delta and last seed +- reach. Certified families start at the
+    closed form with delta 1e-4 max(|seed|, 1) and reach 25% of it, the E = 0
+    level (reach 0) only after an h^2 test; otherwise the first sign change an
+    outward scan in steps of m/4 finds is the one bracket tried."""
     if params.superpotential.family in (Family.LINEAR, Family.TANGENT):
         ep, em = analytic.level_energies(params, n + (1 + sigma) // 2)
         seed = ep if branch > 0 else em
         if seed != 0.0:
-            return seed, 0.25 * abs(seed)
+            return seed, 1e-4 * max(abs(seed), 1.0), 0.25 * abs(seed)
         # the E=0 level: the condition must already hold there up to the
         # lattice's h^2 bias, which the nested h/2 grid divides by 4
         f0 = _level_f(params, sigma, n, grid, 0.0)
         f0_fine = _level_f(params, sigma, n, grid.refined(), 0.0)
         if abs(4.0 * f0_fine - f0) <= abs(f0 - f0_fine):
-            return 0.0, 0.0
+            return 0.0, 0.0, 0.0
         raise BracketError(
             f"level condition fails at the E=0 seed for (sigma={sigma}, "
             f"n={n}): f(0) = {f0:.3g}, {f0_fine:.3g} on the h/2 grid"
@@ -280,7 +275,7 @@ def _seed(params, sigma, n, grid, branch):
         b = branch * k * step
         fb = _level_f(params, sigma, n, grid, b)
         if fa * fb <= 0.0:
-            return ((a * fb - b * fa) / (fb - fa) if fb != fa else a), step
+            return 0.5 * (a + b), 0.5 * abs(b - a), 0.5 * abs(b - a)
         a, fa = b, fb
         k += 1
     raise BracketError(
@@ -289,12 +284,11 @@ def _seed(params, sigma, n, grid, branch):
     )
 
 
-def _root(evaluate, seed, reach, f_floor):
+def _root(evaluate, seed, delta, reach, f_floor):
     """Root of f within reach of seed, evaluate(E) = (f(E), f'(E)), or None.
-    The bracket seed +- delta widens fourfold from delta = 1e-4 max(|seed|, 1)
-    to exactly +-reach; _safe_newton takes the first that changes sign, from
-    its end nearer the root."""
-    delta = 1e-4 * max(abs(seed), 1.0)
+    The bracket seed +- delta widens fourfold up to exactly +-reach;
+    _safe_newton takes the first that changes sign, from its end nearer the
+    root."""
     while True:
         delta = min(delta, reach)
         a, b = seed - delta, seed + delta
@@ -349,21 +343,22 @@ def _solve_branch(params, sigma, n, grid, branch):
     (4 e2 - e1)/3, which cancels the O(h^2) bias of the 3-point Laplacian. The
     E = 0 level is exact by symmetry. A root missing on the h/2 grid keeps e1,
     unconverged, with the base-grid window 2 reach as err_est."""
-    seed, reach = _seed(params, sigma, n, grid, branch)
+    seed, delta, reach = _seed(params, sigma, n, grid, branch)
     if reach == 0.0:
         # the E=0 seed: f is even there, so no bracket around it can exist
         return seed, 0.0, True
 
-    def search(g, seed, reach):
+    def search(g, seed, delta, reach):
         w = eval_superpotential(params.superpotential, g.x)[0]
         evaluate = functools.partial(_level_f_slope, params, sigma, n, g, w)
-        return _root(evaluate, seed, reach, _f_floor(g))
+        return _root(evaluate, seed, delta, reach, _f_floor(g))
 
-    e1 = search(grid, seed, reach)
+    e1 = search(grid, seed, delta, reach)
     if e1 is None:
         raise BracketError(f"no sign change within {reach:.3g} of the seed {seed:.6g} "
                            f"for (sigma={sigma}, n={n}); no such bound level")
-    e2 = search(grid.refined(), e1, 6.4e-3 * max(abs(e1), 1.0))
+    scale = max(abs(e1), 1.0)
+    e2 = search(grid.refined(), e1, 1e-4 * scale, 6.4e-3 * scale)
     if e2 is None:
         return e1, 2.0 * reach, False
     return (4.0 * e2 - e1) / 3.0, abs(e2 - e1) / 3.0, True

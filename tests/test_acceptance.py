@@ -236,7 +236,8 @@ def test_criterion_07_potential_identity():
             sp = params.superpotential
             x = default_grid(params).x
             weff = effective_superpotential(sp, kappa, e_val)
-            lhs = weff.value(x) ** 2 + sigma * weff.derivative(x)
+            w, wp = weff.values(x)
+            lhs = w**2 + sigma * wp
             rhs = squared_form_potential(sp, kappa, e_val, sigma, x)
             shift = (kappa * e_val) ** 2 / (1.0 - kappa**2)
             scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))

@@ -92,7 +92,7 @@ def test_effective_superpotential_identity_at_zero_coupling():
         weff = effective_superpotential(sp, 0.0, 7.3)
         xs_in = xs if sp.family.value == "linear" else xs * 0.3
         w = sp.w1 * xs_in if sp.family.value == "linear" else 5.0 * np.tan(xs_in)
-        np.testing.assert_allclose(weff.value(xs_in), w, atol=1e-12)
+        np.testing.assert_allclose(weff.values(xs_in)[0], w, atol=1e-12)
 
 
 def test_effective_superpotential_linear_worked_values():
@@ -100,7 +100,7 @@ def test_effective_superpotential_linear_worked_values():
     assert weff.slope == pytest.approx(0.8, abs=1e-15)
     assert weff.x0 == pytest.approx(0.9375, abs=1e-15)
     xs = np.linspace(-3.0, 3.0, 7)
-    np.testing.assert_allclose(weff.value(xs), 0.8 * xs + 0.75, atol=1e-14)
+    np.testing.assert_allclose(weff.values(xs)[0], 0.8 * xs + 0.75, atol=1e-14)
 
 
 def test_effective_superpotential_tangent_worked_values():
@@ -128,7 +128,7 @@ def test_family_form_matches_generic_form(sp, kappa, E):
         family_form = weff.slope * (xs + weff.x0)
     else:
         family_form = weff.alpha * np.tan(xs) + weff.beta
-    np.testing.assert_allclose(weff.value(xs), family_form, atol=1e-12)
+    np.testing.assert_allclose(weff.values(xs)[0], family_form, atol=1e-12)
 
 
 def test_effective_superpotential_critical():
@@ -421,19 +421,19 @@ def test_bad_slope_still_finds_the_root_by_bisection(kappa, bad, monkeypatch):
             calls.append(E)
             return susy_reduction._level_f_slope(params, sigma, n, grid, w, E)
 
-        seed, reach = susy_reduction._seed(params, sigma, n, grid, 1)
+        x = susy_reduction._seed(params, sigma, n, grid, 1)[0]
+        a, b = 0.75 * x, 1.25 * x
+        fa = susy_reduction._level_f(params, sigma, n, grid, a)
+        fb = susy_reduction._level_f(params, sigma, n, grid, b)
         floor = susy_reduction._f_floor(grid)
-        good = susy_reduction._root(evaluate, seed, reach, floor)
+        good = susy_reduction._safe_newton(evaluate, a, b, fa, fb, x, *evaluate(x), floor)
         with monkeypatch.context() as patch:
             patch.setattr(susy_reduction, "_hf_slope", BAD_SLOPES[bad])
             calls.clear()
-            root = susy_reduction._root(evaluate, seed, reach, floor)
-        # the first bracket, +-1e-4 E, holds the root, and Newton takes 2
-        # steps in it; halving it until |f| meets the floor takes about 23
-        assert len(calls) > 20
-        # a search that stops at |f| <= floor fixes the root to floor / |f'|,
-        # 2.0e-12 here (|f'| is about 2.2 and E about 0.92 at the ground level)
-        assert root == pytest.approx(good, rel=3e-12, abs=0.0)
+            root = susy_reduction._safe_newton(evaluate, a, b, fa, fb, x, *evaluate(x), floor)
+        # halving a bracket of width E/2 down to 1e-12 E takes about 40 steps
+        assert len(calls) > 30
+        assert root == pytest.approx(good, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("params", CERTIFIED, ids=["lin+0.4", "lin-0.4", "tan+0.5", "tan-0.3"])
