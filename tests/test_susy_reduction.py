@@ -322,6 +322,19 @@ def test_fine_grid_fallback_is_flagged_unconverged():
     assert plus.err_est == pytest.approx(0.25 * math.sqrt(5.0) * 2.0, rel=1e-12)
 
 
+def test_table_fine_grid_fallback_keeps_the_scan_step():
+    # a table's root search tries only the scan step (m/4) on which f changes
+    # sign; when the h/2 grid holds no root, that step's width is err_est
+    xs = np.linspace(-25.0, 25.0, 2001)
+    table = PhysicalParams(mass=1.0, kappa=0.4,
+                           superpotential=Superpotential.tabulated(xs, xs, np.ones_like(xs)))
+    plus, minus = solve_nonlinear_level(table, 1, 2, grid=Grid(half_width=20.0, n=30))
+    assert 2.0 < plus.E < 2.25 and -2.25 < minus.E < -2.0
+    assert not plus.converged and not minus.converged
+    assert plus.err_est == pytest.approx(0.25, rel=1e-12)
+    assert minus.err_est == pytest.approx(0.25, rel=1e-12)
+
+
 CERTIFIED = [linear_params(0.4), linear_params(-0.4), tan_params(0.5), tan_params(-0.3)]
 LABELS = [label for k in range(3) for label in level_labels(1, k)]
 
