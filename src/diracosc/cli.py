@@ -142,8 +142,8 @@ def _validated(cfg: RunConfig) -> RunConfig:
         raise ConfigError("solver.levels must be >= 1")
     if cfg.n < 3:
         raise ConfigError("grid.n must be >= 3")
-    if not cfg.tolerance > 0.0:
-        raise ConfigError("solver.tolerance must be positive")
+    if not 0.0 < cfg.tolerance < math.inf:
+        raise ConfigError("solver.tolerance must be positive and finite")
     if cfg.family == "tabulated" and not cfg.table_path:
         raise ConfigError("model.table_path is required for the tabulated family")
     if not math.isfinite(cfg.kappa):

@@ -323,13 +323,16 @@ def converge_box_full(
     moving when rounds stop are classified unbound (converged=False). At
     |kappa| >= 1, the rule of model.require_subcritical, no level is bound:
     the base grid's values are reported, unconverged with no error estimate,
-    and no round runs. Raises ResourceError unless the base grid's h/2 grid
-    fits the dimension cap. Raises DomainError on a tan box other than
+    and no round runs. Raises ValueError unless count >= 1 and
+    0 < tol < inf, and ResourceError unless the base grid's h/2 grid fits
+    the dimension cap. Raises DomainError on a tan box other than
     (-pi/2, pi/2), and unless W runs from negative to positive across the
     base box, the assumption the level labels rest on.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     base = grid if grid is not None else default_grid(params)
     require_whole_domain(params.superpotential, base)
     fine = _dim(base.refined())

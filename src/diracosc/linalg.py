@@ -4,9 +4,12 @@ Production path (compiled LAPACK, called through ctypes):
 
 * _indexed_eigenvalues: eigenvalues by sorted index, from one `dstebz` call
   (Sturm-sequence bisection, after W. Kahan, "Accurate eigenvalues of a
-  symmetric tri-diagonal matrix", 1966) over the index range requested.
+  symmetric tri-diagonal matrix", 1966) over the index range requested, or,
+  for one index, over a value window that its Sturm counts certify to hold
+  that eigenvalue alone.
 * _counts_below: exact eigenvalue counts below given values, from the Sturm
-  count of `dlaebz`, which splits a lattice spectrum at E = 0.
+  count of `dlaebz`, which splits a lattice spectrum at E = 0 and certifies
+  a window for _indexed_eigenvalues.
 * tridiagonal_eigenvectors: eigenvectors at given eigenvalues, from one
   `dstein` call (inverse iteration, the routine LAPACK pairs with `dstebz`).
 
@@ -325,10 +328,19 @@ def _lapack_offdiag(t: Tridiagonal) -> np.ndarray:
     return np.ascontiguousarray(t.e) if t.n > 1 else np.zeros(1)
 
 
-def _indexed_eigenvalues(t: Tridiagonal, ks) -> np.ndarray:
+def _indexed_eigenvalues(t: Tridiagonal, ks, window=None) -> np.ndarray:
     """Eigenvalues with 1-based indices `ks` (sorted ascending), from one
     LAPACK dstebz bisection over the index range ks[0]..ks[-1], each to a few
-    ulps of itself."""
+    ulps of itself.
+
+    `window` = (lo, hi) may hold a prediction of a single eigenvalue k. It is
+    used only when the Sturm counts certify it, k - 1 eigenvalues below lo and
+    k below hi; dstebz then bisects (lo, hi] alone, without first locating
+    index k inside the Gershgorin bounds. On the susy reduced operators that
+    takes 0.5-0.75 of the index search's time, the counts included, and
+    agrees with it to a few ulps. A window that is not certified, or whose
+    bisection finds anything but one eigenvalue below hi, falls back to the
+    index search."""
     ks = np.asarray(ks, dtype=np.int64)
     n = t.n
     if ks.size == 0:
@@ -336,19 +348,29 @@ def _indexed_eigenvalues(t: Tridiagonal, ks) -> np.ndarray:
     if not (np.all(ks >= 1) and np.all(ks <= n) and np.all(np.diff(ks) > 0)):
         raise ConfigError("eigenvalue indices must be sorted within 1..n")
     lo, hi = int(ks[0]), int(ks[-1])
+    searches = [("I", 0.0, 0.0)]
+    if window is not None and lo == hi:
+        vl, vu = map(float, window)
+        if -math.inf < vl < vu < math.inf and tuple(_counts_below(t, [vl, vu])) == (lo - 1, lo):
+            searches.insert(0, ("V", vl, vu))
+    d = np.ascontiguousarray(t.d)
+    e = _lapack_offdiag(t)
     m, info = _int(0), _int(0)
     w = np.empty(n)
-    # range "I" selects by index; order "E" sorts the range ascending. The
-    # default tolerance, eps * ||T||, is 2e-10 relative on a reduced operator
-    # with ||T|| ~ 1e7 (its 1/h^2 and W^2 near the tan walls); twice the
-    # underflow threshold asks for full relative accuracy instead
-    _call(
-        "dstebz", _char("I"), _char("E"), _int(n), _real(0.0), _real(0.0),
-        _int(lo), _int(hi), _real(_ABSTOL), np.ascontiguousarray(t.d),
-        _lapack_offdiag(t), m, _int(0), w, np.empty(n, dtype=np.intc),
-        np.empty(n, dtype=np.intc), np.empty(4 * n), np.empty(3 * n, dtype=np.intc),
-        info,
-    )
+    for rng, vl, vu in searches:
+        # range "V" takes the eigenvalues in (vl, vu], range "I" those of
+        # index lo..hi; order "E" sorts them ascending. The default
+        # tolerance, eps * ||T||, is 2e-10 relative on a reduced operator
+        # with ||T|| ~ 1e7 (its 1/h^2 and W^2 near the tan walls); twice the
+        # underflow threshold asks for full relative accuracy instead
+        _call(
+            "dstebz", _char(rng), _char("E"), _int(n), _real(vl), _real(vu),
+            _int(lo), _int(hi), _real(_ABSTOL), d, e, m, _int(0), w,
+            np.empty(n, dtype=np.intc), np.empty(n, dtype=np.intc), np.empty(4 * n),
+            np.empty(3 * n, dtype=np.intc), info,
+        )
+        if rng == "I" or (info[0] == 0 and m[0] == 1 and w[0] < vu):
+            break
     if info[0] != 0 or m[0] != hi - lo + 1:
         raise ConvergenceError(
             f"LAPACK dstebz returned {m[0]} of eigenvalues {lo}..{hi} (info {info[0]})"

@@ -13,12 +13,13 @@ where the effective superpotential absorbs the coupling and the energy,
 
 and epsilon = E^2/(1-kappa^2) - m^2. Because Weff depends on E, the level
 condition  epsilon_n(Weff(E)) = E^2/(1-kappa^2) - m^2  is nonlinear in E;
-solve_nonlinear_level finds each root on two nested grids by one search: Newton
-steps, with the slope from the Hellmann-Feynman theorem, in a sign-change
-bracket widened around a seed. This route needs no closed form, so it
-generalizes beyond the certified families;
-on them it must reproduce the closed-form levels, which is the cross-check
-the package leans on.
+solve_nonlinear_level finds each root on two nested grids by one search:
+Newton steps from a seed, with the slope from the Hellmann-Feynman theorem,
+guarded by the first sign-change bracket they find (a bracket widened around
+the seed when they leave its reach). Each evaluation of epsilon_n bisects a
+window predicted from the last one. This route needs no closed form, so it
+generalizes beyond the certified families; on them it must reproduce the
+closed-form levels, which is the cross-check the package leans on.
 
 Everything here refuses |kappa| >= 1: the spin matrix becomes defective at
 the critical coupling and its eigenvalues go imaginary beyond, so no
@@ -207,15 +208,17 @@ def squared_form_potential(
     return omk * w * w + 2.0 * E * kappa * w + sigma * math.sqrt(omk) * wp
 
 
-def _level_condition(params, sigma, n, grid, E):
+def _level_condition(params, sigma, n, grid, E, window=None):
     """The reduced operator at energy E, its epsilon level n fetched by sorted
     index, and the level condition f(E) = epsilon_n(E) - (E^2/(1-kappa^2) - m^2).
     Near the top of the admissible window the level moves faster in E than
     the ladder spacing, so picking by value continuity can slide onto a
-    neighbor between root-finder steps; the index cannot."""
+    neighbor between root-finder steps; the index cannot. `window` is a
+    prediction of epsilon_n, which linalg uses only once its Sturm counts
+    certify it."""
     weff = effective_superpotential(params.superpotential, params.kappa, E)
     t = schrodinger_operator(weff, sigma, grid)
-    eps = _indexed_eigenvalues(t, [n + 1])
+    eps = _indexed_eigenvalues(t, [n + 1], window=window)
     omk = 1.0 - params.kappa**2
     return t, eps, float(eps[0]) - (E * E / omk - params.mass**2)
 
@@ -225,12 +228,46 @@ def _level_f(params, sigma, n, grid, E):
     return _level_condition(params, sigma, n, grid, E)[2]
 
 
-def _level_f_slope(params, sigma, n, grid, w, E):
+def _level_f_slope(params, sigma, n, grid, w, E, window=None):
     """(f(E), f'(E)), with w the base superpotential W on the grid. The slope
     takes the level's eigenvector from one dstein call on the same operator."""
-    t, eps, f = _level_condition(params, sigma, n, grid, E)
+    t, eps, f = _level_condition(params, sigma, n, grid, E, window)
     phi = tridiagonal_eigenvectors(t, eps)[:, 0]
     return f, _hf_slope(params.kappa, phi, w, E)
+
+
+def _root_window(params, E):
+    """A window for epsilon_n at E when E is near a root, where f(E) = 0 puts
+    epsilon_n at E^2/(1-kappa^2) - m^2: that value +- 1e-3 of itself (or of 1)."""
+    c = E * E / (1.0 - params.kappa**2) - params.mass**2
+    half = 1e-3 * max(abs(c), 1.0)
+    return c - half, c + half
+
+
+def _evaluator(params, sigma, n, grid):
+    """evaluate(E) = (f(E), f'(E)) on one grid, for one root search. Each
+    evaluation passes a window for epsilon_n: the first _root_window, each
+    later one the tangent line of epsilon_n at the last evaluation E0,
+    c = eps0 + eps0' (E - E0), widened by half its step and 1e-9 of itself,
+    with eps0' = f'(E0) + 2 E0/(1-kappa^2)."""
+    w = eval_superpotential(params.superpotential, grid.x)[0]
+    omk = 1.0 - params.kappa**2
+    last = []
+
+    def evaluate(E):
+        if last:
+            e0, eps0, slope0 = last
+            step = slope0 * (E - e0)
+            c = eps0 + step
+            half = 0.5 * abs(step) + 1e-9 * max(abs(c), 1.0)
+            window = (c - half, c + half)
+        else:
+            window = _root_window(params, E)
+        f, fp = _level_f_slope(params, sigma, n, grid, w, E, window)
+        last[:] = E, f + (E * E / omk - params.mass**2), fp + 2.0 * E / omk
+        return f, fp
+
+    return evaluate
 
 
 def _hf_slope(kappa, phi, w, E):
@@ -246,11 +283,13 @@ def _hf_slope(kappa, phi, w, E):
 
 
 def _seed(params, sigma, n, grid, branch):
-    """(seed, delta, reach) of one branch's root search, whose first bracket
-    is seed +- delta and last seed +- reach. Certified families start at the
-    closed form with delta 1e-4 max(|seed|, 1) and reach 25% of it, the E = 0
-    level (reach 0) only after an h^2 test; otherwise the first sign change an
-    outward scan in steps of m/4 finds is the one bracket tried."""
+    """(seed, delta, reach) of one branch's root search: Newton steps from
+    seed within seed +- reach, then brackets from seed +- delta out to
+    seed +- reach (see _root). Certified families start at the closed form
+    with delta 1e-4 max(|seed|, 1) and reach 25% of it, the E = 0 level
+    (reach 0) only after an h^2 test; otherwise the first step on which an
+    outward scan in steps of m/4 finds a sign change is the whole window and
+    the one bracket tried."""
     if params.superpotential.family in (Family.LINEAR, Family.TANGENT):
         ep, em = analytic.level_energies(params, n + (1 + sigma) // 2)
         seed = ep if branch > 0 else em
@@ -284,11 +323,37 @@ def _seed(params, sigma, n, grid, branch):
     )
 
 
+# Newton steps _root takes from the seed before it searches for a bracket
+_NEWTON_STEPS = 6
+
+
 def _root(evaluate, seed, delta, reach, f_floor):
     """Root of f within reach of seed, evaluate(E) = (f(E), f'(E)), or None.
-    The bracket seed +- delta widens fourfold up to exactly +-reach;
-    _safe_newton takes the first that changes sign, from its end nearer the
-    root."""
+
+    Newton steps start at the seed. The first step on which f changes sign
+    hands that bracket to _safe_newton, from its end nearer the root; the
+    search stops as _safe_newton does, on |f| <= f_floor or a step of at most
+    1e-12 max(1, |E|). A step that would leave seed +- reach, a slope of 0 or
+    NaN, or _NEWTON_STEPS steps that neither stop nor change sign end the
+    Newton phase: then the bracket seed +- delta widens fourfold up to
+    exactly +-reach, and _safe_newton takes the first that changes sign."""
+    x = seed
+    fx, fpx = evaluate(x)
+    for _ in range(_NEWTON_STEPS):
+        if abs(fx) <= f_floor:
+            return x
+        if fpx == 0.0 or not math.isfinite(fpx):
+            break
+        nxt = x - fx / fpx
+        if not abs(nxt - seed) <= reach:
+            break
+        if abs(nxt - x) <= 1e-12 * max(1.0, abs(nxt)):
+            return nxt
+        fn, fpn = evaluate(nxt)
+        if fx * fn <= 0.0:
+            start = (x, fx, fpx) if abs(fx) <= abs(fn) else (nxt, fn, fpn)
+            return _safe_newton(evaluate, x, nxt, fx, fn, *start, f_floor)
+        x, fx, fpx = nxt, fn, fpn
     while True:
         delta = min(delta, reach)
         a, b = seed - delta, seed + delta
@@ -340,8 +405,11 @@ def _f_floor(grid):
 def _solve_branch(params, sigma, n, grid, branch):
     """(E, err_est, converged) of one branch's root: _root on the base grid,
     then on the nested h/2 grid from the base root e1, and the extrapolation
-    (4 e2 - e1)/3, which cancels the O(h^2) bias of the 3-point Laplacian. The
-    E = 0 level is exact by symmetry. A root missing on the h/2 grid keeps e1,
+    (4 e2 - e1)/3, which cancels the O(h^2) bias of the 3-point Laplacian.
+    Each grid's search has its own _evaluator, so its eigenvalue windows are
+    predicted from that grid's last evaluation; on the grids a CLI session
+    solves, the two searches take 4-6 evaluations in all. The E = 0 level is
+    exact by symmetry. A root missing within reach on the h/2 grid keeps e1,
     unconverged, with the base-grid window 2 reach as err_est."""
     seed, delta, reach = _seed(params, sigma, n, grid, branch)
     if reach == 0.0:
@@ -349,9 +417,7 @@ def _solve_branch(params, sigma, n, grid, branch):
         return seed, 0.0, True
 
     def search(g, seed, delta, reach):
-        w = eval_superpotential(params.superpotential, g.x)[0]
-        evaluate = functools.partial(_level_f_slope, params, sigma, n, g, w)
-        return _root(evaluate, seed, delta, reach, _f_floor(g))
+        return _root(_evaluator(params, sigma, n, g), seed, delta, reach, _f_floor(g))
 
     e1 = search(grid, seed, delta, reach)
     if e1 is None:
@@ -375,9 +441,11 @@ def solve_nonlinear_level(
     fetched by sorted index at every E so the root-finder always sees the
     same level regardless of step size. The root is found by Newton steps
     with the Hellmann-Feynman slope f'(E) = 2 kappa <phi|W|phi> - 2E (phi the
-    level's unit eigenvector) in a sign-change bracket widened around a seed,
-    the closed form for the certified families; each evaluation narrows the
-    bracket, and a step that would leave it is a bisection step. Returns (plus,
+    level's unit eigenvector) from a seed, the closed form for the certified
+    families. Once f changes sign between two steps, each evaluation narrows
+    that bracket, and a step that would leave it is a bisection step; when
+    the steps leave the seed's reach first, a sign-change bracket widened
+    around the seed takes their place. Returns (plus,
     minus) records with route "susy". For the certified families W is odd,
     so f is even in E: the plus root is solved and the minus record is its
     mirror -E with the same err_est. A tabulated W need not be odd, and its
@@ -386,8 +454,8 @@ def solve_nonlinear_level(
     level, and model.level_labels leaves it out.
 
     Each root is refined on a half-spacing grid and extrapolated; when no
-    root is found there, the record keeps the base-grid root with the width
-    of its search window as err_est and converged=False.
+    root is found within reach there, the record keeps the base-grid root
+    with the width of its search window as err_est and converged=False.
 
     Raises CriticalFieldError for |kappa| >= 1, BracketError when the search
     window holds no sign change (no such bound level) and DomainError on a
@@ -527,7 +595,7 @@ def susy_state(
     plus, minus = solve_nonlinear_level(params, sigma, n, grid)
     rec = plus if branch > 0 else minus
     # the level the root solve tracked, at the solved energy
-    t, eps, _ = _level_condition(params, sigma, n, grid, rec.E)
+    t, eps, _ = _level_condition(params, sigma, n, grid, rec.E, _root_window(params, rec.E))
     phi = tridiagonal_eigenvectors(t, eps)[:, 0]
     if rec.E == 0.0 and params.mass == 0.0:
         # the one level at E = 0, (sigma=-1, n=0): phi is exp(-gamma int W dx)

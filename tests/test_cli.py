@@ -169,6 +169,17 @@ def test_spectrum_bad_flag_value_exit_2():
     assert code == 2 and "config error" in err
 
 
+def test_spectrum_infinite_tolerance_exit_2():
+    # at tolerance inf every subcritical dirac level was flagged converged
+    # after one round, however far it moved, and the command exited 0
+    code, out, err = run_cli([
+        "spectrum", "--model.family", "linear", "--model.kappa", "0.3", "--grid.n", "200",
+        "--solver.levels", "2", "--solver.tolerance", "inf",
+    ])
+    assert code == 2 and out == ""
+    assert "config error" in err and "solver.tolerance" in err
+
+
 def test_spectrum_tan_box_inside_the_domain_exit_2():
     # walls at +-1.0 cut the tan levels into states of the box, which both
     # solver routes flagged converged while xcheck read 4.7e-2

@@ -139,6 +139,14 @@ def test_spectrum_argument_validation():
         dirac_spectrum(params, grid, 0)
 
 
+def test_converge_refuses_a_tolerance_outside_zero_to_inf():
+    # tol = inf flagged every subcritical level converged after one round,
+    # however far it moved
+    for tol in (math.inf, math.nan, 0.0, -1e-6):
+        with pytest.raises(ValueError, match="tol"):
+            converge_box_full(linear_params(0.3), count=2, tol=tol, grid=Grid(20.0, 200))
+
+
 def test_residual_of_returned_eigenpairs():
     # each returned state is the lattice eigenvector at its E, upper
     # component averaged onto the grid points: undo that to check the residual

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import diracosc
+from diracosc import linalg
 from diracosc.dirac_solver import assemble_dirac_matrix, default_grid
 from diracosc.linalg import (
     Tridiagonal,
@@ -232,6 +233,88 @@ def test_lapack_count_pinned_examples():
         t = Tridiagonal(d=rng.uniform(-3, 3, n), e=rng.uniform(-1, 1, n - 1))
         lams = rng.uniform(-4, 4, 5)
         assert _counts_below(t, lams).tolist() == [sturm_count(t, x) for x in lams]
+
+
+# ------------------------------------------------- certified value windows
+
+
+def _dstebz_ranges(monkeypatch):
+    """The RANGE argument of every dstebz call made from here on, in order."""
+    ranges = []
+    call = linalg._call
+
+    def spy(name, *args):
+        if name == "dstebz":
+            ranges.append(args[0][0].decode())
+        return call(name, *args)
+
+    monkeypatch.setattr(linalg, "_call", spy)
+    return ranges
+
+
+def _within_ulps(got, ref, ulps):
+    return abs(got - ref) <= ulps * np.spacing(abs(ref))
+
+
+# the reduced operators of the grids a CLI session solves on, and a lattice
+WINDOW_MATRICES = {
+    "linear-2000": lambda: _schrodinger_matrix("linear", 0.41, 2000, -1),
+    "tan-1000": lambda: _schrodinger_matrix("tan", -0.37, 1000, 1),
+    "lattice": lambda: _lattice_matrix("linear", 0.3, 250),
+}
+
+
+@pytest.mark.parametrize("case", list(WINDOW_MATRICES))
+def test_certified_window_matches_the_index_search(case, monkeypatch):
+    t = WINDOW_MATRICES[case]()
+    first = sturm_count(t, 0.0) + 1 if case == "lattice" else 1
+    ks = np.arange(first, first + 5)
+    ref = _indexed_eigenvalues(t, ks)
+    ranges = _dstebz_ranges(monkeypatch)
+    for j, k in enumerate(ks[1:-1], start=1):
+        # a window as tight as a root search's, and one out to the neighbours
+        for lo, hi in ((ref[j] - 1e-9 * abs(ref[j]), ref[j] + 1e-9 * abs(ref[j])),
+                       (0.5 * (ref[j - 1] + ref[j]), 0.5 * (ref[j] + ref[j + 1]))):
+            ranges.clear()
+            got = _indexed_eigenvalues(t, [k], window=(lo, hi))
+            assert ranges == ["V"]
+            assert _within_ulps(got[0], ref[j], 4), (k, got[0], ref[j])
+
+
+def test_uncertified_windows_fall_back_to_the_index_search(monkeypatch):
+    t = WINDOW_MATRICES["linear-2000"]()
+    ref = _indexed_eigenvalues(t, np.arange(1, 6))
+    gap = ref[2] - ref[1]
+    k = 3
+    windows = {
+        "no eigenvalue": (ref[1] + 0.1 * gap, ref[2] - 0.1 * gap),
+        "two eigenvalues": (0.5 * (ref[1] + ref[2]), 0.5 * (ref[3] + ref[4])),
+        "wrong index": (0.5 * (ref[2] + ref[3]), 0.5 * (ref[3] + ref[4])),
+        "empty": (ref[2] + 0.1 * gap, ref[2] - 0.1 * gap),
+        "a point": (ref[2], ref[2]),
+        "not finite": (-math.inf, ref[2] + 0.1 * gap),
+    }
+    # an index search's value depends on the index range it bisects
+    alone = _indexed_eigenvalues(t, [k])
+    ranges = _dstebz_ranges(monkeypatch)
+    for name, window in windows.items():
+        ranges.clear()
+        got = _indexed_eigenvalues(t, [k], window=window)
+        assert ranges == ["I"], name
+        assert got[0] == alone[0], name
+
+
+def test_window_whose_bisection_finds_two_eigenvalues_falls_back(monkeypatch):
+    # the counts certify (1.5, 3) to hold eigenvalue 2 alone, since 3 is not
+    # below 3; dstebz bisects (1.5, 3] and finds 2 and 3
+    t = Tridiagonal(d=np.array([1.0, 2.0, 3.0]), e=np.zeros(2))
+    assert _counts_below(t, [1.5, 3.0]).tolist() == [1, 2]
+    ranges = _dstebz_ranges(monkeypatch)
+    assert np.array_equal(_indexed_eigenvalues(t, [2], window=(1.5, 3.0)), [2.0])
+    assert ranges == ["V", "I"]
+    ranges.clear()
+    assert np.array_equal(_indexed_eigenvalues(t, [2], window=(1.5, 2.5)), [2.0])
+    assert ranges == ["V"]
 
 
 def test_lapack_path_pinned_examples():

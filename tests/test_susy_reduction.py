@@ -13,7 +13,7 @@ from diracosc.errors import (
     DomainError,
     NoRealEnergyError,
 )
-from diracosc import analytic, susy_reduction
+from diracosc import analytic, linalg, susy_reduction
 from diracosc.linalg import _indexed_eigenvalues
 from diracosc.model import (
     Family,
@@ -449,6 +449,32 @@ def test_bad_slope_still_finds_the_root_by_bisection(kappa, bad, monkeypatch):
         assert root == pytest.approx(good, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("bad", list(BAD_SLOPES))
+@pytest.mark.parametrize("kappa", [0.4, -0.4])
+def test_bad_slope_root_search_falls_back_to_the_widening_bracket(kappa, bad, monkeypatch):
+    params = linear_params(kappa)
+    grid = Grid(half_width=20.0, n=2000)
+    floor = susy_reduction._f_floor(grid)
+    for sigma, n in LABELS:
+        seed, delta, reach = susy_reduction._seed(params, sigma, n, grid, 1)
+        good = susy_reduction._root(susy_reduction._evaluator(params, sigma, n, grid),
+                                    seed, delta, reach, floor)
+        evaluate = susy_reduction._evaluator(params, sigma, n, grid)
+        calls = []
+
+        def spy(E):
+            calls.append(E)
+            return evaluate(E)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(susy_reduction, "_hf_slope", BAD_SLOPES[bad])
+            root = susy_reduction._root(spy, seed, delta, reach, floor)
+        # Newton steps from the seed gave up, and the widening search ran;
+        # its bisection stops on a step of 1e-12 max(1, |E|)
+        assert seed - delta in calls and seed + delta in calls
+        assert abs(root - good) <= 1e-12 * max(1.0, abs(good))
+
+
 @pytest.mark.parametrize("params", CERTIFIED, ids=["lin+0.4", "lin-0.4", "tan+0.5", "tan-0.3"])
 def test_certified_labels_keep_closed_form_and_flag(params):
     for sigma, n in LABELS:
@@ -461,9 +487,9 @@ def test_certified_labels_keep_closed_form_and_flag(params):
 @pytest.mark.parametrize("params", CERTIFIED + [tan_params(-0.42)],
                          ids=["lin+0.4", "lin-0.4", "tan+0.5", "tan-0.3", "tan-0.42"])
 def test_level_solve_takes_at_most_ten_evaluations(params, monkeypatch):
-    # the grids a CLI session solves on: each grid takes 2 evaluations for its
-    # bracket and 2 Newton steps. A root search that stops on bracket width
-    # instead of on the Newton step takes 16-30 evaluations here. At tan
+    # the grids a CLI session solves on: each grid takes the seed and 1-2
+    # Newton steps. A search that first brackets the seed takes 8, and one
+    # that stops on bracket width instead of on the Newton step 16-30. At tan
     # -0.42, (sigma -1, n 0), f is a staircase at the root and a search that
     # waits for f == 0 takes 15
     calls = []
@@ -480,7 +506,30 @@ def test_level_solve_takes_at_most_ten_evaluations(params, monkeypatch):
         calls.clear()
         plus, _ = susy_reduction._solve_level(params, sigma, n, grid)
         assert plus.converged
-        assert 0 < len(calls) <= 8, (sigma, n, len(calls))
+        assert 0 < len(calls) <= 6, (sigma, n, len(calls))
+
+
+@pytest.mark.parametrize("params", CERTIFIED, ids=["lin+0.4", "lin-0.4", "tan+0.5", "tan-0.3"])
+def test_level_solve_takes_no_index_search(params, monkeypatch):
+    # on the grids a CLI session solves on, every eigenvalue window the
+    # level solve and susy_state predict is certified: no dstebz call falls
+    # back to the index search (range "I")
+    ranges = []
+    call = linalg._call
+
+    def spy(name, *args):
+        if name == "dstebz":
+            ranges.append(args[0][0].decode())
+        return call(name, *args)
+
+    monkeypatch.setattr(linalg, "_call", spy)
+    linear = params.superpotential.family is Family.LINEAR
+    grid = Grid(half_width=default_grid(params).half_width, n=2000 if linear else 1000)
+    for sigma, n in LABELS:
+        ranges.clear()
+        susy_reduction._solve_level(params, sigma, n, grid)
+        susy_state(params, sigma, n, grid)
+        assert ranges and set(ranges) == {"V"}, (sigma, n, ranges)
 
 
 def test_equivalent_solves_share_one_cached_result():
