@@ -347,7 +347,10 @@ def _xcheck_column(rows: list[dict]) -> None:
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     """Run the selected route(s) and emit the spectrum table. route=all adds
-    a per-level cross-route max-discrepancy column."""
+    a per-level cross-route max-discrepancy column. Rows are ordered by
+    their labels alone: n_sigma, the positive branch first, sigma, then
+    route, so that no difference between the routes' energies reorders
+    them."""
     params, grid = _build_problem(cfg)
     max_n = cfg.levels - 1
     rows: list[dict] = []
@@ -361,8 +364,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     if cfg.route == "all":
         _xcheck_column(rows)
         header.append("xcheck")
-    rows.sort(key=lambda r: (abs(r["E"]), r["n_sigma"], r["sigma"],
-                             r["branch"], r["route"]))
+    rows.sort(key=lambda r: (r["n_sigma"], r["branch"] != "+", r["sigma"], r["route"]))
     _emit(_row_columns(rows, header), cfg)
     return EXIT_OK
 

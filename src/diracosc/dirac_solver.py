@@ -57,16 +57,23 @@ last two rounds is each level's err_est (Richardson, Phil. Trans. R. Soc. A
 226 (1927) 299): about 2.2 (linear) or 15 (in place) times the error left
 in the reported value.
 
-A run knows several of its grids before it solves any: the base grid, its
-h/2 grid and round 1's pair, since round 1 runs whenever its pair fits the
-dimension cap. These are solved concurrently, and so are the new grids of
-each later round (two when the box widens, one in place). The calling thread
-solves the largest and a pool of helper threads, one fewer than the CPUs the
-process may run on, the rest; LAPACK releases the GIL while it works. Each
-solve is deterministic and depends on its own grid alone, so records, states
-and rounds are those of solving the grids one after another, which is what a
-process on one CPU does. Results are cached by call, tabulated shapes
-included, since a table compares by its samples.
+A run solves its base grid first, alone, by bisection (linalg's index
+search), and takes the states from that grid's matrix. The grids after it
+have their levels predicted to O(h^2) by the finest grid solved before
+them, so each takes them from one inverse-iteration call at the
+predictions, certified by Sturm counts (linalg._predicted_eigenvalues), and
+is bisected only when a prediction misses: when the box widens past where
+the levels have settled (linear kappa 0.999 at L = 20, or a box of L = 3).
+A run knows several of those grids at once: the base grid's h/2 grid and
+round 1's pair, since round 1 runs whenever its pair fits the dimension
+cap, and then each later round's new grids (two when the box widens, one
+in place). These are solved concurrently. The calling thread solves the
+largest and a pool of helper threads, one fewer than the CPUs the process
+may run on, the rest; LAPACK releases the GIL while it works. Each solve is
+deterministic and depends on its own grid and its prediction alone, so
+records, states and rounds are those of solving the grids one after
+another, which is what a process on one CPU does. Results are cached by
+call, tabulated shapes included, since a table compares by its samples.
 """
 
 from __future__ import annotations
@@ -84,6 +91,7 @@ from .linalg import (
     Tridiagonal,
     _counts_below,
     _indexed_eigenvalues,
+    _predicted_eigenvalues,
     tridiagonal_eigenvectors,
 )
 from .model import (
@@ -159,11 +167,14 @@ def assemble_dirac_matrix(params: PhysicalParams, grid: Grid) -> Tridiagonal:
     return Tridiagonal(d, e)
 
 
-def _lattice_eigenvalues(params, grid, count):
+def _lattice_eigenvalues(params, grid, count, guess=None):
     """The `count` smallest-|E| eigenvalues of each sign.
 
     Returns (tridiagonal, E_neg, E_pos); E_pos ascending (closest to zero
-    first), E_neg descending (closest to zero first).
+    first), E_neg descending (closest to zero first). `guess` may hold
+    another grid's (E_neg, E_pos) as a prediction of them: the values are
+    then taken by linalg._predicted_eigenvalues if it certifies them all,
+    and by bisection otherwise.
     """
     t = assemble_dirac_matrix(params, grid)
     # zero modes go to the positive branch, which holds n_sigma 0
@@ -171,7 +182,12 @@ def _lattice_eigenvalues(params, grid, count):
     k_neg = np.arange(max(c0 - count + 1, 1), c0 + 1, dtype=np.int64)
     k_pos = np.arange(c0 + 1, min(c0 + count, t.n) + 1, dtype=np.int64)
     ks = np.concatenate([k_neg, k_pos])
-    vals = _indexed_eigenvalues(t, ks)
+    vals = None
+    if guess is not None:
+        g_neg, g_pos = guess
+        vals = _predicted_eigenvalues(t, ks, np.concatenate([g_neg[::-1], g_pos]))
+    if vals is None:
+        vals = _indexed_eigenvalues(t, ks)
     e_neg = vals[: k_neg.size][::-1]
     e_pos = vals[k_neg.size :]
     return t, e_neg, e_pos
@@ -310,10 +326,11 @@ def converge_box_full(
     (widen 1.5), which shrinks h by 3/4, and a bounded domain (tangent,
     tabulated) is refined in place (widen 1), which halves h. Every round's
     value is Richardson-extrapolated over an (h, h/2) pair, and a round is
-    run only if its whole pair fits the dimension cap. The base pair and
-    round 1's pair are solved concurrently, as are each later round's new
-    grids (see the module docstring); the results are those of solving them
-    one after another.
+    run only if its whole pair fits the dimension cap. The base grid is
+    solved first; its h/2 grid and round 1's pair are then solved
+    concurrently from its predictions, as are each later round's new grids
+    from the last round's fine grid (see the module docstring); the results
+    are those of solving them one after another.
 
     err_est is the move of a level between the last two rounds. Both its box
     error and its h^4 error shrink between rounds, the latter by r^4 for h
@@ -380,11 +397,16 @@ def _converge(params, count, tol, base):
         # doubles every round, so this ends every run
         return _dim(grid.refined()) <= DIM_CAP
 
-    solved, state_map = {}, {}
+    # the base grid is solved alone, by bisection, and its matrix serves the
+    # states; every later grid is predicted from the grids solved before it
+    t, e_neg, e_pos = _lattice_eigenvalues(params, base, count)
+    solved = {base: (e_neg, e_pos)}
+    state_map = _states_for(params, base, t, e_neg, e_pos)
+    del t
     nxt = round_grid(base)
     # round 1 runs whenever it fits, so its pair is solved along with the
-    # base pair; the base grid's matrix serves its states
-    _solve_pairs(params, count, [base, nxt] if fits(nxt) else [base], solved, state_map)
+    # base grid's h/2 grid
+    _solve_pairs(params, count, [base, nxt] if fits(nxt) else [base], solved)
     levels = _richardson_levels(base, count, solved)
     errs = (None, None)
     rounds = 0
@@ -405,26 +427,23 @@ def _converge(params, count, tol, base):
     return ConvergeResult(records=tuple(records), states=states, base_grid=base, rounds=rounds)
 
 
-def _solve_pairs(params, count, grids, solved, state_map=None):
+def _solve_pairs(params, count, grids, solved):
     """Solve the (h, h/2) pairs of `grids` into `solved`, which maps a grid
-    to its (E_neg, E_pos). A grid already there is not solved again: a box
-    that is not widened is refined in place, so a round's coarse grid is the
-    previous round's fine one. Given `state_map`, the task of the first grid
-    also puts that grid's states into it, keyed by (branch, ordinal), from
-    its own matrix and eigenvalues.
+    to its (E_neg, E_pos) and holds at least the base grid. A grid already
+    there is not solved again: a box that is not widened is refined in place,
+    so a round's coarse grid is the previous round's fine one. The finest
+    grid solved so far predicts the levels of the new ones, which are off
+    from it by O(h^2) (_lattice_eigenvalues' `guess`).
 
     The new grids are independent and each solve is deterministic, so they
     run concurrently (_run_all), largest first, with the results they would
     have one after another."""
     new = dict.fromkeys(g for grid in grids for g in (grid, grid.refined()) if g not in solved)
     new = sorted(new, key=_dim, reverse=True)
-    first = grids[0] if state_map is not None else None
+    guess = solved[max(solved, key=_dim)]
 
     def task(grid):
-        t, e_neg, e_pos = _lattice_eigenvalues(params, grid, count)
-        if grid == first:
-            state_map.update(_states_for(params, grid, t, e_neg, e_pos))
-        return e_neg, e_pos
+        return _lattice_eigenvalues(params, grid, count, guess)[1:]
 
     solved.update(zip(new, _run_all([functools.partial(task, g) for g in new])))
 

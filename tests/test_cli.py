@@ -148,6 +148,29 @@ def test_spectrum_route_all_cross_checks():
     assert max(float(r["xcheck"]) for r in rows) <= 1e-5
 
 
+def test_spectrum_row_order_is_a_function_of_the_labels(monkeypatch):
+    # a 1e-13 move of one route's energies must not reorder the rows, which
+    # run by n_sigma, the positive branch first, sigma, then route
+    argv = ["spectrum", "--model.kappa", "0.6", "--grid.n", "600"]
+    real = cli._dirac_result
+
+    def order(scale):
+        def scaled(params, grid, cfg):
+            res = real(params, grid, cfg)
+            records = tuple(dataclasses.replace(r, E=r.E * scale) for r in res.records)
+            return dataclasses.replace(res, records=records)
+
+        monkeypatch.setattr(cli, "_dirac_result", scaled)
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        return [(r["n_sigma"], r["branch"], r["sigma"], r["route"]) for r in parse_csv(out)[2]]
+
+    plain = order(1.0)
+    assert order(1.0 + 1e-13) == order(1.0 - 1e-13) == plain
+    assert plain == sorted(plain, key=lambda r: (int(r[0]), r[1] != "+", int(r[2]), r[3]))
+    assert {r[3] for r in plain} == {"analytic", "susy", "dirac"}
+
+
 def test_spectrum_critical_field_exit_3():
     code, out, err = run_cli([
         "spectrum", "--solver.route", "analytic", "--model.kappa", "1.0",

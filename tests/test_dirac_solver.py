@@ -294,11 +294,14 @@ def test_equivalent_calls_share_one_cached_result():
 def test_each_grid_is_solved_once_per_convergence_run(monkeypatch, kappa, n, count, rounds, solves):
     """The tan family refines in place, so a round's coarse grid is the
     previous round's fine one: 2 + rounds solves, not 2 (1 + rounds). Each
-    grid's matrix is assembled once, and the states come from the base
-    grid's own eigenvalues, as solved, not from the extrapolated ones. A
-    supercritical run solves the base grid alone."""
+    grid's matrix is assembled once and solved once, by bisection for the
+    base grid and from its prediction for the others, with no fallback to
+    bisection here. The states come from the base grid's own eigenvalues, as
+    solved, not from the extrapolated ones. A supercritical run solves the
+    base grid alone."""
     dims, solved, assembled, received = [], {}, [], []
     real_eigs = dirac_solver._indexed_eigenvalues
+    real_predicted = dirac_solver._predicted_eigenvalues
     real_assemble = dirac_solver.assemble_dirac_matrix
     real_vecs = dirac_solver.tridiagonal_eigenvectors
 
@@ -307,6 +310,10 @@ def test_each_grid_is_solved_once_per_convergence_run(monkeypatch, kappa, n, cou
         vals = real_eigs(t, ks)
         solved[t.n] = vals.copy()
         return vals
+
+    def predicted(t, ks, guess):
+        dims.append(t.n)
+        return real_predicted(t, ks, guess)
 
     def assemble(params, grid):
         assembled.append(grid.n)
@@ -318,12 +325,14 @@ def test_each_grid_is_solved_once_per_convergence_run(monkeypatch, kappa, n, cou
 
     dirac_solver._converge_cached.cache_clear()
     monkeypatch.setattr(dirac_solver, "_indexed_eigenvalues", eigs)
+    monkeypatch.setattr(dirac_solver, "_predicted_eigenvalues", predicted)
     monkeypatch.setattr(dirac_solver, "assemble_dirac_matrix", assemble)
     monkeypatch.setattr(dirac_solver, "tridiagonal_eigenvectors", vecs)
     params = tan_params(kappa)
     res = converge_box_full(params, count=count, grid=default_grid(params, n=n))
     assert res.rounds == rounds
     assert len(dims) == len(set(dims)) == solves == len(assembled)
+    assert list(solved) == [2 * n + 1]
     [(dim, vals)] = received
     assert dim == 2 * n + 1
     assert vals.tobytes() == solved[dim].tobytes()
@@ -579,31 +588,34 @@ def test_one_cpu_runs_serially_with_the_threaded_results(cpus, params, n, count)
     assert serial == threaded
 
 
-@pytest.mark.parametrize("failing", [4007, 1001], ids=["caller", "last"])
+@pytest.mark.parametrize("failing", [4007, 2003], ids=["caller", "helper"])
 def test_a_failing_grid_solve_propagates_and_leaves_nothing_running(
     cpus, monkeypatch, failing
 ):
-    # linear kappa 0.4 on Grid(20, 500) solves 4 grids at once: 4007 rows on
-    # the calling thread, then 2003 (twice) and 1001 rows
+    # linear kappa 0.4 on Grid(20, 500) solves its 1001-row base grid alone,
+    # then 3 grids at once: 4007 rows on the calling thread and 2003 (twice)
+    # on the helper
     cpus(2)
     lock = threading.Lock()
     started, running = [], [0]
-    real_eigs = dirac_solver._indexed_eigenvalues
 
-    def eigs(t, ks):
-        with lock:
-            started.append(t.n)
-            running[0] += 1
-        try:
-            if t.n == failing:
-                raise ConvergenceError(f"no eigenvalues at {t.n} rows")
-            time.sleep(0.2)
-            return real_eigs(t, ks)
-        finally:
+    def spy(real):
+        def solve(t, *args):
             with lock:
-                running[0] -= 1
+                started.append(t.n)
+                running[0] += 1
+            try:
+                if t.n == failing:
+                    raise ConvergenceError(f"no eigenvalues at {t.n} rows")
+                time.sleep(0.2)
+                return real(t, *args)
+            finally:
+                with lock:
+                    running[0] -= 1
+        return solve
 
-    monkeypatch.setattr(dirac_solver, "_indexed_eigenvalues", eigs)
+    for name in ("_indexed_eigenvalues", "_predicted_eigenvalues"):
+        monkeypatch.setattr(dirac_solver, name, spy(getattr(dirac_solver, name)))
     with pytest.raises(ConvergenceError, match=f"at {failing} rows"):
         converge_box_full(linear_params(0.4), count=2, grid=Grid(half_width=20.0, n=500))
     with lock:
@@ -616,15 +628,17 @@ def test_a_failing_grid_solve_propagates_and_leaves_nothing_running(
 
 def _converge_in_child():
     threads = set()
-    real_eigs = dirac_solver._indexed_eigenvalues
 
-    def eigs(t, ks):
-        threads.add(threading.get_ident())
-        time.sleep(0.05)
-        return real_eigs(t, ks)
+    def spy(real):
+        def solve(t, *args):
+            threads.add(threading.get_ident())
+            time.sleep(0.05)
+            return real(t, *args)
+        return solve
 
     # this process ends with the call, so the module is patched for good
-    dirac_solver._indexed_eigenvalues = eigs
+    for name in ("_indexed_eigenvalues", "_predicted_eigenvalues"):
+        setattr(dirac_solver, name, spy(getattr(dirac_solver, name)))
     params = tan_params(0.3)
     res = converge_box_full(params, count=3, grid=default_grid(params, n=300))
     assert res.rounds == 1 and all(r.converged for r in res.records)
@@ -644,6 +658,55 @@ def test_forked_child_runs_on_helper_threads_of_its_own(cpus):
         child.kill()
         child.join()
     assert child.exitcode == 0
+
+
+def _by_label(res):
+    """A convergence run's records and state bytes keyed by (branch, sigma, n):
+    row order at kappa 0 can swap levels tied in |E|."""
+    return {
+        (r.branch, r.sigma, r.n): (r, st.psi1.tobytes() + st.psi2.tobytes())
+        for r, st in zip(res.records, res.states)
+    }
+
+
+def _table_params(kappa):
+    xs = np.linspace(-12.0, 12.0, 2401)
+    tab = Superpotential.tabulated(xs, xs, np.ones_like(xs))
+    return PhysicalParams(mass=1.0, kappa=kappa, superpotential=tab)
+
+
+@pytest.mark.parametrize(
+    "params,grid,count",
+    [(linear_params(0.4), Grid(half_width=20.0, n=1000), 2),
+     (linear_params(0.0), Grid(half_width=20.0, n=600), 3),
+     (tan_params(0.55), None, 3),
+     (PhysicalParams(mass=0.0, kappa=0.0, superpotential=Superpotential.linear(1.0)),
+      Grid(half_width=20.0, n=1000), 2),
+     (_table_params(0.4), Grid(half_width=12.0, n=400), 2),
+     (linear_params(0.6), Grid(half_width=3.0, n=300), 3)],
+    ids=["linear", "linear-k0", "tan", "massless", "table", "small-box"],
+)
+def test_predicted_levels_match_bisection(monkeypatch, params, grid, count):
+    # the grids after the base grid take their levels from the predicted
+    # kernel; with it refusing every prediction they are bisected instead,
+    # and the run reports the same labels, flags, rounds and states, with
+    # energies and error estimates within 1e-12
+    grid = grid or default_grid(params, n=500)
+    dirac_solver._converge_cached.cache_clear()
+    predicted = converge_box_full(params, count, grid=grid)
+    dirac_solver._converge_cached.cache_clear()
+    monkeypatch.setattr(dirac_solver, "_predicted_eigenvalues", lambda t, ks, guess: None)
+    bisected = converge_box_full(params, count, grid=grid)
+    dirac_solver._converge_cached.cache_clear()
+    assert predicted.rounds == bisected.rounds >= 1
+    got, want = _by_label(predicted), _by_label(bisected)
+    assert got.keys() == want.keys()
+    for label, (rec, state) in want.items():
+        other, other_state = got[label]
+        assert other.converged == rec.converged and other_state == state
+        scale = max(1.0, abs(rec.E))
+        assert abs(other.E - rec.E) <= 1e-12 * scale
+        assert abs(other.err_est - rec.err_est) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------- states

@@ -14,11 +14,13 @@ import pytest
 import diracosc
 from diracosc import linalg
 from diracosc.dirac_solver import assemble_dirac_matrix, default_grid
+from diracosc.model import Grid, PhysicalParams, Superpotential
 from diracosc.linalg import (
     Tridiagonal,
     _call,
     _counts_below,
     _indexed_eigenvalues,
+    _predicted_eigenvalues,
     eigen_bisect,
     eigen_ql,
     sturm_count,
@@ -235,6 +237,29 @@ def test_lapack_count_pinned_examples():
         assert _counts_below(t, lams).tolist() == [sturm_count(t, x) for x in lams]
 
 
+def test_counts_below_takes_odd_and_even_numbers_of_lambdas(monkeypatch):
+    # consecutive lambdas share one dlaebz interval, padded for an odd
+    # number; 0 is an eigenvalue of diag(1, 0, -1) and not below 0
+    sizes = []
+    call = linalg._call
+
+    def spy(name, *args):
+        if name == "dlaebz":
+            sizes.append(int(args[3][0]))
+        return call(name, *args)
+
+    monkeypatch.setattr(linalg, "_call", spy)
+    t = Tridiagonal(d=np.array([1.0, 0.0, -1.0]), e=np.zeros(2))
+    lams = [0.0, -1.0, 1.0, 2.0, -2.0, 0.5, -0.5, 0.0]
+    for k in range(len(lams) + 1):
+        assert _counts_below(t, lams[:k]).tolist() == [sturm_count(t, x) for x in lams[:k]]
+    assert sizes == [(k + 1) // 2 for k in range(len(lams) + 1)]
+    lattice = _lattice_matrix("linear", 0.4, 500)
+    for k in (7, 8):
+        lams = np.linspace(-3.0, 3.0, k)
+        assert _counts_below(lattice, lams).tolist() == [sturm_count(lattice, x) for x in lams]
+
+
 # ------------------------------------------------- certified value windows
 
 
@@ -315,6 +340,72 @@ def test_window_whose_bisection_finds_two_eigenvalues_falls_back(monkeypatch):
     ranges.clear()
     assert np.array_equal(_indexed_eigenvalues(t, [2], window=(1.5, 2.5)), [2.0])
     assert ranges == ["V"]
+
+
+# ------------------------------------------------- predicted eigenvalues
+
+
+def _table_matrix():
+    xs = np.linspace(-12.0, 12.0, 2401)
+    tab = Superpotential.tabulated(xs, xs, np.ones_like(xs))
+    params = PhysicalParams(mass=1.0, kappa=0.4, superpotential=tab)
+    return assemble_dirac_matrix(params, Grid(half_width=12.0, n=800))
+
+
+# the lattices the grids after a run's base grid are solved on
+PREDICTED_MATRICES = {
+    "linear": lambda: _lattice_matrix("linear", 0.4, 2000, L=30.0),
+    "tan": lambda: _lattice_matrix("tan", -0.3, 1001),
+    "massless": lambda: _lattice_matrix("linear", 0.0, 1000, mass=0.0),
+    "table": _table_matrix,
+}
+
+
+def _levels_around_zero(t):
+    c0 = int(_counts_below(t, [0.0])[0])
+    return np.arange(c0 - 2, c0 + 4)
+
+
+@pytest.mark.parametrize("case", list(PREDICTED_MATRICES))
+def test_predicted_eigenvalues_match_the_index_search(case, monkeypatch):
+    t = PREDICTED_MATRICES[case]()
+    ks = _levels_around_zero(t)
+    ref = _indexed_eigenvalues(t, ks)
+    tol = 1e-12 * np.maximum(1.0, np.abs(ref))
+    signs = np.where(np.arange(ks.size) % 2, 1.0, -1.0)
+    routines = []
+    call = linalg._call
+
+    def spy(name, *args):
+        routines.append(name)
+        return call(name, *args)
+
+    monkeypatch.setattr(linalg, "_call", spy)
+    for rel in (0.0, 1e-6, 1e-4, 1e-3):
+        routines.clear()
+        got = _predicted_eigenvalues(t, ks, ref * (1.0 + rel * signs))
+        assert got is not None, rel
+        assert np.all(np.abs(got - ref) <= tol), (rel, np.max(np.abs(got - ref) / tol))
+        # no bisection; a guess as close as a grid's prediction (1e-5 or
+        # nearer) takes one inverse iteration and one Sturm count
+        assert "dstebz" not in routines
+        if rel <= 1e-6:
+            assert routines == ["dstein", "dlaebz"], rel
+
+
+def test_predictions_that_miss_return_none():
+    t = PREDICTED_MATRICES["linear"]()
+    ks = _levels_around_zero(t)
+    ref = _indexed_eigenvalues(t, np.arange(ks[0], ks[-1] + 2))
+    assert _predicted_eigenvalues(t, ks, ref[:-1]) is not None
+    # one level off: the guesses of indices ks + 1
+    assert _predicted_eigenvalues(t, ks, ref[1:]) is None
+    nan = ref[:-1].copy()
+    nan[2] = np.nan
+    assert _predicted_eigenvalues(t, ks, nan) is None
+    assert _predicted_eigenvalues(t, ks, ref[:-2]) is None
+    assert _predicted_eigenvalues(t, ks, ref) is None
+    assert _predicted_eigenvalues(t, [], []) is None
 
 
 def test_lapack_path_pinned_examples():
