@@ -57,13 +57,19 @@ last two rounds is each level's err_est (Richardson, Phil. Trans. R. Soc. A
 226 (1927) 299): about 2.2 (linear) or 15 (in place) times the error left
 in the reported value.
 
-A run solves its base grid first, alone, by bisection (linalg's index
-search), and takes the states from that grid's matrix. The grids after it
-have their levels predicted to O(h^2) by the finest grid solved before
-them, so each takes them from one inverse-iteration call at the
-predictions, certified by Sturm counts (linalg._predicted_eigenvalues), and
-is bisected only when a prediction misses: when the box widens past where
-the levels have settled (linear kappa 0.999 at L = 20, or a box of L = 3).
+Every grid's levels come from one inverse-iteration call at a guess of
+them, certified by their residuals and two Sturm counts
+(linalg._predicted_eigenvalues). A run solves its base grid first, alone:
+its guess is a bisection stopped at absolute width _COARSE_TOL (1e-4), and
+the same call's vectors are the run's states. The grids after it have their
+levels predicted to O(h^2) by the finest grid solved before them, and fall
+back to the coarse bisection only when a prediction misses: when the box
+widens past where the levels have settled (linear kappa 0.999 at L = 20, or
+a box of L = 3). A grid whose coarse guess misses too takes the full index
+search, and its states their own dstein call. Each fallback logs a DEBUG
+record on this module's logger, with the grid's rows and the step that
+missed.
+
 A run knows several of those grids at once: the base grid's h/2 grid and
 round 1's pair, since round 1 runs whenever its pair fits the dimension
 cap, and then each later round's new grids (two when the box widens, one
@@ -80,6 +86,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import logging
 import math
 import os
 from dataclasses import dataclass
@@ -116,10 +123,15 @@ __all__ = [
     "default_grid",
 ]
 
+_log = logging.getLogger(__name__)
+
 DEFAULT_N = 4000
 DEFAULT_L = 20.0
 # largest lattice dimension 2N+1 solved; it also ends the refinement loop
 DIM_CAP = 65536
+# absolute width to which a grid without a prediction is bisected before
+# inverse iteration: 1e-2 leaves dstein a second call and 1e-6 bisects longer
+_COARSE_TOL = 1e-4
 
 
 def default_grid(params: PhysicalParams, n: int = DEFAULT_N, L: float | None = None) -> Grid:
@@ -168,13 +180,16 @@ def assemble_dirac_matrix(params: PhysicalParams, grid: Grid) -> Tridiagonal:
 
 
 def _lattice_eigenvalues(params, grid, count, guess=None):
-    """The `count` smallest-|E| eigenvalues of each sign.
+    """The `count` smallest-|E| eigenvalues of each sign, and their vectors.
 
-    Returns (tridiagonal, E_neg, E_pos); E_pos ascending (closest to zero
-    first), E_neg descending (closest to zero first). `guess` may hold
-    another grid's (E_neg, E_pos) as a prediction of them: the values are
-    then taken by linalg._predicted_eigenvalues if it certifies them all,
-    and by bisection otherwise.
+    Returns (tridiagonal, E_neg, E_pos, vectors); E_pos ascending (closest to
+    zero first), E_neg descending (closest to zero first), and the vectors
+    as columns in ascending order of E, or None. The values and
+    vectors come from one certified linalg._predicted_eigenvalues call at
+    `guess`, another grid's (E_neg, E_pos), or, with no guess or when it
+    misses, at the values a range-I bisection gives to within _COARSE_TOL.
+    When that misses too, the values come from the full-accuracy index
+    search and the vectors are None. Each fallback logs a DEBUG record.
     """
     t = assemble_dirac_matrix(params, grid)
     # zero modes go to the positive branch, which holds n_sigma 0
@@ -182,15 +197,21 @@ def _lattice_eigenvalues(params, grid, count, guess=None):
     k_neg = np.arange(max(c0 - count + 1, 1), c0 + 1, dtype=np.int64)
     k_pos = np.arange(c0 + 1, min(c0 + count, t.n) + 1, dtype=np.int64)
     ks = np.concatenate([k_neg, k_pos])
-    vals = None
+    found = None
     if guess is not None:
         g_neg, g_pos = guess
-        vals = _predicted_eigenvalues(t, ks, np.concatenate([g_neg[::-1], g_pos]))
-    if vals is None:
-        vals = _indexed_eigenvalues(t, ks)
-    e_neg = vals[: k_neg.size][::-1]
-    e_pos = vals[k_neg.size :]
-    return t, e_neg, e_pos
+        found = _predicted_eigenvalues(t, ks, np.concatenate([g_neg[::-1], g_pos]))
+        if found is None:
+            _log.debug("lattice grid of %d rows: the prediction missed; "
+                       "bisecting to %g", t.n, _COARSE_TOL)
+    if found is None:
+        found = _predicted_eigenvalues(t, ks, _indexed_eigenvalues(t, ks, abstol=_COARSE_TOL))
+        if found is None:
+            _log.debug("lattice grid of %d rows: the bisection to %g missed; "
+                       "taking the full index search", t.n, _COARSE_TOL)
+            found = _indexed_eigenvalues(t, ks), None
+    vals, vecs = found
+    return t, vals[: k_neg.size][::-1], vals[k_neg.size :], vecs
 
 
 def _zero_tol(params: PhysicalParams) -> float:
@@ -255,13 +276,16 @@ def _build_records(params, e_neg, e_pos, errs=(None, None), tol=None):
     return [records[i] for i in order], [origins[i] for i in order]
 
 
-def _states_for(params, grid, t, e_neg, e_pos):
+def _states_for(params, grid, t, e_neg, e_pos, vecs=None):
     """Eigenvectors for the given eigenvalues on the grid points (upper
     component averaged over its two neighbours), gauge restored and
-    normalized; keyed by (branch, ordinal)."""
-    lams = np.concatenate([np.asarray(e_neg), np.asarray(e_pos)])
-    keys = [(-1, j) for j in range(len(e_neg))] + [(1, j) for j in range(len(e_pos))]
-    vecs = tridiagonal_eigenvectors(t, lams)
+    normalized; keyed by (branch, ordinal). `vecs` holds them as columns in
+    ascending order of E, as _lattice_eigenvalues returns them; None takes
+    them from one dstein call."""
+    lams = np.concatenate([np.asarray(e_neg)[::-1], np.asarray(e_pos)])
+    keys = [(-1, j) for j in reversed(range(len(e_neg)))] + [(1, j) for j in range(len(e_pos))]
+    if vecs is None:
+        vecs = tridiagonal_eigenvectors(t, lams)
     states = {}
     for col, (key, lam) in enumerate(zip(keys, lams)):
         z = vecs[:, col]
@@ -279,9 +303,9 @@ def dirac_spectrum(params: PhysicalParams, grid: Grid, count: int):
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    t, e_neg, e_pos = _lattice_eigenvalues(params, grid, count)
+    t, e_neg, e_pos, vecs = _lattice_eigenvalues(params, grid, count)
     records, origins = _build_records(params, e_neg, e_pos)
-    states = _states_for(params, grid, t, e_neg, e_pos)
+    states = _states_for(params, grid, t, e_neg, e_pos, vecs)
     return [(rec, states[origin]) for rec, origin in zip(records, origins)]
 
 
@@ -327,10 +351,12 @@ def converge_box_full(
     tabulated) is refined in place (widen 1), which halves h. Every round's
     value is Richardson-extrapolated over an (h, h/2) pair, and a round is
     run only if its whole pair fits the dimension cap. The base grid is
-    solved first; its h/2 grid and round 1's pair are then solved
-    concurrently from its predictions, as are each later round's new grids
-    from the last round's fine grid (see the module docstring); the results
-    are those of solving them one after another.
+    solved first, from a bisection to 1e-4 refined by one certified
+    inverse-iteration call, which also gives the states; its h/2 grid and
+    round 1's pair are then solved concurrently from its predictions, as
+    are each later round's new grids from the last round's fine grid (see
+    the module docstring); the results are those of solving them one after
+    another.
 
     err_est is the move of a level between the last two rounds. Both its box
     error and its h^4 error shrink between rounds, the latter by r^4 for h
@@ -397,12 +423,12 @@ def _converge(params, count, tol, base):
         # doubles every round, so this ends every run
         return _dim(grid.refined()) <= DIM_CAP
 
-    # the base grid is solved alone, by bisection, and its matrix serves the
-    # states; every later grid is predicted from the grids solved before it
-    t, e_neg, e_pos = _lattice_eigenvalues(params, base, count)
+    # the base grid is solved alone, and its vectors serve the states;
+    # every later grid is predicted from the grids solved before it
+    t, e_neg, e_pos, vecs = _lattice_eigenvalues(params, base, count)
     solved = {base: (e_neg, e_pos)}
-    state_map = _states_for(params, base, t, e_neg, e_pos)
-    del t
+    state_map = _states_for(params, base, t, e_neg, e_pos, vecs)
+    del t, vecs
     nxt = round_grid(base)
     # round 1 runs whenever it fits, so its pair is solved along with the
     # base grid's h/2 grid
@@ -443,7 +469,7 @@ def _solve_pairs(params, count, grids, solved):
     guess = solved[max(solved, key=_dim)]
 
     def task(grid):
-        return _lattice_eigenvalues(params, grid, count, guess)[1:]
+        return _lattice_eigenvalues(params, grid, count, guess)[1:3]
 
     solved.update(zip(new, _run_all([functools.partial(task, g) for g in new])))
 

@@ -4,25 +4,29 @@ Production path (compiled LAPACK, called through ctypes):
 
 * _indexed_eigenvalues: eigenvalues by sorted index, from one `dstebz` call
   (Sturm-sequence bisection, after W. Kahan, "Accurate eigenvalues of a
-  symmetric tri-diagonal matrix", 1966) over the index range requested, or,
-  for one index, over a value window that its Sturm counts certify to hold
-  that eigenvalue alone.
+  symmetric tri-diagonal matrix", 1966) over the index range requested, to
+  full accuracy or to a given absolute tolerance, or, for one index, over a
+  value window that its Sturm counts certify to hold that eigenvalue alone.
 * _counts_below: exact eigenvalue counts below given values, from the Sturm
   count of `dlaebz`, which splits a lattice spectrum at E = 0 and certifies
-  a window for _indexed_eigenvalues.
+  windows and predicted eigenvalues.
 * tridiagonal_eigenvectors: eigenvectors at given eigenvalues, from one
   `dstein` call (inverse iteration, the routine LAPACK pairs with `dstebz`).
-* _predicted_eigenvalues: eigenvalues by sorted index from predictions of
-  them, from one `dstein` call at the predictions and each vector's
-  Rayleigh quotient, certified by its residual and one Sturm count, or None
-  for the caller to bisect instead.
+* _predicted_eigenvalues: eigenvalues and eigenvectors by sorted index from
+  predictions of the eigenvalues, from one `dstein` call at the predictions
+  and each vector's Rayleigh quotient, certified by the residuals and two
+  Sturm counts, or None for the caller to bisect instead.
 
-Each lattice grid after a convergence run's base grid has its levels
-predicted to O(h^2) by a coarser grid, so it takes _predicted_eigenvalues:
-on 16007 rows (linear kappa 0.4, 4 levels, predictions off by 1.4e-5) it
+Every lattice grid takes _predicted_eigenvalues. A grid after a convergence
+run's base grid has its levels predicted to O(h^2) by a coarser grid; on
+16007 rows (linear kappa 0.4, 4 levels, predictions off by 1.4e-5) that
 takes 7.5-8.4 ms where the index search takes 29.6-31.3 ms, and agrees with
-it to 3e-15 relative (1 CPU). Certified range-`V` windows gain only
-1.2-1.5x there (21-27 ms for the 4 levels at +-1e-6 to +-1e-3). The susy
+it to 3e-15 relative (1 CPU). The base grid has no prediction, so
+dirac_solver bisects it to 1e-4 first and takes its values and its states
+from the same call: on a tan grid of 1001 rows with 6 levels that is 0.96 +
+0.68 ms, where the full index search and the states' own dstein call take
+2.65 + 0.48 ms (1 CPU). Certified range-`V` windows gain only 1.2-1.5x over
+the index search (21-27 ms for the 4 levels at +-1e-6 to +-1e-3). The susy
 reduced operator keeps the windows: its 1/h^2 diagonal (2/h^2 = 2.0e5 at
 tan grid.n 1000) limits a Rayleigh quotient to about eps * 2/h^2 = 4.5e-11,
 where bisection gives an eigenvalue to a few ulps of itself, and a mirrored
@@ -343,10 +347,11 @@ def _lapack_offdiag(t: Tridiagonal) -> np.ndarray:
     return np.ascontiguousarray(t.e) if t.n > 1 else np.zeros(1)
 
 
-def _indexed_eigenvalues(t: Tridiagonal, ks, window=None) -> np.ndarray:
+def _indexed_eigenvalues(t: Tridiagonal, ks, window=None, abstol=None) -> np.ndarray:
     """Eigenvalues with 1-based indices `ks` (sorted ascending), from one
     LAPACK dstebz bisection over the index range ks[0]..ks[-1], each to a few
-    ulps of itself.
+    ulps of itself, or, given `abstol`, each to within abstol: dstebz stops
+    bisecting an interval once it is narrower than that.
 
     `window` = (lo, hi) may hold a prediction of a single eigenvalue k. It is
     used only when the Sturm counts certify it, k - 1 eigenvalues below lo and
@@ -380,7 +385,7 @@ def _indexed_eigenvalues(t: Tridiagonal, ks, window=None) -> np.ndarray:
         # underflow threshold asks for full relative accuracy instead
         _call(
             "dstebz", _char(rng), _char("E"), _int(n), _real(vl), _real(vu),
-            _int(lo), _int(hi), _real(_ABSTOL), d, e, m, _int(0), w,
+            _int(lo), _int(hi), _real(abstol or _ABSTOL), d, e, m, _int(0), w,
             np.empty(n, dtype=np.intc), np.empty(n, dtype=np.intc), np.empty(4 * n),
             np.empty(3 * n, dtype=np.intc), info,
         )
@@ -454,9 +459,10 @@ def tridiagonal_eigenvectors(t: Tridiagonal, lams) -> np.ndarray:
 
 
 def _predicted_eigenvalues(t: Tridiagonal, ks, guess):
-    """Eigenvalues with 1-based indices `ks` (sorted ascending) from
-    predictions `guess` of them, one per index, or None where a prediction
-    misses.
+    """(values, vectors) for the 1-based indices `ks` (consecutive and
+    ascending) from predictions `guess` of their eigenvalues, one per index,
+    or None where a prediction misses. The vectors are unit columns aligned
+    with `ks`.
 
     One dstein call (tridiagonal_eigenvectors) runs inverse iteration at the
     guesses; each vector z's Rayleigh quotient rho = z'Tz / z'z is the value
@@ -465,15 +471,20 @@ def _predicted_eigenvalues(t: Tridiagonal, ks, guess):
     (Parlett, The Symmetric Eigenvalue Problem, 1980, ch. 4). A guess off by
     more than about 1e-4 relative leaves r above 1e-9 max(1, |rho|); then a
     second call runs at the Rayleigh quotients, which are that much closer.
-    The result is accepted only if every r <= 1e-9 max(1, |rho|) and one
-    Sturm count reads exactly k - 1 eigenvalues below rho - g and k below
-    rho + g, g = max(2r, 4 eps max(1, |rho|)): then rho is eigenvalue k's.
-    A NaN guess, a number of guesses other than len(ks), a vector that does
-    not converge or a count that does not certify returns None, and the
-    caller bisects (_indexed_eigenvalues)."""
+
+    The result is accepted only if every r <= 1e-9 max(1, |rho|), the
+    intervals rho -+ g, g = max(2r, 4 eps max(1, |rho|)), taken in the order
+    of `ks`, ascend without touching, and one Sturm count reads ks[0] - 1
+    eigenvalues below the lowest end and ks[-1] below the highest. The span
+    then holds len(ks) eigenvalues and each interval at least one, so each
+    holds exactly one, of index ks[j]: two counts certify them all. A NaN
+    guess, a number of guesses other than len(ks), indices that skip one, a
+    vector that does not converge or a certificate that fails returns None,
+    and the caller bisects (_indexed_eigenvalues)."""
     ks = np.asarray(ks, dtype=np.int64)
     shifts = np.asarray(guess, dtype=float)
-    if ks.size == 0 or shifts.shape != ks.shape or not np.all(np.isfinite(shifts)):
+    if (ks.size == 0 or shifts.shape != ks.shape or not np.all(np.isfinite(shifts))
+            or np.any(np.diff(ks) != 1)):
         return None
     rho, res = np.empty(ks.size), np.empty(ks.size)
     for _ in range(2):
@@ -495,7 +506,9 @@ def _predicted_eigenvalues(t: Tridiagonal, ks, guess):
     else:
         return None
     g = np.maximum(2.0 * res, 4.0 * _EPS * scale)
-    counts = _counts_below(t, np.column_stack([rho - g, rho + g]))
-    if not np.array_equal(counts, np.column_stack([ks - 1, ks]).ravel()):
+    lo, hi = rho - g, rho + g
+    if np.any(hi[:-1] >= lo[1:]):
         return None
-    return rho
+    if tuple(_counts_below(t, [lo[0], hi[-1]])) != (ks[0] - 1, ks[-1]):
+        return None
+    return rho, vecs

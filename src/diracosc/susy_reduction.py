@@ -289,7 +289,8 @@ def _seed(params, sigma, n, grid, branch):
     with delta 1e-4 max(|seed|, 1) and reach 25% of it, the E = 0 level
     (reach 0) only after an h^2 test; otherwise the first step on which an
     outward scan in steps of m/4 finds a sign change is the whole window and
-    the one bracket tried."""
+    the one bracket tried. From its third step on, the scan bisects eps_n
+    in a window on the line through the last two steps' eps."""
     if params.superpotential.family in (Family.LINEAR, Family.TANGENT):
         ep, em = analytic.level_energies(params, n + (1 + sigma) // 2)
         seed = ep if branch > 0 else em
@@ -308,14 +309,24 @@ def _seed(params, sigma, n, grid, branch):
     step = params.mass / 4.0 if params.mass > 0.0 else 0.25
     e_max = 100.0 * max(params.mass, 1.0)
     a = branch * 1e-6
-    fa = _level_f(params, sigma, n, grid, a)
+    _, eps_a, fa = _level_condition(params, sigma, n, grid, a)
+    slope = None
     k = 1
     while k * step <= e_max:
         b = branch * k * step
-        fb = _level_f(params, sigma, n, grid, b)
+        window = None
+        if slope is not None:
+            # from the third step on, eps_n continues the line through the
+            # last two steps, widened as _evaluator widens its tangent
+            move = slope * (b - a)
+            c = eps_a[0] + move
+            half = 0.5 * abs(move) + 1e-9 * max(abs(c), 1.0)
+            window = (c - half, c + half)
+        _, eps_b, fb = _level_condition(params, sigma, n, grid, b, window)
         if fa * fb <= 0.0:
             return 0.5 * (a + b), 0.5 * abs(b - a), 0.5 * abs(b - a)
-        a, fa = b, fb
+        slope = (eps_b[0] - eps_a[0]) / (b - a)
+        a, eps_a, fa = b, eps_b, fb
         k += 1
     raise BracketError(
         f"no sign change of the level condition on (0, {e_max:.3g}] for "

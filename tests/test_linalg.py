@@ -383,9 +383,14 @@ def test_predicted_eigenvalues_match_the_index_search(case, monkeypatch):
     monkeypatch.setattr(linalg, "_call", spy)
     for rel in (0.0, 1e-6, 1e-4, 1e-3):
         routines.clear()
-        got = _predicted_eigenvalues(t, ks, ref * (1.0 + rel * signs))
-        assert got is not None, rel
+        found = _predicted_eigenvalues(t, ks, ref * (1.0 + rel * signs))
+        assert found is not None, rel
+        got, vecs = found
         assert np.all(np.abs(got - ref) <= tol), (rel, np.max(np.abs(got - ref) / tol))
+        # the vectors are the eigenvectors of those values, in the same order
+        assert vecs.shape == (t.n, ks.size)
+        for j, lam in enumerate(got):
+            assert np.linalg.norm(t.matvec(vecs[:, j]) - lam * vecs[:, j]) <= 1e-9 * max(1.0, abs(lam))
         # no bisection; a guess as close as a grid's prediction (1e-5 or
         # nearer) takes one inverse iteration and one Sturm count
         assert "dstebz" not in routines
@@ -406,6 +411,58 @@ def test_predictions_that_miss_return_none():
     assert _predicted_eigenvalues(t, ks, ref[:-2]) is None
     assert _predicted_eigenvalues(t, ks, ref) is None
     assert _predicted_eigenvalues(t, [], []) is None
+    # indices that skip one: two counts cannot place the level between
+    assert _predicted_eigenvalues(t, ks[::2], ref[:-1:2]) is None
+
+
+# two close eigenvalues, 1 and 1 + 1e-10, and two far ones
+NEAR_PAIR = Tridiagonal(d=np.array([1.0, 1.0 + 1e-10, 3.0, 5.0]), e=np.zeros(3))
+
+
+def test_two_counts_certify_the_whole_span(monkeypatch):
+    counted = []
+    counts_below = linalg._counts_below
+
+    def spy(t, lams):
+        counted.append(len(lams))
+        return counts_below(t, lams)
+
+    monkeypatch.setattr(linalg, "_counts_below", spy)
+    found = _predicted_eigenvalues(NEAR_PAIR, [1, 2, 3, 4], [0.9, 1.1, 2.9, 5.2])
+    assert found is not None
+    # inverse iteration cannot split the pair at 1 from shifts 0.1 away, but
+    # its mixed vectors' Rayleigh quotients stay within 1e-11 of each level
+    assert np.all(np.abs(found[0] - [1.0, 1.0 + 1e-10, 3.0, 5.0]) <= 1e-11)
+    assert counted == [2]
+
+
+def test_overlapping_residual_intervals_are_refused(monkeypatch):
+    # both guesses' vectors converge to the pair at 1: e1 gives rho = 1 and
+    # (e1 + e2)/sqrt(2) rho = 1 + 5e-11 with residual 5e-11. The intervals
+    # overlap, while the counts read 0 below the lowest end and 2 below the
+    # highest, as for two levels
+    z = np.zeros((4, 2))
+    z[0, 0] = 1.0
+    z[:2, 1] = math.sqrt(0.5)
+    monkeypatch.setattr(linalg, "tridiagonal_eigenvectors", lambda t, lams: z.copy())
+    rho = [1.0, 1.0 + 5e-11]
+    g = 2.0 * 5e-11
+    assert _counts_below(NEAR_PAIR, [rho[0] - g, rho[1] + g]).tolist() == [0, 2]
+    assert _predicted_eigenvalues(NEAR_PAIR, [1, 2], rho) is None
+
+
+def test_a_span_count_off_by_one_is_refused():
+    # the eigenvalues at 3 and 5 are levels 3 and 4, not 2 and 3 (nor 4 and 5)
+    assert _predicted_eigenvalues(NEAR_PAIR, [3, 4], [3.0, 5.0]) is not None
+    assert _predicted_eigenvalues(NEAR_PAIR, [2, 3], [3.0, 5.0]) is None
+    wide = Tridiagonal(d=np.array([1.0, 2.0, 3.0, 5.0, 8.0]), e=np.zeros(4))
+    assert _predicted_eigenvalues(wide, [3, 4], [3.0, 5.0]) is not None
+    assert _predicted_eigenvalues(wide, [4, 5], [3.0, 5.0]) is None
+
+
+def test_rayleigh_quotients_out_of_index_order_are_refused():
+    # guesses swapped: each vector converges, but rho descends along ks
+    assert _predicted_eigenvalues(NEAR_PAIR, [3, 4], [5.0, 3.0]) is None
 
 
 def test_lapack_path_pinned_examples():

@@ -335,6 +335,57 @@ def test_table_fine_grid_fallback_keeps_the_scan_step():
     assert minus.err_est == pytest.approx(0.25, rel=1e-12)
 
 
+SCAN_XS = np.linspace(-10.0, 10.0, 801)
+SCAN_TABLES = {
+    "W=x": Superpotential.tabulated(SCAN_XS, SCAN_XS, np.ones_like(SCAN_XS)),
+    "W=sinh(x/3)": Superpotential.tabulated(SCAN_XS, np.sinh(SCAN_XS / 3.0),
+                                            np.cosh(SCAN_XS / 3.0) / 3.0),
+}
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.3, -0.5])
+@pytest.mark.parametrize("table", list(SCAN_TABLES))
+def test_table_scan_steps_take_windows_from_the_last_two(monkeypatch, table, kappa):
+    # from its third step on, a table's outward scan bisects eps_n in a
+    # window on the line through the last two steps' eps, and takes range I
+    # only where the counts refuse that window: here at most twice a scan
+    params = PhysicalParams(mass=1.0, kappa=kappa, superpotential=SCAN_TABLES[table])
+    grid = Grid(half_width=8.0, n=400)
+    labels = [(-1, 0), (-1, 1), (1, 0), (-1, 2)]
+    scanning, steps = [False], []
+    call, seed = linalg._call, susy_reduction._seed
+
+    def spy(name, *args):
+        if name == "dstebz" and scanning[0]:
+            steps[-1].append(args[0][0].decode())
+        return call(name, *args)
+
+    def scan(*args):
+        scanning[0] = True
+        steps.append([])
+        try:
+            return seed(*args)
+        finally:
+            scanning[0] = False
+
+    monkeypatch.setattr(linalg, "_call", spy)
+    monkeypatch.setattr(susy_reduction, "_seed", scan)
+    windowed = [susy_reduction._solve_level(params, sigma, n, grid) for sigma, n in labels]
+    assert len(steps) == 2 * len(labels)
+    for ranges in steps:
+        assert len(ranges) >= 5 and ranges[:2] == ["I", "I"], ranges
+        assert ranges.count("I") <= 4, ranges
+    # the same solve with every eigenvalue taken by the index search
+    indexed = susy_reduction._indexed_eigenvalues
+    monkeypatch.setattr(susy_reduction, "_indexed_eigenvalues",
+                        lambda t, ks, window=None: indexed(t, ks))
+    for (sigma, n), records in zip(labels, windowed):
+        for rec, ref in zip(records, susy_reduction._solve_level(params, sigma, n, grid)):
+            assert (rec.branch, rec.sigma, rec.n, rec.converged) == (
+                ref.branch, ref.sigma, ref.n, ref.converged)
+            assert abs(rec.E - ref.E) <= 1e-12 * max(1.0, abs(ref.E))
+
+
 CERTIFIED = [linear_params(0.4), linear_params(-0.4), tan_params(0.5), tan_params(-0.3)]
 LABELS = [label for k in range(3) for label in level_labels(1, k)]
 
