@@ -227,86 +227,73 @@ def _epsilon_of(E: float, params: PhysicalParams) -> float:
     return E * E / omk - params.mass**2
 
 
-def _record_sort_key(rec: SpectrumRecord):
-    return (abs(rec.E), -rec.branch, rec.sigma)
-
-
 def _settled(err, values, tol):
     """The converged flag: the move between rounds is at most tol relative
     to max(|E|, 1)."""
     return err <= tol * np.maximum(np.abs(values), 1.0)
 
 
-def _build_records(params, e_neg, e_pos, errs=(None, None), tol=None):
-    """Expand signed eigenvalue lists into label-view SpectrumRecords.
+def _build_records(params, e_neg, e_pos, states, errs=(None, None), tol=None):
+    """(record, state) pairs of signed eigenvalue lists, one record per label
+    view, sorted by (|E|, -branch, sigma).
 
-    errs holds each branch's move between the last two rounds, (err_neg,
-    err_pos) parallel to the values, or None for a branch without one; a
-    level is converged when _settled at tol. Returns records plus a parallel
-    list of (branch, ordinal) provenance used to attach states.
+    states holds each branch's states, (states_neg, states_pos) parallel to
+    the values as _states_for returns them; the two label views of a level
+    share its state. errs holds each branch's move between the last two
+    rounds, (err_neg, err_pos) parallel to the values, or None for a branch
+    without one; a level is converged when _settled at tol.
     """
     # zero modes are snapped to 0, so that the record's sign check sees none
     snap = _zero_tol(params)
-    records = []
-    origins = []
-    err_neg, err_pos = errs
-    for branch, values, err in ((1, e_pos, err_pos), (-1, e_neg, err_neg)):
+    pairs = []
+    for branch, values, branch_states, err in ((1, e_pos, states[1], errs[1]),
+                                               (-1, e_neg, states[0], errs[0])):
         flags = _settled(err, values, tol) if err is not None else [False] * len(values)
         # the j-th eigenvalue from E = 0 is the j-th level the branch holds
         held = (k for k in itertools.count() if level_labels(branch, k))
-        for j, (raw, n_sigma) in enumerate(zip(values, held)):
+        for j, (raw, n_sigma, state) in enumerate(zip(values, held, branch_states)):
             val = 0.0 if abs(float(raw)) <= snap else float(raw)
             flag = bool(flags[j])
             estimate = float(err[j]) if err is not None else None
             for sigma, n in level_labels(branch, n_sigma):
-                records.append(
-                    SpectrumRecord(
-                        route="dirac",
-                        branch=branch,
-                        sigma=sigma,
-                        n=n,
-                        E=float(val),
-                        epsilon=_epsilon_of(float(val), params),
-                        converged=flag,
-                        err_est=estimate,
-                    )
-                )
-                origins.append((branch, j))
-    order = sorted(range(len(records)), key=lambda i: _record_sort_key(records[i]))
-    return [records[i] for i in order], [origins[i] for i in order]
+                record = SpectrumRecord(route="dirac", branch=branch, sigma=sigma, n=n, E=val,
+                                        epsilon=_epsilon_of(val, params), converged=flag,
+                                        err_est=estimate)
+                pairs.append((record, state))
+    pairs.sort(key=lambda pair: (abs(pair[0].E), -pair[0].branch, pair[0].sigma))
+    return pairs
 
 
-def _states_for(params, grid, t, e_neg, e_pos, vecs=None):
-    """Eigenvectors for the given eigenvalues on the grid points (upper
-    component averaged over its two neighbours), gauge restored and
-    normalized; keyed by (branch, ordinal). `vecs` holds them as columns in
-    ascending order of E, as _lattice_eigenvalues returns them; None takes
-    them from one dstein call."""
+def _states_for(grid, t, e_neg, e_pos, vecs=None):
+    """Each branch's states, (states_neg, states_pos) parallel to e_neg and
+    e_pos: the eigenvectors on the grid points (upper component averaged over
+    its two neighbours), gauge restored and normalized. `vecs` holds them as
+    columns in ascending order of E, as _lattice_eigenvalues returns them;
+    None takes them from one dstein call."""
     lams = np.concatenate([np.asarray(e_neg)[::-1], np.asarray(e_pos)])
-    keys = [(-1, j) for j in reversed(range(len(e_neg)))] + [(1, j) for j in range(len(e_pos))]
     if vecs is None:
         vecs = tridiagonal_eigenvectors(t, lams)
-    states = {}
-    for col, (key, lam) in enumerate(zip(keys, lams)):
+    states = []
+    for col, lam in enumerate(lams):
         z = vecs[:, col]
         psi1 = (0.5 * (z[0:-1:2] + z[2::2])).astype(complex)
         psi2 = -1j * z[1::2]
-        states[key] = SpinorState.from_samples(lam, psi1, psi2, grid)
-    return states
+        states.append(SpinorState.from_samples(lam, psi1, psi2, grid))
+    k = len(e_neg)
+    return states[:k][::-1], states[k:]
 
 
 def dirac_spectrum(params: PhysicalParams, grid: Grid, count: int):
     """The `count` smallest-|E| eigenpairs of each sign on one grid, as
-    (record, state) pairs sorted by |E| (records expanded per label view;
-    aliased records share one state). converged=False on every record:
-    Richardson extrapolation and box convergence are converge_box_full's job.
+    _build_records' (record, state) pairs: sorted by |E|, one record per
+    label view, and the two views of a level share one state.
+    converged=False on every record: Richardson extrapolation and box
+    convergence are converge_box_full's job.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     t, e_neg, e_pos, vecs = _lattice_eigenvalues(params, grid, count)
-    records, origins = _build_records(params, e_neg, e_pos)
-    states = _states_for(params, grid, t, e_neg, e_pos, vecs)
-    return [(rec, states[origin]) for rec, origin in zip(records, origins)]
+    return _build_records(params, e_neg, e_pos, _states_for(grid, t, e_neg, e_pos, vecs))
 
 
 @dataclass(frozen=True)
@@ -427,7 +414,7 @@ def _converge(params, count, tol, base):
     # every later grid is predicted from the grids solved before it
     t, e_neg, e_pos, vecs = _lattice_eigenvalues(params, base, count)
     solved = {base: (e_neg, e_pos)}
-    state_map = _states_for(params, base, t, e_neg, e_pos, vecs)
+    states = _states_for(base, t, e_neg, e_pos, vecs)
     del t, vecs
     nxt = round_grid(base)
     # round 1 runs whenever it fits, so its pair is solved along with the
@@ -448,9 +435,8 @@ def _converge(params, count, tol, base):
             break
         nxt = round_grid(nxt)
 
-    records, origins = _build_records(params, *levels, errs, tol)
-    states = tuple(state_map[origin] for origin in origins)
-    return ConvergeResult(records=tuple(records), states=states, base_grid=base, rounds=rounds)
+    records, states = zip(*_build_records(params, *levels, states, errs, tol))
+    return ConvergeResult(records=records, states=states, base_grid=base, rounds=rounds)
 
 
 def _solve_pairs(params, count, grids, solved):

@@ -117,18 +117,15 @@ def spin_eigensystem(kappa: float) -> tuple[SpinEigenpair, SpinEigenpair]:
 class EffectiveSuperpotential:
     """The energy-instantiated superpotential Weff = scale * W + offset of the
     reduced problem, scale = sqrt(1-kappa^2), offset = kappa E/sqrt(1-kappa^2).
-    The certified families' own parameters stay as data (linear: slope *
-    (x + x0); trigonometric: alpha tan x + beta)."""
+    On the certified families this is the paper's form: the linear
+    W = w1 x gives Weff = slope (x + x0), with slope = scale w1 and
+    x0 = kappa E/(w1 (1-kappa^2)), and the trigonometric W = alpha0 tan x
+    gives Weff = alpha tan x + beta, with alpha = scale alpha0 and
+    beta = offset."""
 
     base: Superpotential
-    kappa: float
-    E: float
     scale: float
     offset: float
-    slope: float | None = None
-    x0: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
 
     def values(self, x):
         """(Weff(x), Weff'(x)) from one evaluation of W."""
@@ -139,23 +136,10 @@ class EffectiveSuperpotential:
 def effective_superpotential(
     sp: Superpotential, kappa: float, E: float
 ) -> EffectiveSuperpotential:
-    """Instantiate Weff = sqrt(1-kappa^2) (W + kappa E/(1-kappa^2)) with the
-    family-specific parameters filled in. Raises CriticalFieldError for
-    |kappa| >= 1."""
-    omk = require_subcritical(kappa)
-    scale = math.sqrt(omk)
-    offset = kappa * E / scale
-    slope = x0 = alpha = beta = None
-    if sp.family is Family.LINEAR:
-        slope = scale * sp.w1
-        x0 = kappa * E / (sp.w1 * omk)
-    elif sp.family is Family.TANGENT:
-        alpha = scale * sp.alpha0
-        beta = offset
-    return EffectiveSuperpotential(
-        base=sp, kappa=kappa, E=E, scale=scale, offset=offset,
-        slope=slope, x0=x0, alpha=alpha, beta=beta,
-    )
+    """Instantiate Weff = sqrt(1-kappa^2) (W + kappa E/(1-kappa^2)). Raises
+    CriticalFieldError for |kappa| >= 1."""
+    scale = math.sqrt(require_subcritical(kappa))
+    return EffectiveSuperpotential(base=sp, scale=scale, offset=kappa * E / scale)
 
 
 def epsilon_from_E(E: float, kappa: float, m: float) -> float:
@@ -223,19 +207,6 @@ def _level_condition(params, sigma, n, grid, E, window=None):
     return t, eps, float(eps[0]) - (E * E / omk - params.mass**2)
 
 
-def _level_f(params, sigma, n, grid, E):
-    """f(E) alone."""
-    return _level_condition(params, sigma, n, grid, E)[2]
-
-
-def _level_f_slope(params, sigma, n, grid, w, E, window=None):
-    """(f(E), f'(E)), with w the base superpotential W on the grid. The slope
-    takes the level's eigenvector from one dstein call on the same operator."""
-    t, eps, f = _level_condition(params, sigma, n, grid, E, window)
-    phi = tridiagonal_eigenvectors(t, eps)[:, 0]
-    return f, _hf_slope(params.kappa, phi, w, E)
-
-
 def _root_window(params, E):
     """A window for epsilon_n at E when E is near a root, where f(E) = 0 puts
     epsilon_n at E^2/(1-kappa^2) - m^2: that value +- 1e-3 of itself (or of 1)."""
@@ -244,64 +215,66 @@ def _root_window(params, E):
     return c - half, c + half
 
 
-def _evaluator(params, sigma, n, grid):
-    """evaluate(E) = (f(E), f'(E)) on one grid, for one root search. Each
-    evaluation passes a window for epsilon_n: the first _root_window, each
-    later one the tangent line of epsilon_n at the last evaluation E0,
-    c = eps0 + eps0' (E - E0), widened by half its step and 1e-9 of itself,
-    with eps0' = f'(E0) + 2 E0/(1-kappa^2)."""
+def _line_window(e0, eps0, slope0, E):
+    """A window for epsilon_n at E on the line c = eps0 + slope0 (E - e0),
+    widened by half its step and 1e-9 of itself."""
+    step = slope0 * (E - e0)
+    c = eps0 + step
+    half = 0.5 * abs(step) + 1e-9 * max(abs(c), 1.0)
+    return c - half, c + half
+
+
+def _evaluator(params, sigma, n, grid, line=None):
+    """evaluate(E) = (f(E), f'(E)) on one grid, for one root search.
+
+    f is _level_condition's. f' is the Hellmann-Feynman slope (Feynman,
+    Phys. Rev. 56 (1939) 340), with phi the level's unit eigenvector from one
+    dstein call on the same operator: only its Weff^2 term depends on E,
+    through dWeff/dE = kappa/sqrt(1-kappa^2), so with
+    Weff = sqrt(1-kappa^2) W + kappa E/sqrt(1-kappa^2) and the E^2/(1-kappa^2)
+    of the right side, f' = 2 kappa <phi|W|phi> - 2E, exact for the lattice
+    operator, whose diagonal carries Weff^2 pointwise.
+
+    Each evaluation bisects epsilon_n in a _line_window on the tangent of
+    epsilon_n at the last evaluation E0, of slope eps0' = f'(E0) +
+    2 E0/(1-kappa^2). The first takes `line`, an (E0, eps0, slope) triple,
+    or with none _root_window."""
     w = eval_superpotential(params.superpotential, grid.x)[0]
     omk = 1.0 - params.kappa**2
-    last = []
+    last = list(line or ())
 
     def evaluate(E):
-        if last:
-            e0, eps0, slope0 = last
-            step = slope0 * (E - e0)
-            c = eps0 + step
-            half = 0.5 * abs(step) + 1e-9 * max(abs(c), 1.0)
-            window = (c - half, c + half)
-        else:
-            window = _root_window(params, E)
-        f, fp = _level_f_slope(params, sigma, n, grid, w, E, window)
+        window = _line_window(*last, E) if last else _root_window(params, E)
+        t, eps, f = _level_condition(params, sigma, n, grid, E, window)
+        phi = tridiagonal_eigenvectors(t, eps)[:, 0]
+        fp = 2.0 * params.kappa * float(np.dot(phi * phi, w)) - 2.0 * E
         last[:] = E, f + (E * E / omk - params.mass**2), fp + 2.0 * E / omk
         return f, fp
 
     return evaluate
 
 
-def _hf_slope(kappa, phi, w, E):
-    """f'(E) by the Hellmann-Feynman theorem (Feynman, Phys. Rev. 56 (1939)
-    340). Only the Weff^2 term of the operator depends on E, through
-    dWeff/dE = kappa/sqrt(1-kappa^2), so d epsilon/dE is
-    <phi|2 kappa Weff/sqrt(1-kappa^2)|phi>. With
-    Weff = sqrt(1-kappa^2) W + kappa E/sqrt(1-kappa^2) and the E^2/(1-kappa^2)
-    of the right side, f' = 2 kappa <phi|W|phi> - 2E. This is exact for the
-    lattice operator, whose diagonal carries Weff^2 pointwise; phi has unit
-    norm."""
-    return 2.0 * kappa * float(np.dot(phi * phi, w)) - 2.0 * E
-
-
 def _seed(params, sigma, n, grid, branch):
-    """(seed, delta, reach) of one branch's root search: Newton steps from
-    seed within seed +- reach, then brackets from seed +- delta out to
-    seed +- reach (see _root). Certified families start at the closed form
-    with delta 1e-4 max(|seed|, 1) and reach 25% of it, the E = 0 level
-    (reach 0) only after an h^2 test; otherwise the first step on which an
-    outward scan in steps of m/4 finds a sign change is the whole window and
-    the one bracket tried. From its third step on, the scan bisects eps_n
-    in a window on the line through the last two steps' eps."""
+    """(seed, delta, reach, line) of one branch's root search: Newton steps
+    from seed within seed +- reach, then brackets from seed +- delta out to
+    seed +- reach (see _root), the first evaluation's window on `line` (see
+    _evaluator). Certified families start at the closed form with delta
+    1e-4 max(|seed|, 1), reach 25% of it and no line, the E = 0 level
+    (reach 0) only after an h^2 test. Otherwise an outward scan in steps of
+    m/4 bisects eps_n, from its third step on in a window on the line
+    through the last two steps' eps; the first step with a sign change is
+    the whole window, the one bracket tried, and its two eps give the line."""
     if params.superpotential.family in (Family.LINEAR, Family.TANGENT):
         ep, em = analytic.level_energies(params, n + (1 + sigma) // 2)
         seed = ep if branch > 0 else em
         if seed != 0.0:
-            return seed, 1e-4 * max(abs(seed), 1.0), 0.25 * abs(seed)
+            return seed, 1e-4 * max(abs(seed), 1.0), 0.25 * abs(seed), None
         # the E=0 level: the condition must already hold there up to the
         # lattice's h^2 bias, which the nested h/2 grid divides by 4
-        f0 = _level_f(params, sigma, n, grid, 0.0)
-        f0_fine = _level_f(params, sigma, n, grid.refined(), 0.0)
+        f0 = _level_condition(params, sigma, n, grid, 0.0)[2]
+        f0_fine = _level_condition(params, sigma, n, grid.refined(), 0.0)[2]
         if abs(4.0 * f0_fine - f0) <= abs(f0 - f0_fine):
-            return 0.0, 0.0, 0.0
+            return 0.0, 0.0, 0.0, None
         raise BracketError(
             f"level condition fails at the E=0 seed for (sigma={sigma}, "
             f"n={n}): f(0) = {f0:.3g}, {f0_fine:.3g} on the h/2 grid"
@@ -314,18 +287,14 @@ def _seed(params, sigma, n, grid, branch):
     k = 1
     while k * step <= e_max:
         b = branch * k * step
-        window = None
-        if slope is not None:
-            # from the third step on, eps_n continues the line through the
-            # last two steps, widened as _evaluator widens its tangent
-            move = slope * (b - a)
-            c = eps_a[0] + move
-            half = 0.5 * abs(move) + 1e-9 * max(abs(c), 1.0)
-            window = (c - half, c + half)
+        # from the third step on, eps_n continues the line through the last
+        # two steps, widened as _evaluator widens its tangent
+        window = None if slope is None else _line_window(a, eps_a[0], slope, b)
         _, eps_b, fb = _level_condition(params, sigma, n, grid, b, window)
-        if fa * fb <= 0.0:
-            return 0.5 * (a + b), 0.5 * abs(b - a), 0.5 * abs(b - a)
         slope = (eps_b[0] - eps_a[0]) / (b - a)
+        if fa * fb <= 0.0:
+            half = 0.5 * abs(b - a)
+            return 0.5 * (a + b), half, half, (a, eps_a[0], slope)
         a, eps_a, fa = b, eps_b, fb
         k += 1
     raise BracketError(
@@ -422,15 +391,15 @@ def _solve_branch(params, sigma, n, grid, branch):
     solves, the two searches take 4-6 evaluations in all. The E = 0 level is
     exact by symmetry. A root missing within reach on the h/2 grid keeps e1,
     unconverged, with the base-grid window 2 reach as err_est."""
-    seed, delta, reach = _seed(params, sigma, n, grid, branch)
+    seed, delta, reach, line = _seed(params, sigma, n, grid, branch)
     if reach == 0.0:
         # the E=0 seed: f is even there, so no bracket around it can exist
         return seed, 0.0, True
 
-    def search(g, seed, delta, reach):
-        return _root(_evaluator(params, sigma, n, g), seed, delta, reach, _f_floor(g))
+    def search(g, seed, delta, reach, line=None):
+        return _root(_evaluator(params, sigma, n, g, line), seed, delta, reach, _f_floor(g))
 
-    e1 = search(grid, seed, delta, reach)
+    e1 = search(grid, seed, delta, reach, line)
     if e1 is None:
         raise BracketError(f"no sign change within {reach:.3g} of the seed {seed:.6g} "
                            f"for (sigma={sigma}, n={n}); no such bound level")
@@ -451,9 +420,8 @@ def solve_nonlinear_level(
     epsilon_n is the n-th ascending eigenvalue of the instantiated operator,
     fetched by sorted index at every E so the root-finder always sees the
     same level regardless of step size. The root is found by Newton steps
-    with the Hellmann-Feynman slope f'(E) = 2 kappa <phi|W|phi> - 2E (phi the
-    level's unit eigenvector) from a seed, the closed form for the certified
-    families. Once f changes sign between two steps, each evaluation narrows
+    with the Hellmann-Feynman slope of _evaluator from a seed, the closed
+    form for the certified families. Once f changes sign between two steps, each evaluation narrows
     that bracket, and a step that would leave it is a bisection step; when
     the steps leave the seed's reach first, a sign-change bracket widened
     around the seed takes their place. Returns (plus,

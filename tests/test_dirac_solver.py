@@ -4,6 +4,8 @@ import logging
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -131,6 +133,24 @@ def test_spectrum_record_bookkeeping():
     for rec, st in pairs:
         by_E.setdefault(rec.E, set()).add(id(st))
     assert all(len(ids) == 1 for ids in by_E.values())
+
+
+@pytest.mark.parametrize("params", [linear_params(0.4), tan_params(0.5)], ids=["linear", "tan"])
+def test_converged_records_carry_their_base_grid_states(params):
+    # each record's state is the base grid's state of its level, the one
+    # dirac_spectrum gives on that grid, and the label views of one level
+    # share one state object
+    grid = default_grid(params, n=500)
+    res = converge_box_full(params, 3, grid=grid)
+    base = {(r.branch, r.sigma, r.n): st for r, st in dirac_spectrum(params, grid, 3)}
+    shared = {}
+    for rec, st in zip(res.records, res.states):
+        ref = base[(rec.branch, rec.sigma, rec.n)]
+        assert (st.E, st.psi1.tobytes(), st.psi2.tobytes()) == (
+            ref.E, ref.psi1.tobytes(), ref.psi2.tobytes())
+        shared.setdefault((rec.branch, rec.n_sigma), set()).add(id(st))
+    assert res.rounds >= 1 and len(res.records) > len(shared)
+    assert all(len(ids) == 1 for ids in shared.values())
 
 
 def test_spectrum_argument_validation():
@@ -559,6 +579,17 @@ def cpus(monkeypatch):
     for pool in pools:
         if pool is not None:
             pool.shutdown()
+
+
+def test_importing_the_package_leaves_the_pool_unimported():
+    # _helpers imports concurrent.futures on first use, so that a process
+    # that never solves two grids at once does not pay for it at import
+    code = "import sys, diracosc\nassert 'concurrent.futures' not in sys.modules\n"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dirac_solver.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 def _fingerprint(res):

@@ -20,7 +20,6 @@ from diracosc.model import (
     Grid,
     PhysicalParams,
     Superpotential,
-    eval_superpotential,
     level_labels,
 )
 from diracosc.susy_reduction import (
@@ -95,18 +94,37 @@ def test_effective_superpotential_identity_at_zero_coupling():
         np.testing.assert_allclose(weff.values(xs_in)[0], w, atol=1e-12)
 
 
+def paper_linear_form(w1, kappa, E):
+    """The paper's Weff = slope (x + x0) for W = w1 x: (slope, x0)."""
+    return math.sqrt(1.0 - kappa**2) * w1, kappa * E / (w1 * (1.0 - kappa**2))
+
+
+def paper_tangent_form(alpha0, kappa, E):
+    """The paper's Weff = alpha tan x + beta for W = alpha0 tan x: (alpha, beta)."""
+    return math.sqrt(1.0 - kappa**2) * alpha0, kappa * E / math.sqrt(1.0 - kappa**2)
+
+
 def test_effective_superpotential_linear_worked_values():
     weff = effective_superpotential(Superpotential.linear(1.0), 0.6, 1.0)
-    assert weff.slope == pytest.approx(0.8, abs=1e-15)
-    assert weff.x0 == pytest.approx(0.9375, abs=1e-15)
+    slope, x0 = paper_linear_form(1.0, 0.6, 1.0)
+    assert slope == pytest.approx(0.8, abs=1e-15)
+    assert x0 == pytest.approx(0.9375, abs=1e-15)
     xs = np.linspace(-3.0, 3.0, 7)
-    np.testing.assert_allclose(weff.values(xs)[0], 0.8 * xs + 0.75, atol=1e-14)
+    w, wp = weff.values(xs)
+    np.testing.assert_allclose(w, 0.8 * xs + 0.75, atol=1e-14)
+    np.testing.assert_allclose(w, slope * (xs + x0), atol=1e-14)
+    np.testing.assert_allclose(wp, slope, atol=1e-15)
 
 
 def test_effective_superpotential_tangent_worked_values():
     weff = effective_superpotential(Superpotential.tangent(5.0), 0.5, 2.0)
-    assert weff.alpha == pytest.approx(4.330127, abs=1e-6)
-    assert weff.beta == pytest.approx(1.154701, abs=1e-6)
+    alpha, beta = paper_tangent_form(5.0, 0.5, 2.0)
+    assert alpha == pytest.approx(4.330127, abs=1e-6)
+    assert beta == pytest.approx(1.154701, abs=1e-6)
+    xs = np.linspace(-1.4, 1.4, 7)
+    w, wp = weff.values(xs)
+    np.testing.assert_allclose(w, alpha * np.tan(xs) + beta, atol=1e-12)
+    np.testing.assert_allclose(wp, alpha / np.cos(xs) ** 2, rtol=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -123,11 +141,13 @@ def test_family_form_matches_generic_form(sp, kappa, E):
     xs = np.linspace(-4.0, 4.0, 401) if sp.family.value == "linear" else np.linspace(
         -1.4, 1.4, 401
     )
-    # the families' own forms are the reference for the generic one
+    # the paper's family forms are the reference for the generic one
     if sp.family.value == "linear":
-        family_form = weff.slope * (xs + weff.x0)
+        slope, x0 = paper_linear_form(sp.w1, kappa, E)
+        family_form = slope * (xs + x0)
     else:
-        family_form = weff.alpha * np.tan(xs) + weff.beta
+        alpha, beta = paper_tangent_form(sp.alpha0, kappa, E)
+        family_form = alpha * np.tan(xs) + beta
     np.testing.assert_allclose(weff.values(xs)[0], family_form, atol=1e-12)
 
 
@@ -348,16 +368,18 @@ SCAN_TABLES = {
 def test_table_scan_steps_take_windows_from_the_last_two(monkeypatch, table, kappa):
     # from its third step on, a table's outward scan bisects eps_n in a
     # window on the line through the last two steps' eps, and takes range I
-    # only where the counts refuse that window: here at most twice a scan
+    # only where the counts refuse that window: here at most twice a scan.
+    # The root search opens on the line through the last step's two eps, so
+    # it takes no range I at all
     params = PhysicalParams(mass=1.0, kappa=kappa, superpotential=SCAN_TABLES[table])
     grid = Grid(half_width=8.0, n=400)
     labels = [(-1, 0), (-1, 1), (1, 0), (-1, 2)]
-    scanning, steps = [False], []
+    scanning, steps, roots = [False], [], []
     call, seed = linalg._call, susy_reduction._seed
 
     def spy(name, *args):
-        if name == "dstebz" and scanning[0]:
-            steps[-1].append(args[0][0].decode())
+        if name == "dstebz":
+            (steps[-1] if scanning[0] else roots).append(args[0][0].decode())
         return call(name, *args)
 
     def scan(*args):
@@ -375,6 +397,7 @@ def test_table_scan_steps_take_windows_from_the_last_two(monkeypatch, table, kap
     for ranges in steps:
         assert len(ranges) >= 5 and ranges[:2] == ["I", "I"], ranges
         assert ranges.count("I") <= 4, ranges
+    assert roots and set(roots) == {"V"}, roots
     # the same solve with every eigenvalue taken by the index search
     indexed = susy_reduction._indexed_eigenvalues
     monkeypatch.setattr(susy_reduction, "_indexed_eigenvalues",
@@ -456,45 +479,46 @@ SLOPE_CASES = {
 @pytest.mark.parametrize("case", list(SLOPE_CASES))
 def test_hellmann_feynman_slope_matches_central_difference(case):
     params, grid = SLOPE_CASES[case]
-    w, _ = eval_superpotential(params.superpotential, grid.x)
     d = 1e-3
     for sigma, n in ((-1, 0), (-1, 1), (1, 0), (1, 1)):
+
+        def f(E):
+            return susy_reduction._level_condition(params, sigma, n, grid, E)[2]
+
         for E in (0.9, 1.6, 2.3):
-            f, slope = susy_reduction._level_f_slope(params, sigma, n, grid, w, E)
-            assert f == susy_reduction._level_f(params, sigma, n, grid, E)
-            central = (susy_reduction._level_f(params, sigma, n, grid, E + d)
-                       - susy_reduction._level_f(params, sigma, n, grid, E - d)) / (2.0 * d)
+            # a first evaluation, so its f is that of the same eigenvalue
+            f_e, slope = susy_reduction._evaluator(params, sigma, n, grid)(E)
+            assert f_e == pytest.approx(f(E), rel=0.0, abs=susy_reduction._f_floor(grid))
+            central = (f(E + d) - f(E - d)) / (2.0 * d)
             assert slope == pytest.approx(central, rel=1e-6)
 
 
-HF_SLOPE = susy_reduction._hf_slope
-BAD_SLOPES = {"zero": lambda kappa, phi, w, E: 0.0,
-              "wrong sign": lambda kappa, phi, w, E: -HF_SLOPE(kappa, phi, w, E)}
+# an evaluator's (f, f') with its slope replaced
+BAD_SLOPES = {"zero": lambda f, fp: (f, 0.0), "wrong sign": lambda f, fp: (f, -fp)}
 
 
 @pytest.mark.parametrize("bad", list(BAD_SLOPES))
 @pytest.mark.parametrize("kappa", [0.4, -0.4])
-def test_bad_slope_still_finds_the_root_by_bisection(kappa, bad, monkeypatch):
+def test_bad_slope_still_finds_the_root_by_bisection(kappa, bad):
     params = linear_params(kappa)
     grid = Grid(half_width=20.0, n=2000)
-    w, _ = eval_superpotential(params.superpotential, grid.x)
+    floor = susy_reduction._f_floor(grid)
     calls = []
     for sigma, n in LABELS:
-
-        def evaluate(E):
-            calls.append(E)
-            return susy_reduction._level_f_slope(params, sigma, n, grid, w, E)
-
         x = susy_reduction._seed(params, sigma, n, grid, 1)[0]
         a, b = 0.75 * x, 1.25 * x
-        fa = susy_reduction._level_f(params, sigma, n, grid, a)
-        fb = susy_reduction._level_f(params, sigma, n, grid, b)
-        floor = susy_reduction._f_floor(grid)
+        fa = susy_reduction._level_condition(params, sigma, n, grid, a)[2]
+        fb = susy_reduction._level_condition(params, sigma, n, grid, b)[2]
+        evaluate = susy_reduction._evaluator(params, sigma, n, grid)
         good = susy_reduction._safe_newton(evaluate, a, b, fa, fb, x, *evaluate(x), floor)
-        with monkeypatch.context() as patch:
-            patch.setattr(susy_reduction, "_hf_slope", BAD_SLOPES[bad])
-            calls.clear()
-            root = susy_reduction._safe_newton(evaluate, a, b, fa, fb, x, *evaluate(x), floor)
+        evaluate = susy_reduction._evaluator(params, sigma, n, grid)
+
+        def spy(E):
+            calls.append(E)
+            return BAD_SLOPES[bad](*evaluate(E))
+
+        calls.clear()
+        root = susy_reduction._safe_newton(spy, a, b, fa, fb, x, *spy(x), floor)
         # halving a bracket of width E/2 down to 1e-12 E takes about 40 steps
         assert len(calls) > 30
         assert root == pytest.approx(good, rel=1e-12, abs=0.0)
@@ -502,24 +526,22 @@ def test_bad_slope_still_finds_the_root_by_bisection(kappa, bad, monkeypatch):
 
 @pytest.mark.parametrize("bad", list(BAD_SLOPES))
 @pytest.mark.parametrize("kappa", [0.4, -0.4])
-def test_bad_slope_root_search_falls_back_to_the_widening_bracket(kappa, bad, monkeypatch):
+def test_bad_slope_root_search_falls_back_to_the_widening_bracket(kappa, bad):
     params = linear_params(kappa)
     grid = Grid(half_width=20.0, n=2000)
     floor = susy_reduction._f_floor(grid)
     for sigma, n in LABELS:
-        seed, delta, reach = susy_reduction._seed(params, sigma, n, grid, 1)
-        good = susy_reduction._root(susy_reduction._evaluator(params, sigma, n, grid),
+        seed, delta, reach, line = susy_reduction._seed(params, sigma, n, grid, 1)
+        good = susy_reduction._root(susy_reduction._evaluator(params, sigma, n, grid, line),
                                     seed, delta, reach, floor)
-        evaluate = susy_reduction._evaluator(params, sigma, n, grid)
+        evaluate = susy_reduction._evaluator(params, sigma, n, grid, line)
         calls = []
 
         def spy(E):
             calls.append(E)
-            return evaluate(E)
+            return BAD_SLOPES[bad](*evaluate(E))
 
-        with monkeypatch.context() as patch:
-            patch.setattr(susy_reduction, "_hf_slope", BAD_SLOPES[bad])
-            root = susy_reduction._root(spy, seed, delta, reach, floor)
+        root = susy_reduction._root(spy, seed, delta, reach, floor)
         # Newton steps from the seed gave up, and the widening search ran;
         # its bisection stops on a step of 1e-12 max(1, |E|)
         assert seed - delta in calls and seed + delta in calls
