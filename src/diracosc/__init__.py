@@ -12,8 +12,8 @@ Three independent routes to the same spectrum:
   (:mod:`diracosc.susy_reduction`).
 
 Shared domain types live in :mod:`diracosc.model`, the symmetric
-tridiagonal eigensolver kernels (LAPACK in production, an in-repo oracle
-beside it) in :mod:`diracosc.linalg`, and the command-line front end
+tridiagonal eigensolver kernel (LAPACK eigenvalues, Sturm counts and
+eigenvectors) in :mod:`diracosc.linalg`, and the command-line front end
 in :mod:`diracosc.cli` (installed as ``diracosc``).
 """
 

@@ -210,8 +210,6 @@ def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
         return f"{x:.15g}"
     return str(x)
 

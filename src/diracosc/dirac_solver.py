@@ -66,7 +66,7 @@ levels predicted to O(h^2) by the finest grid solved before them, and fall
 back to the coarse bisection only when a prediction misses: when the box
 widens past where the levels have settled (linear kappa 0.999 at L = 20, or
 a box of L = 3). A grid whose coarse guess misses too takes the full index
-search, and its states their own dstein call. Each fallback logs a DEBUG
+search, and its vectors their own dstein call. Each fallback logs a DEBUG
 record on this module's logger, with the grid's rows and the step that
 missed.
 
@@ -96,9 +96,9 @@ import numpy as np
 from .errors import DomainError, ResourceError
 from .linalg import (
     Tridiagonal,
-    _counts_below,
     _indexed_eigenvalues,
     _predicted_eigenvalues,
+    sturm_count,
     tridiagonal_eigenvectors,
 )
 from .model import (
@@ -182,18 +182,18 @@ def assemble_dirac_matrix(params: PhysicalParams, grid: Grid) -> Tridiagonal:
 def _lattice_eigenvalues(params, grid, count, guess=None):
     """The `count` smallest-|E| eigenvalues of each sign, and their vectors.
 
-    Returns (tridiagonal, E_neg, E_pos, vectors); E_pos ascending (closest to
-    zero first), E_neg descending (closest to zero first), and the vectors
-    as columns in ascending order of E, or None. The values and
-    vectors come from one certified linalg._predicted_eigenvalues call at
-    `guess`, another grid's (E_neg, E_pos), or, with no guess or when it
-    misses, at the values a range-I bisection gives to within _COARSE_TOL.
-    When that misses too, the values come from the full-accuracy index
-    search and the vectors are None. Each fallback logs a DEBUG record.
+    Returns (E_neg, E_pos, vectors); E_pos ascending (closest to zero
+    first), E_neg descending (closest to zero first), and the vectors as
+    columns in ascending order of E. The values and vectors come from one
+    certified linalg._predicted_eigenvalues call at `guess`, another grid's
+    (E_neg, E_pos), or, with no guess or when it misses, at the values a
+    range-I bisection gives to within _COARSE_TOL. When that misses too, the
+    values come from the full-accuracy index search and the vectors from one
+    dstein call at them. Each fallback logs a DEBUG record.
     """
     t = assemble_dirac_matrix(params, grid)
     # zero modes go to the positive branch, which holds n_sigma 0
-    c0 = int(_counts_below(t, [-_zero_tol(params)])[0])
+    c0 = int(sturm_count(t, [-_zero_tol(params)])[0])
     k_neg = np.arange(max(c0 - count + 1, 1), c0 + 1, dtype=np.int64)
     k_pos = np.arange(c0 + 1, min(c0 + count, t.n) + 1, dtype=np.int64)
     ks = np.concatenate([k_neg, k_pos])
@@ -209,9 +209,10 @@ def _lattice_eigenvalues(params, grid, count, guess=None):
         if found is None:
             _log.debug("lattice grid of %d rows: the bisection to %g missed; "
                        "taking the full index search", t.n, _COARSE_TOL)
-            found = _indexed_eigenvalues(t, ks), None
+            vals = _indexed_eigenvalues(t, ks)
+            found = vals, tridiagonal_eigenvectors(t, vals)
     vals, vecs = found
-    return t, vals[: k_neg.size][::-1], vals[k_neg.size :], vecs
+    return vals[: k_neg.size][::-1], vals[k_neg.size :], vecs
 
 
 def _zero_tol(params: PhysicalParams) -> float:
@@ -264,15 +265,12 @@ def _build_records(params, e_neg, e_pos, states, errs=(None, None), tol=None):
     return pairs
 
 
-def _states_for(grid, t, e_neg, e_pos, vecs=None):
+def _states_for(grid, e_neg, e_pos, vecs):
     """Each branch's states, (states_neg, states_pos) parallel to e_neg and
     e_pos: the eigenvectors on the grid points (upper component averaged over
     its two neighbours), gauge restored and normalized. `vecs` holds them as
-    columns in ascending order of E, as _lattice_eigenvalues returns them;
-    None takes them from one dstein call."""
+    columns in ascending order of E, as _lattice_eigenvalues returns them."""
     lams = np.concatenate([np.asarray(e_neg)[::-1], np.asarray(e_pos)])
-    if vecs is None:
-        vecs = tridiagonal_eigenvectors(t, lams)
     states = []
     for col, lam in enumerate(lams):
         z = vecs[:, col]
@@ -292,8 +290,8 @@ def dirac_spectrum(params: PhysicalParams, grid: Grid, count: int):
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    t, e_neg, e_pos, vecs = _lattice_eigenvalues(params, grid, count)
-    return _build_records(params, e_neg, e_pos, _states_for(grid, t, e_neg, e_pos, vecs))
+    e_neg, e_pos, vecs = _lattice_eigenvalues(params, grid, count)
+    return _build_records(params, e_neg, e_pos, _states_for(grid, e_neg, e_pos, vecs))
 
 
 @dataclass(frozen=True)
@@ -412,10 +410,9 @@ def _converge(params, count, tol, base):
 
     # the base grid is solved alone, and its vectors serve the states;
     # every later grid is predicted from the grids solved before it
-    t, e_neg, e_pos, vecs = _lattice_eigenvalues(params, base, count)
+    e_neg, e_pos, vecs = _lattice_eigenvalues(params, base, count)
     solved = {base: (e_neg, e_pos)}
-    states = _states_for(base, t, e_neg, e_pos, vecs)
-    del t, vecs
+    states = _states_for(base, e_neg, e_pos, vecs)
     nxt = round_grid(base)
     # round 1 runs whenever it fits, so its pair is solved along with the
     # base grid's h/2 grid
@@ -455,7 +452,7 @@ def _solve_pairs(params, count, grids, solved):
     guess = solved[max(solved, key=_dim)]
 
     def task(grid):
-        return _lattice_eigenvalues(params, grid, count, guess)[1:3]
+        return _lattice_eigenvalues(params, grid, count, guess)[:2]
 
     solved.update(zip(new, _run_all([functools.partial(task, g) for g in new])))
 
@@ -514,5 +511,5 @@ def eigenvalue_count_in_window(
     """Exact lattice eigenvalue count in [lo, hi) by the LAPACK Sturm count
     (used by the fermion-doubling audit: doublers would double it)."""
     t = assemble_dirac_matrix(params, grid)
-    below_lo, below_hi = _counts_below(t, [lo, hi])
+    below_lo, below_hi = sturm_count(t, [lo, hi])
     return int(below_hi - below_lo)

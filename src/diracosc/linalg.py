@@ -1,13 +1,12 @@
-"""Symmetric tridiagonal eigensolver kernels.
-
-Production path (compiled LAPACK, called through ctypes):
+"""Symmetric tridiagonal eigensolver kernel, compiled LAPACK called through
+ctypes:
 
 * _indexed_eigenvalues: eigenvalues by sorted index, from one `dstebz` call
   (Sturm-sequence bisection, after W. Kahan, "Accurate eigenvalues of a
   symmetric tri-diagonal matrix", 1966) over the index range requested, to
   full accuracy or to a given absolute tolerance, or, for one index, over a
   value window that its Sturm counts certify to hold that eigenvalue alone.
-* _counts_below: exact eigenvalue counts below given values, from the Sturm
+* sturm_count: exact eigenvalue counts below given values, from the Sturm
   count of `dlaebz`, which splits a lattice spectrum at E = 0 and certifies
   windows and predicted eigenvalues.
 * tridiagonal_eigenvectors: eigenvectors at given eigenvalues, from one
@@ -37,13 +36,8 @@ The routines come from the C-API capsules of scipy's Cython module
 would run that package's init, which costs about 26 MB of peak RSS and
 0.25 s, for three routines.
 
-In-repo oracle, written against numpy arrays with a Python loop over the
-matrix dimension and vectorized over a batch of lambda values:
-
-* eigen_ql: implicit-shift QL, for small matrices and cross-validation.
-* sturm_count / eigen_bisect: Sturm counting plus bisection.
-
-The tests check the production path against the oracle to 1e-10 ||T||.
+The tests check this path against a Python reference (QL, Sturm counts and
+bisection, in tests/tridiagonal_oracle.py) to 1e-10 ||T||.
 """
 
 from __future__ import annotations
@@ -62,9 +56,7 @@ from .errors import ConfigError, ConvergenceError
 
 __all__ = [
     "Tridiagonal",
-    "eigen_ql",
     "sturm_count",
-    "eigen_bisect",
     "tridiagonal_eigenvectors",
 ]
 
@@ -95,165 +87,12 @@ class Tridiagonal:
     def n(self) -> int:
         return self.d.size
 
-    def norm_bound(self) -> float:
-        """Row-sum (infinity-norm) bound, also the Gershgorin radius scale."""
-        r = np.zeros(self.n)
-        if self.n > 1:
-            r[:-1] += np.abs(self.e)
-            r[1:] += np.abs(self.e)
-        return float(np.max(np.abs(self.d) + r)) or 1.0
-
-    def gershgorin(self) -> tuple[float, float]:
-        r = np.zeros(self.n)
-        if self.n > 1:
-            r[:-1] += np.abs(self.e)
-            r[1:] += np.abs(self.e)
-        return float(np.min(self.d - r)), float(np.max(self.d + r))
-
-    def to_dense(self) -> np.ndarray:
-        a = np.diag(self.d)
-        if self.n > 1:
-            a += np.diag(self.e, 1) + np.diag(self.e, -1)
-        return a
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.d * v
         if self.n > 1:
             out[:-1] += self.e * v[1:]
             out[1:] += self.e * v[:-1]
         return out
-
-
-def eigen_ql(t: Tridiagonal, want_vectors: bool = False):
-    """All eigenvalues (ascending) by implicit-shift QL; optional orthonormal
-    eigenvectors as columns. Raises ConvergenceError past 30 sweeps per
-    eigenvalue (pathological input)."""
-    n = t.n
-    d = t.d.astype(float).copy()
-    e = np.zeros(n)
-    e[: n - 1] = t.e
-    v = np.eye(n) if want_vectors else None
-
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = n - 1
-            for mm in range(l, n - 1):
-                dd = abs(d[mm]) + abs(d[mm + 1])
-                if abs(e[mm]) <= _EPS * dd:
-                    m = mm
-                    break
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > 30:
-                raise ConvergenceError(
-                    f"QL failed to deflate eigenvalue {l} within 30 sweeps"
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                if v is not None:
-                    col = v[:, i + 1].copy()
-                    v[:, i + 1] = s * v[:, i] + c * col
-                    v[:, i] = c * v[:, i] - s * col
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-
-    order = np.argsort(d, kind="stable")
-    w = d[order]
-    if v is not None:
-        v = v[:, order]
-    return (w, v) if want_vectors else (w, None)
-
-
-def _pivot_floor(t: Tridiagonal) -> float:
-    return 1e-300 * t.norm_bound()
-
-
-def _sturm_counts(t: Tridiagonal, lams: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues strictly below each lambda (batched)."""
-    lams = np.asarray(lams, dtype=float)
-    floor = _pivot_floor(t)
-    d = t.d
-    esq = t.e * t.e
-    q = d[0] - lams
-    q = np.where(np.abs(q) < floor, np.where(q < 0.0, -floor, floor), q)
-    counts = (q < 0.0).astype(np.int64)
-    for i in range(1, t.n):
-        q = d[i] - lams - esq[i - 1] / q
-        q = np.where(np.abs(q) < floor, np.where(q < 0.0, -floor, floor), q)
-        counts += q < 0.0
-    return counts
-
-
-def sturm_count(t: Tridiagonal, lam: float) -> int:
-    """Exact count of eigenvalues strictly below lam, by the Sturm sign
-    recurrence with safeguarded pivots (floor 1e-300 * ||T||)."""
-    return int(_sturm_counts(t, np.array([float(lam)]))[0])
-
-
-def _bisect_to_width(t, ks, a, b, ca, cb, rel_width):
-    """Shrink per-index brackets [a_k, b_k] (with cached endpoint counts) by
-    batched bisection until b - a <= rel_width * max(|a|, |b|) + eps * ||T||."""
-    ks = np.asarray(ks, dtype=np.int64)
-    scale = t.norm_bound()
-    abs_floor = 4.0 * _EPS * scale
-    for _ in range(200):
-        tol = rel_width * np.maximum(np.abs(a), np.abs(b)) + abs_floor
-        live = (b - a) > tol
-        if not np.any(live):
-            break
-        mid = 0.5 * (a + b)
-        c = np.empty_like(ca)
-        c[live] = _sturm_counts(t, mid[live])
-        ge = live & (c >= ks)
-        lt = live & ~ge
-        b[ge] = mid[ge]
-        cb[ge] = c[ge]
-        a[lt] = mid[lt]
-        ca[lt] = c[lt]
-    return a, b, ca, cb
-
-
-def eigen_bisect(t: Tridiagonal, k_lo: int, k_hi: int) -> np.ndarray:
-    """Eigenvalues k_lo..k_hi (1-indexed, ascending), each bracketed by the
-    Gershgorin bounds and bisected to relative width 1e-12."""
-    n = t.n
-    if not (1 <= k_lo <= k_hi <= n):
-        raise ConfigError(f"need 1 <= k_lo <= k_hi <= {n}, got ({k_lo}, {k_hi})")
-    ks = np.arange(k_lo, k_hi + 1, dtype=np.int64)
-    lo, hi = t.gershgorin()
-    pad = 2.0 * _EPS * t.norm_bound() + 1e-300
-    a = np.full(ks.size, lo - pad)
-    b = np.full(ks.size, hi + pad)
-    ca = np.zeros(ks.size, dtype=np.int64)
-    cb = np.full(ks.size, n, dtype=np.int64)
-    a, b, _, _ = _bisect_to_width(t, ks, a, b, ca, cb, 1e-12)
-    return 0.5 * (a + b)
 
 
 _CYTHON_LAPACK = None
@@ -371,7 +210,7 @@ def _indexed_eigenvalues(t: Tridiagonal, ks, window=None, abstol=None) -> np.nda
     searches = [("I", 0.0, 0.0)]
     if window is not None and lo == hi:
         vl, vu = map(float, window)
-        if -math.inf < vl < vu < math.inf and tuple(_counts_below(t, [vl, vu])) == (lo - 1, lo):
+        if -math.inf < vl < vu < math.inf and tuple(sturm_count(t, [vl, vu])) == (lo - 1, lo):
             searches.insert(0, ("V", vl, vu))
     d = np.ascontiguousarray(t.d)
     e = _lapack_offdiag(t)
@@ -398,15 +237,16 @@ def _indexed_eigenvalues(t: Tridiagonal, ks, window=None, abstol=None) -> np.nda
     return w[ks - lo]
 
 
-def _counts_below(t: Tridiagonal, lams) -> np.ndarray:
-    """Exact number of eigenvalues strictly below each lambda, from the Sturm
-    count of LAPACK dlaebz (IJOB = 1), with dstebz's pivot guard.
+def sturm_count(t: Tridiagonal, lams) -> np.ndarray:
+    """Exact number of eigenvalues strictly below each lambda, as an int64
+    array aligned with `lams`, from the Sturm count of LAPACK dlaebz
+    (IJOB = 1), with dstebz's pivot guard.
 
     dlaebz counts eigenvalues <= x, so the count is taken on -T: n minus the
     eigenvalues of -T at or below -lambda. An eigenvalue equal to lambda thus
-    counts as not below, as in sturm_count (diag(1, 0, -1) has 1 eigenvalue
-    below 0). dlarrc, LAPACK's other Sturm count, has no pivot guard and
-    miscounts lattices with a zero diagonal (the massless kappa = 0 one).
+    counts as not below (diag(1, 0, -1) has 1 eigenvalue below 0). dlarrc,
+    LAPACK's other Sturm count, has no pivot guard and miscounts lattices
+    with a zero diagonal (the massless kappa = 0 one).
 
     dlaebz counts at both ends of each interval it is given, so consecutive
     lambdas share an interval: one Sturm sweep per lambda."""
@@ -509,6 +349,6 @@ def _predicted_eigenvalues(t: Tridiagonal, ks, guess):
     lo, hi = rho - g, rho + g
     if np.any(hi[:-1] >= lo[1:]):
         return None
-    if tuple(_counts_below(t, [lo[0], hi[-1]])) != (ks[0] - 1, ks[-1]):
+    if tuple(sturm_count(t, [lo[0], hi[-1]])) != (ks[0] - 1, ks[-1]):
         return None
     return rho, vecs

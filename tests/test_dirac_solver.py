@@ -24,6 +24,7 @@ from diracosc.errors import ConvergenceError, DomainError, ResourceError
 from diracosc.model import Grid, PhysicalParams, Superpotential
 from diracosc import analytic
 
+import tridiagonal_oracle as oracle
 from conftest import linear_params, tan_params
 
 
@@ -71,7 +72,7 @@ def test_matrix_equals_transpose_exactly(kappa, family):
             mass=1.0, kappa=kappa, superpotential=Superpotential.tangent(5.0)
         )
         grid = default_grid(params, n=37)
-    dense = assemble_dirac_matrix(params, grid).to_dense()
+    dense = oracle.to_dense(assemble_dirac_matrix(params, grid))
     assert np.array_equal(dense, dense.T)
 
 
@@ -176,7 +177,7 @@ def test_residual_of_returned_eigenpairs():
     t = assemble_dirac_matrix(params, grid)
     for rec, st in dirac_spectrum(params, grid, 3):
         z = dirac_solver.tridiagonal_eigenvectors(t, np.array([rec.E]))[:, 0]
-        assert np.linalg.norm(t.matvec(z) - rec.E * z) <= 1e-8 * t.norm_bound()
+        assert np.linalg.norm(t.matvec(z) - rec.E * z) <= 1e-8 * oracle.norm_bound(t)
         psi1 = 0.5 * (z[0:-1:2] + z[2::2])
         psi2 = -1j * z[1::2]
         scale = np.linalg.norm(st.psi1) / np.linalg.norm(psi1)
@@ -767,18 +768,25 @@ COARSE_CASES = {
 
 
 @pytest.mark.parametrize("case", list(COARSE_CASES))
-def test_coarse_base_grid_matches_the_full_index_search(monkeypatch, case):
+def test_coarse_base_grid_matches_the_full_index_search(monkeypatch, caplog, case):
     params, grid, count, state_bound = COARSE_CASES[case]
-    t, e_neg, e_pos, vecs = dirac_solver._lattice_eigenvalues(params, grid, count)
-    assert vecs is not None
+    # the first call certifies its coarse bisection: no fallback is logged
+    with caplog.at_level(logging.DEBUG, logger="diracosc.dirac_solver"):
+        e_neg, e_pos, vecs = dirac_solver._lattice_eigenvalues(params, grid, count)
+    assert caplog.records == []
     monkeypatch.setattr(dirac_solver, "_predicted_eigenvalues", lambda t, ks, guess: None)
-    _, ref_neg, ref_pos, none = dirac_solver._lattice_eigenvalues(params, grid, count)
-    assert none is None
+    with caplog.at_level(logging.DEBUG, logger="diracosc.dirac_solver"):
+        ref_neg, ref_pos, ref_vecs = dirac_solver._lattice_eigenvalues(params, grid, count)
+    t = assemble_dirac_matrix(params, grid)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"lattice grid of {t.n} rows: the bisection to {dirac_solver._COARSE_TOL:g} "
+        "missed; taking the full index search"]
     # the vectors come in ascending order of E
     got = np.concatenate([e_neg[::-1], e_pos])
     want = np.concatenate([ref_neg[::-1], ref_pos])
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
-    ref_vecs = dirac_solver.tridiagonal_eigenvectors(t, want)
+    # the full index search's vectors are dstein's at its values
+    assert np.array_equal(ref_vecs, dirac_solver.tridiagonal_eigenvectors(t, want))
     for j in range(want.size):
         assert _state_gap(vecs[:, j], ref_vecs[:, j]) <= state_bound, j
 

@@ -12,6 +12,10 @@ import types
 import pytest
 
 import diracosc
+from diracosc import dirac_solver, linalg, susy_reduction
+from diracosc.model import Grid
+
+from conftest import linear_params
 
 MODULES = [m.name for m in pkgutil.iter_modules(diracosc.__path__) if m.name != "__main__"]
 
@@ -51,3 +55,23 @@ def test_every_traced_layer_keeps_a_binding(monkeypatch):
                if not any(callable(getattr(getattr(diracosc, module, None), attr, None))
                           for module, attr in targets)]
     assert layers.TARGETS and not unbound
+
+
+def test_production_counts_go_through_the_traced_sturm_count(monkeypatch):
+    # the tracer's linalg.sturm layer wraps these two bindings; a count made
+    # through any other name would leave it reading 0
+    callers = set()
+    for module in (linalg, dirac_solver):
+        def counted(t, lams, _count=module.sturm_count, _module=module):
+            callers.add(_module)
+            return _count(t, lams)
+
+        monkeypatch.setattr(module, "sturm_count", counted)
+    dirac_solver._converge_cached.cache_clear()
+    susy_reduction._solve_level_cached.cache_clear()
+    dirac_solver.converge_box_full(linear_params(0.3), 2, grid=Grid(half_width=10.0, n=300))
+    susy_reduction.solve_nonlinear_level(linear_params(0.3), -1, 1,
+                                         grid=Grid(half_width=10.0, n=300))
+    dirac_solver._converge_cached.cache_clear()
+    susy_reduction._solve_level_cached.cache_clear()
+    assert callers == {linalg, dirac_solver}

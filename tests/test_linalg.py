@@ -1,7 +1,7 @@
 """Tridiagonal eigensolver kernels: QL, Sturm counts, bisection, inverse
-iteration. Dual-route checks (QL vs bisection), and the production LAPACK
-path (eigenvalues, counts, eigenvectors) checked against that in-repo oracle
-on lattice matrices."""
+iteration. Dual-route checks of the reference kernel (QL vs bisection, in
+tridiagonal_oracle), and the production LAPACK path (eigenvalues, counts,
+eigenvectors) checked against it on lattice matrices."""
 
 import math
 import os
@@ -18,16 +18,14 @@ from diracosc.model import Grid, PhysicalParams, Superpotential
 from diracosc.linalg import (
     Tridiagonal,
     _call,
-    _counts_below,
     _indexed_eigenvalues,
     _predicted_eigenvalues,
-    eigen_bisect,
-    eigen_ql,
     sturm_count,
     tridiagonal_eigenvectors,
 )
 from diracosc.susy_reduction import effective_superpotential, schrodinger_operator
 
+import tridiagonal_oracle as oracle
 from conftest import linear_params, tan_params
 
 
@@ -36,20 +34,20 @@ def laplacian(n: int) -> Tridiagonal:
 
 
 def test_eigen_ql_pinned_examples():
-    w, _ = eigen_ql(Tridiagonal(d=np.array([5.0]), e=np.zeros(0)))
+    w, _ = oracle.eigen_ql(Tridiagonal(d=np.array([5.0]), e=np.zeros(0)))
     assert np.array_equal(w, [5.0])
-    w, _ = eigen_ql(Tridiagonal(d=np.zeros(2), e=np.ones(1)))
+    w, _ = oracle.eigen_ql(Tridiagonal(d=np.zeros(2), e=np.ones(1)))
     assert np.allclose(w, [-1.0, 1.0], atol=1e-14)
-    w, _ = eigen_ql(Tridiagonal(d=np.full(3, 2.0), e=np.full(2, -1.0)))
+    w, _ = oracle.eigen_ql(Tridiagonal(d=np.full(3, 2.0), e=np.full(2, -1.0)))
     assert np.allclose(w, [2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)], atol=1e-12)
 
 
 def test_eigen_ql_vectors_diagonalize():
     rng = np.random.default_rng(7)
     t = Tridiagonal(d=rng.uniform(-1, 1, 24), e=rng.uniform(-1, 1, 23))
-    w, v = eigen_ql(t, want_vectors=True)
-    scale = t.norm_bound()
-    offdiag = v.T @ t.to_dense() @ v - np.diag(w)
+    w, v = oracle.eigen_ql(t, want_vectors=True)
+    scale = oracle.norm_bound(t)
+    offdiag = v.T @ oracle.to_dense(t) @ v - np.diag(w)
     assert np.max(np.abs(offdiag)) <= 1e-10 * scale
     assert np.max(np.abs(v.T @ v - np.eye(24))) <= 1e-10 * 24
 
@@ -60,8 +58,8 @@ def test_laplacian_closed_form_both_methods():
     t = laplacian(n)
     exact = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * math.pi / (n + 1))
     exact.sort()
-    ql = eigen_ql(t)[0]
-    bis = eigen_bisect(t, 1, n)
+    ql = oracle.eigen_ql(t)[0]
+    bis = oracle.eigen_bisect(t, 1, n)
     scale = np.maximum(np.abs(exact), 1.0)
     assert np.max(np.abs(ql - exact) / scale) <= 1e-12
     assert np.max(np.abs(bis - exact) / scale) <= 1e-12
@@ -69,16 +67,16 @@ def test_laplacian_closed_form_both_methods():
 
 def test_sturm_count_pinned_examples():
     t = Tridiagonal(d=np.zeros(2), e=np.ones(1))
-    assert sturm_count(t, 0.0) == 1
-    assert sturm_count(t, 2.0) == 2
+    assert oracle.sturm_count(t, 0.0) == 1
+    assert oracle.sturm_count(t, 2.0) == 2
 
 
 def test_sturm_count_monotone_and_saturates():
     rng = np.random.default_rng(11)
     t = Tridiagonal(d=rng.uniform(-1, 1, 30), e=rng.uniform(-1, 1, 29))
-    lo, hi = t.gershgorin()
+    lo, hi = oracle.gershgorin(t)
     lams = np.linspace(lo - 0.5, hi + 0.5, 40)
-    counts = [sturm_count(t, lam) for lam in lams]
+    counts = [oracle.sturm_count(t, lam) for lam in lams]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
     assert counts[0] == 0
     assert counts[-1] == t.n
@@ -87,16 +85,16 @@ def test_sturm_count_monotone_and_saturates():
 def test_sturm_count_at_median_eigenvalue():
     rng = np.random.default_rng(23)
     t = Tridiagonal(d=rng.uniform(-1, 1, 12), e=rng.uniform(-1, 1, 11))
-    w = eigen_ql(t)[0]
-    assert sturm_count(t, float(np.median(w))) == 6
+    w = oracle.eigen_ql(t)[0]
+    assert oracle.sturm_count(t, float(np.median(w))) == 6
 
 
 def test_eigen_bisect_pinned_examples():
-    w = eigen_bisect(Tridiagonal(d=np.array([5.0]), e=np.zeros(0)), 1, 1)
+    w = oracle.eigen_bisect(Tridiagonal(d=np.array([5.0]), e=np.zeros(0)), 1, 1)
     assert abs(w[0] - 5.0) < 1e-12
-    w = eigen_bisect(Tridiagonal(d=np.zeros(2), e=np.ones(1)), 1, 2)
+    w = oracle.eigen_bisect(Tridiagonal(d=np.zeros(2), e=np.ones(1)), 1, 2)
     assert np.allclose(w, [-1.0, 1.0], atol=1e-12)
-    w = eigen_bisect(Tridiagonal(d=np.full(3, 2.0), e=np.full(2, -1.0)), 2, 3)
+    w = oracle.eigen_bisect(Tridiagonal(d=np.full(3, 2.0), e=np.full(2, -1.0)), 2, 3)
     assert np.allclose(w, [2.0, 2.0 + math.sqrt(2.0)], atol=1e-12)
 
 
@@ -106,8 +104,8 @@ def test_ql_vs_bisection_on_200_random_matrices():
     for _ in range(200):
         n = int(rng.integers(2, 65))
         t = Tridiagonal(d=rng.uniform(-1, 1, n), e=rng.uniform(-1, 1, n - 1))
-        ql = eigen_ql(t)[0]
-        bis = eigen_bisect(t, 1, n)
+        ql = oracle.eigen_ql(t)[0]
+        bis = oracle.eigen_bisect(t, 1, n)
         worst = max(worst, float(np.max(np.abs(ql - bis))))
     assert worst <= 1e-10
 
@@ -115,11 +113,11 @@ def test_ql_vs_bisection_on_200_random_matrices():
 def test_inverse_iteration_residuals_and_determinism():
     rng = np.random.default_rng(99)
     t = Tridiagonal(d=rng.uniform(-2, 2, 300), e=rng.uniform(-1, 1, 299))
-    lams = eigen_bisect(t, 5, 10)
+    lams = oracle.eigen_bisect(t, 5, 10)
     v1 = tridiagonal_eigenvectors(t, lams)
     v2 = tridiagonal_eigenvectors(t, lams)
     assert np.array_equal(v1, v2)
-    scale = t.norm_bound()
+    scale = oracle.norm_bound(t)
     for j, lam in enumerate(lams):
         res = np.linalg.norm(t.matvec(v1[:, j]) - lam * v1[:, j])
         assert res <= 1e-8 * scale
@@ -129,7 +127,7 @@ def test_inverse_iteration_residuals_and_determinism():
 def test_degenerate_cluster_vectors_stay_orthogonal():
     # 2x2 blocks give exactly degenerate pairs
     t = Tridiagonal(d=np.zeros(6), e=np.array([1.0, 0.0, 1.0, 0.0, 1.0]))
-    lams = eigen_bisect(t, 1, 6)
+    lams = oracle.eigen_bisect(t, 1, 6)
     v = tridiagonal_eigenvectors(t, lams)
     gram = v.T @ v
     assert np.max(np.abs(gram - np.eye(6))) <= 1e-8
@@ -167,12 +165,12 @@ def _schrodinger_matrix(family, kappa, n, sigma):
 
 
 def _assert_matches_oracle(t, k_lo, k_hi):
-    # eigen_bisect stops at width 1e-12 |lambda| + 4 eps ||T||; the LAPACK
-    # values must lie within that, far inside 1e-10 ||T||
-    scale = t.norm_bound()
+    # oracle.eigen_bisect stops at width 1e-12 |lambda| + 4 eps ||T||; the
+    # LAPACK values must lie within that, far inside 1e-10 ||T||
+    scale = oracle.norm_bound(t)
     ks = np.arange(k_lo, k_hi + 1)
     got = _indexed_eigenvalues(t, ks)
-    ref = eigen_bisect(t, k_lo, k_hi)
+    ref = oracle.eigen_bisect(t, k_lo, k_hi)
     tol = 1e-12 * np.abs(ref) + 8.0 * np.finfo(float).eps * scale
     assert np.all(np.abs(got - ref) <= tol)
     # a sparse selection picks the same levels
@@ -188,7 +186,7 @@ def test_indexed_eigenvalues_match_bisection_on_lattice_matrices(family, kappa, 
     t = _lattice_matrix(family, kappa, n)
     assert 501 <= t.n <= 2001
     # the production window: levels either side of E = 0, then the bottom
-    c0 = sturm_count(t, 0.0)
+    c0 = oracle.sturm_count(t, 0.0)
     _assert_matches_oracle(t, max(c0 - 3, 1), min(c0 + 4, t.n))
     _assert_matches_oracle(t, 1, 3)
 
@@ -202,10 +200,10 @@ def test_indexed_eigenvalues_match_bisection_on_schrodinger_matrices(family, kap
 
 
 # (family, kappa, mass, grid.n, box half-width, eigenvalues below E = 0),
-# pinned from sturm_count: the 2N+1 rows hold N levels of each sign and one
-# unpaired level at E0 >= 0 (at E = 0 exactly when massless at kappa = 0, so
-# the Sturm recurrence meets zero pivots on the zero diagonal); the
-# supercritical linear lattice splits off-centre
+# pinned from oracle.sturm_count: the 2N+1 rows hold N levels of each sign
+# and one unpaired level at E0 >= 0 (at E = 0 exactly when massless at
+# kappa = 0, so the Sturm recurrence meets zero pivots on the zero diagonal);
+# the supercritical linear lattice splits off-centre
 COUNT_CASES = [
     ("linear", 0.0, 0.0, 2000, None, 2000),
     ("tan", 0.0, 0.0, 2000, None, 2000),
@@ -220,21 +218,21 @@ COUNT_CASES = [
 @pytest.mark.parametrize("family,kappa,mass,n,L,below", COUNT_CASES)
 def test_lapack_count_matches_sturm_count_on_lattice_matrices(family, kappa, mass, n, L, below):
     t = _lattice_matrix(family, kappa, n, mass=mass, L=L)
-    assert int(_counts_below(t, [0.0])[0]) == sturm_count(t, 0.0) == below
+    assert int(sturm_count(t, [0.0])[0]) == oracle.sturm_count(t, 0.0) == below
 
 
 def test_lapack_count_pinned_examples():
     # a zero eigenvalue is not below 0: a plain <= count would give 2
     t = Tridiagonal(d=np.array([1.0, 0.0, -1.0]), e=np.zeros(2))
-    assert np.array_equal(_counts_below(t, [0.0]), [1])
+    assert np.array_equal(sturm_count(t, [0.0]), [1])
     one = Tridiagonal(d=np.array([5.0]), e=np.zeros(0))
-    assert np.array_equal(_counts_below(one, [4.0, 5.0, 6.0]), [0, 0, 1])
+    assert np.array_equal(sturm_count(one, [4.0, 5.0, 6.0]), [0, 0, 1])
     rng = np.random.default_rng(5)
     for _ in range(25):
         n = int(rng.integers(2, 80))
         t = Tridiagonal(d=rng.uniform(-3, 3, n), e=rng.uniform(-1, 1, n - 1))
         lams = rng.uniform(-4, 4, 5)
-        assert _counts_below(t, lams).tolist() == [sturm_count(t, x) for x in lams]
+        assert sturm_count(t, lams).tolist() == [oracle.sturm_count(t, x) for x in lams]
 
 
 def test_counts_below_takes_odd_and_even_numbers_of_lambdas(monkeypatch):
@@ -252,12 +250,13 @@ def test_counts_below_takes_odd_and_even_numbers_of_lambdas(monkeypatch):
     t = Tridiagonal(d=np.array([1.0, 0.0, -1.0]), e=np.zeros(2))
     lams = [0.0, -1.0, 1.0, 2.0, -2.0, 0.5, -0.5, 0.0]
     for k in range(len(lams) + 1):
-        assert _counts_below(t, lams[:k]).tolist() == [sturm_count(t, x) for x in lams[:k]]
+        assert sturm_count(t, lams[:k]).tolist() == [oracle.sturm_count(t, x) for x in lams[:k]]
     assert sizes == [(k + 1) // 2 for k in range(len(lams) + 1)]
     lattice = _lattice_matrix("linear", 0.4, 500)
     for k in (7, 8):
         lams = np.linspace(-3.0, 3.0, k)
-        assert _counts_below(lattice, lams).tolist() == [sturm_count(lattice, x) for x in lams]
+        want = [oracle.sturm_count(lattice, x) for x in lams]
+        assert sturm_count(lattice, lams).tolist() == want
 
 
 # ------------------------------------------------- certified value windows
@@ -292,7 +291,7 @@ WINDOW_MATRICES = {
 @pytest.mark.parametrize("case", list(WINDOW_MATRICES))
 def test_certified_window_matches_the_index_search(case, monkeypatch):
     t = WINDOW_MATRICES[case]()
-    first = sturm_count(t, 0.0) + 1 if case == "lattice" else 1
+    first = oracle.sturm_count(t, 0.0) + 1 if case == "lattice" else 1
     ks = np.arange(first, first + 5)
     ref = _indexed_eigenvalues(t, ks)
     ranges = _dstebz_ranges(monkeypatch)
@@ -333,7 +332,7 @@ def test_window_whose_bisection_finds_two_eigenvalues_falls_back(monkeypatch):
     # the counts certify (1.5, 3) to hold eigenvalue 2 alone, since 3 is not
     # below 3; dstebz bisects (1.5, 3] and finds 2 and 3
     t = Tridiagonal(d=np.array([1.0, 2.0, 3.0]), e=np.zeros(2))
-    assert _counts_below(t, [1.5, 3.0]).tolist() == [1, 2]
+    assert sturm_count(t, [1.5, 3.0]).tolist() == [1, 2]
     ranges = _dstebz_ranges(monkeypatch)
     assert np.array_equal(_indexed_eigenvalues(t, [2], window=(1.5, 3.0)), [2.0])
     assert ranges == ["V", "I"]
@@ -362,7 +361,7 @@ PREDICTED_MATRICES = {
 
 
 def _levels_around_zero(t):
-    c0 = int(_counts_below(t, [0.0])[0])
+    c0 = int(sturm_count(t, [0.0])[0])
     return np.arange(c0 - 2, c0 + 4)
 
 
@@ -421,13 +420,13 @@ NEAR_PAIR = Tridiagonal(d=np.array([1.0, 1.0 + 1e-10, 3.0, 5.0]), e=np.zeros(3))
 
 def test_two_counts_certify_the_whole_span(monkeypatch):
     counted = []
-    counts_below = linalg._counts_below
+    counts_below = linalg.sturm_count
 
     def spy(t, lams):
         counted.append(len(lams))
         return counts_below(t, lams)
 
-    monkeypatch.setattr(linalg, "_counts_below", spy)
+    monkeypatch.setattr(linalg, "sturm_count", spy)
     found = _predicted_eigenvalues(NEAR_PAIR, [1, 2, 3, 4], [0.9, 1.1, 2.9, 5.2])
     assert found is not None
     # inverse iteration cannot split the pair at 1 from shifts 0.1 away, but
@@ -447,7 +446,7 @@ def test_overlapping_residual_intervals_are_refused(monkeypatch):
     monkeypatch.setattr(linalg, "tridiagonal_eigenvectors", lambda t, lams: z.copy())
     rho = [1.0, 1.0 + 5e-11]
     g = 2.0 * 5e-11
-    assert _counts_below(NEAR_PAIR, [rho[0] - g, rho[1] + g]).tolist() == [0, 2]
+    assert sturm_count(NEAR_PAIR, [rho[0] - g, rho[1] + g]).tolist() == [0, 2]
     assert _predicted_eigenvalues(NEAR_PAIR, [1, 2], rho) is None
 
 
@@ -540,7 +539,7 @@ def test_first_lapack_load_is_thread_safe():
         "counts = []\n"
         "def first_count():\n"
         "    barrier.wait()\n"
-        "    counts.append(int(linalg._counts_below(t, [4.5])[0]))\n"
+        "    counts.append(int(linalg.sturm_count(t, [4.5])[0]))\n"
         "threads = [threading.Thread(target=first_count) for _ in range(4)]\n"
         "for th in threads:\n"
         "    th.start()\n"
