@@ -49,12 +49,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    IndexOutOfRangeError,
-    NoRealEnergyError,
-)
+from .errors import ConvergenceError, DomainError
 from .model import (
     Family,
     LevelIndex,
@@ -136,18 +131,9 @@ def spectrum_linear(m: float, w1: float, kappa: float, idx: LevelIndex) -> Level
 
 def _tan_E2(m: float, alpha0: float, kappa: float, n_sigma: int) -> float:
     omk = require_subcritical(kappa)
-    alpha = alpha0 * math.sqrt(omk)
-    if not n_sigma < alpha:
-        raise IndexOutOfRangeError(
-            f"level n_sigma = {n_sigma} outside the certified window "
-            f"n_sigma < alpha0*sqrt(1-kappa^2) = {alpha:.6g}"
-        )
-    t = alpha + n_sigma
+    t = alpha0 * math.sqrt(omk) + n_sigma
+    # t >= alpha = alpha0 sqrt(1-kappa^2), so E^2 is real at every n_sigma
     numerator = m * m + t * t - alpha0 * alpha0 * omk
-    if numerator < 0.0:
-        raise NoRealEnergyError(
-            f"no real energy at n_sigma = {n_sigma}: E^2 would be negative"
-        )
     return numerator / (1.0 + (alpha0 * kappa / t) ** 2)
 
 
@@ -160,9 +146,8 @@ def spectrum_tan(m: float, alpha0: float, kappa: float, idx: LevelIndex) -> TanL
     epsilon = E^2/(1-kappa^2) - m^2 to 1e-12 relative - the two derivations
     are independent transcriptions, so this guards both.
 
-    Raises CriticalFieldError for |kappa|>=1, IndexOutOfRangeError when
-    n_sigma >= alpha0*sqrt(1-kappa^2) (outside the certified ladder window),
-    NoRealEnergyError if the solved E^2 is negative, ConvergenceError if the
+    The trigonometric ladder never stops: every n_sigma >= 0 is a bound
+    level. Raises CriticalFieldError for |kappa|>=1, ConvergenceError if the
     two forms disagree.
     """
     n_sigma = idx.n_sigma
@@ -195,18 +180,9 @@ def level_energies(params: PhysicalParams, n_sigma: int) -> LevelPair:
     )
 
 
-def _admissible_n_sigma(params: PhysicalParams, max_n: int):
-    sp = params.superpotential
-    if sp.family is Family.TANGENT:
-        alpha = sp.alpha0 * math.sqrt(1.0 - params.kappa**2)
-        return [k for k in range(max_n + 1) if k < alpha]
-    return list(range(max_n + 1))
-
-
 def full_spectrum(params: PhysicalParams, max_n: int) -> list[SpectrumRecord]:
-    """Enumerate every closed-form level with reduced index n_sigma <= max_n
-    (clipped to the trigonometric family's certified window), both spin
-    labels, both energy branches.
+    """Enumerate every closed-form level with reduced index n_sigma <= max_n,
+    both spin labels, both energy branches.
 
     Each n_sigma >= 1 appears on both branches under its two equivalent
     labels (sigma=-1, n=n_sigma) and (sigma=+1, n=n_sigma-1); n_sigma=0
@@ -220,7 +196,7 @@ def full_spectrum(params: PhysicalParams, max_n: int) -> list[SpectrumRecord]:
     omk = 1.0 - params.kappa**2
     m = params.mass
     records = []
-    for k in _admissible_n_sigma(params, max_n):
+    for k in range(max_n + 1):
         ep, em = level_energies(params, k)
         eps = ep * ep / omk - m * m
         for branch, e in ((1, ep), (-1, em)):

@@ -307,7 +307,7 @@ SPECTRUM_HEADER = ["route", "branch", "sigma", "n", "n_sigma", "E", "epsilon",
 def _susy_records(params, grid, max_n):
     require_subcritical(params.kappa)
     records = []
-    for k in analytic._admissible_n_sigma(params, max_n):
+    for k in range(max_n + 1):
         # the positive branch holds every level, under each of its labels
         for sigma, n in level_labels(1, k):
             plus, minus = susy_reduction.solve_nonlinear_level(params, sigma, n, grid)
@@ -318,9 +318,16 @@ def _susy_records(params, grid, max_n):
 
 
 def _dirac_result(params, grid, cfg) -> dirac_solver.ConvergeResult:
-    return dirac_solver.converge_box_full(
+    """The lattice run with its records and states cut to n_sigma <=
+    levels - 1, the levels the other routes hold: count = levels also
+    solves the negative branch's n_sigma = levels. The run itself is the
+    cached one that `wavefunction` and `verify` reuse."""
+    result = dirac_solver.converge_box_full(
         params, count=cfg.levels, tol=cfg.tolerance, grid=grid
     )
+    keep = [i for i, rec in enumerate(result.records) if rec.n_sigma < cfg.levels]
+    return replace(result, records=tuple(result.records[i] for i in keep),
+                   states=tuple(result.states[i] for i in keep))
 
 
 def _xcheck_column(rows: list[dict]) -> None:
@@ -403,7 +410,6 @@ def _verify_checks(cfg: RunConfig):
     if params.superpotential.family is Family.TABULATED:
         raise ConfigError("verify needs a certified family (linear or tan)")
     max_n = min(cfg.levels - 1, 4)
-    admissible = analytic._admissible_n_sigma(params, max_n)
     ana = analytic.full_spectrum(params, max_n)
     susy = _susy_records(params, grid, max_n)
     dirac = dirac_solver.converge_box_full(
@@ -424,7 +430,7 @@ def _verify_checks(cfg: RunConfig):
             if key in other:
                 worst = max(worst, abs(ea - other[key]) / max(abs(ea), 1.0))
     # every route must hold the same levels within the requested range
-    held = [set(ka), set(ks), {key for key in kd if key[1] in admissible}]
+    held = [set(ka), set(ks), {key for key in kd if key[1] <= max_n}]
     lone = sorted(set.union(*held) - set.intersection(*held))
     checks.append(("three-route agreement", worst <= 1e-4 and not lone,
                    f"max cross-route discrepancy {worst:.3e} (limit 1e-04)"

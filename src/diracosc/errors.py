@@ -45,7 +45,8 @@ class DegenerateStateError(DiracOscError, RuntimeError):
 
 
 class IndexOutOfRangeError(DiracOscError, IndexError):
-    """Level index above the admissible range of the closed-form family."""
+    """No level carries the requested label: `wavefunction` asked for a level
+    the lattice run does not hold."""
 
 
 class ResourceError(DiracOscError, RuntimeError):

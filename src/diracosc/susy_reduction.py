@@ -39,7 +39,6 @@ from .dirac_solver import default_grid
 from .errors import (
     BracketError,
     DegenerateStateError,
-    DomainError,
     NoRealEnergyError,
 )
 from .linalg import Tridiagonal, _indexed_eigenvalues, tridiagonal_eigenvectors
@@ -195,11 +194,11 @@ def squared_form_potential(
 def _level_condition(params, sigma, n, grid, E, window=None):
     """The reduced operator at energy E, its epsilon level n fetched by sorted
     index, and the level condition f(E) = epsilon_n(E) - (E^2/(1-kappa^2) - m^2).
-    Near the top of the admissible window the level moves faster in E than
-    the ladder spacing, so picking by value continuity can slide onto a
-    neighbor between root-finder steps; the index cannot. `window` is a
-    prediction of epsilon_n, which linalg uses only once its Sturm counts
-    certify it."""
+    Near kappa = 1 the level moves faster in E than the ladder spacing (on
+    the tan family at up to 2 kappa^2 E/(1-kappa^2) per unit E), so picking
+    by value continuity can slide onto a neighbor between root-finder
+    steps; the index cannot. `window` is a prediction of epsilon_n, which
+    linalg uses only once its Sturm counts certify it."""
     weff = effective_superpotential(params.superpotential, params.kappa, E)
     t = schrodinger_operator(weff, sigma, grid)
     eps = _indexed_eigenvalues(t, [n + 1], window=window)

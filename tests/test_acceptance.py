@@ -88,14 +88,14 @@ def test_criterion_02_tan_spectrum_reproduction(tan_results):
         params = tan_params(kappa)
         omk = 1.0 - kappa**2
         alpha = 5.0 * math.sqrt(omk)
-        admissible = [r for r in tan_results[kappa].records if r.n_sigma < alpha]
-        assert len(admissible) >= 9
-        for r in admissible:
+        records = tan_results[kappa].records
+        assert len(records) >= 9
+        for r in records:
             ea = closed_form(params, r.branch, r.n_sigma)
             worst = max(worst, abs(r.E - ea) / max(abs(ea), 1.0))
         # the level law in its two independent transcriptions: the quadratic
         # solved for E^2 and the ladder form evaluated at that E
-        for n_sigma in range(int(math.ceil(alpha))):
+        for n_sigma in sorted({r.n_sigma for r in records}):
             lv = analytic.spectrum_tan(1.0, 5.0, kappa, analytic.LevelIndex(n_sigma, -1))
             eps_quadratic = lv.E_plus**2 / omk - 1.0
             beta = kappa * lv.E_plus / math.sqrt(omk)
@@ -114,17 +114,15 @@ def test_criterion_03_three_route_agreement(linear_results, tan_results):
     cases += [(tan_params(k), tan_results[k]) for k in TAN_KAPPAS]
     worst, lone = 0.0, []
     for params, dirac_res in cases:
-        # n_sigma <= 4, inside the tan family's certified window
-        alpha0 = params.superpotential.alpha0
-        alpha = math.inf if alpha0 is None else alpha0 * math.sqrt(1.0 - params.kappa**2)
-        window = [k for k in range(5) if k < alpha]
-        ana = keyed_energies(analytic.full_spectrum(params, max_n=4), window)
-        dirac = keyed_energies(dirac_res.records, window)
+        # n_sigma <= 4 on every route
+        levels = range(5)
+        ana = keyed_energies(analytic.full_spectrum(params, max_n=4), levels)
+        dirac = keyed_energies(dirac_res.records, levels)
         susy = {}
         for sigma in (-1, 1):
             for n in range(5):
                 n_sigma = n + (1 + sigma) // 2
-                if n_sigma not in window:
+                if n_sigma not in levels:
                     continue
                 plus, minus = solve_nonlinear_level(params, sigma, n)
                 susy.setdefault((1, n_sigma), plus.E)

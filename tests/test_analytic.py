@@ -23,13 +23,8 @@ from diracosc.analytic import (
     spectrum_tan,
     tan_epsilon,
 )
-from diracosc import analytic
-from diracosc.errors import (
-    ConvergenceError,
-    CriticalFieldError,
-    DomainError,
-    IndexOutOfRangeError,
-)
+from diracosc import analytic, dirac_solver
+from diracosc.errors import ConvergenceError, CriticalFieldError, DomainError
 from diracosc.model import LevelIndex, PhysicalParams, SpectrumRecord, Superpotential
 
 # lattice route, tan alpha0=5, kappa=0.5, n_sigma = 0..4
@@ -113,10 +108,16 @@ def test_spectrum_tan_matches_lattice_oracle():
 
 
 def test_spectrum_tan_certified_window():
-    # alpha0=2.5, kappa=0.9: alpha = 2.5 sqrt(0.19) ~ 1.0897
-    spectrum_tan(1.0, 2.5, 0.9, LevelIndex(1, -1))
-    with pytest.raises(IndexOutOfRangeError):
-        spectrum_tan(1.0, 2.5, 0.9, LevelIndex(2, -1))
+    # alpha0=2.5, kappa=0.9: alpha = 2.5 sqrt(0.19) ~ 1.0897. The ladder has
+    # no top: the law holds past alpha, where the lattice, which reads no
+    # level law, converges the same levels (measured to 1.6e-7 relative)
+    lattice = dirac_solver.converge_box_full(tan_params(0.9, alpha0=2.5), 5, tol=1e-6)
+    for n_sigma in (2, 3, 4):
+        rec = next(r for r in lattice.records
+                   if (r.branch, r.sigma, r.n_sigma) == (1, -1, n_sigma))
+        assert rec.converged
+        lv = spectrum_tan(1.0, 2.5, 0.9, LevelIndex(n_sigma, -1))
+        assert abs(lv.E_plus - rec.E) <= 1e-6 * rec.E
     with pytest.raises(CriticalFieldError):
         spectrum_tan(1.0, 5.0, 1.0, LevelIndex(0, -1))
 
@@ -159,8 +160,9 @@ def test_full_spectrum_kappa0_shape():
 
 
 def test_full_spectrum_tan_window_clip():
+    # n_sigma 2-4 lie past alpha ~ 1.0897 and are listed like the rest
     records = full_spectrum(tan_params(0.9, alpha0=2.5), 4)
-    assert {r.n_sigma for r in records} == {0, 1}
+    assert {r.n_sigma for r in records} == {0, 1, 2, 3, 4}
 
 
 def test_full_spectrum_rejects_supercritical_and_tabulated():

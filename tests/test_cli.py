@@ -171,6 +171,21 @@ def test_spectrum_row_order_is_a_function_of_the_labels(monkeypatch):
     assert {r[3] for r in plain} == {"analytic", "susy", "dirac"}
 
 
+def test_spectrum_routes_hold_the_same_levels():
+    # tan kappa 0.8 has alpha = 3: n_sigma 3 and 4 lie past it on every
+    # route, and the lattice's extra negative-branch n_sigma 5 is not shown
+    code, out, _ = run_cli([
+        "spectrum", "--model.family", "tan", "--model.kappa", "0.8",
+        "--grid.n", "1000", "--solver.levels", "5",
+    ])
+    assert code == 0
+    keys = {}
+    for r in parse_csv(out)[2]:
+        keys.setdefault(r["route"], set()).add((r["branch"], int(r["n_sigma"])))
+    want = {("+", k) for k in range(5)} | {("-", k) for k in range(1, 5)}
+    assert keys == {"analytic": want, "susy": want, "dirac": want}
+
+
 def test_spectrum_critical_field_exit_3():
     code, out, err = run_cli([
         "spectrum", "--solver.route", "analytic", "--model.kappa", "1.0",
@@ -309,10 +324,10 @@ def test_spectrum_tabulated_round_trip(tmp_path):
     assert code == 0
     _, _, rows = parse_csv(out)
     # the tabulated W=x problem is the exactly solvable linear one, labelled
-    # as the certified families are: E = +-sqrt(1 + 2 n_sigma), two levels
-    # of each sign, n_sigma 0 (E = +1) on the positive branch only
+    # as the certified families are: E = +-sqrt(1 + 2 n_sigma), n_sigma 0
+    # and 1, n_sigma 0 (E = +1) on the positive branch only
     keys = sorted((r["branch"], int(r["n_sigma"])) for r in rows)
-    assert keys == [("+", 0), ("+", 1), ("+", 1), ("-", 1), ("-", 1), ("-", 2), ("-", 2)]
+    assert keys == [("+", 0), ("+", 1), ("+", 1), ("-", 1), ("-", 1)]
     for r in rows:
         law = math.sqrt(1 + 2 * int(r["n_sigma"]))
         assert float(r["E"]) == pytest.approx(law if r["branch"] == "+" else -law, abs=1e-6)
@@ -440,6 +455,25 @@ def test_verify_fails_when_a_route_gains_or_loses_a_level(monkeypatch, change):
     assert line.startswith("FAIL three-route agreement") and lone in line
 
 
+def test_verify_fails_when_the_susy_route_drops_a_level_past_alpha(monkeypatch):
+    # tan kappa 0.8: alpha = 3, so n_sigma 4 lies past it; the lattice and
+    # the closed form hold it, and a susy route without it must fail
+    susy_records = cli._susy_records
+
+    def dropping(params, grid, max_n):
+        return [r for r in susy_records(params, grid, max_n) if r.n_sigma != 4]
+
+    monkeypatch.setattr(cli, "_susy_records", dropping)
+    code, out, _ = run_cli([
+        "verify", "--model.family", "tan", "--model.kappa", "0.8",
+        "--grid.n", "1000", "--solver.levels", "5",
+    ])
+    assert code == 1
+    line = check_lines(out)[0]
+    assert line.startswith("FAIL three-route agreement")
+    assert "(-1, 4)" in line and "(1, 4)" in line
+
+
 def test_verify_pairing_fails_on_split_susy_partners(monkeypatch):
     solve = susy_reduction.solve_nonlinear_level
 
@@ -529,6 +563,18 @@ def test_wavefunction_massless_zero_mode(family, kappa):
     assert preamble[0] == "level sigma=-1 n=0 branch=+1 E=0"
     assert float(preamble[1].split("=")[1]) >= 0.999
     assert float(rows[-1]["cum_susy"]) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_wavefunction_tan_level_past_alpha():
+    # tan kappa 0.8: n_sigma 4 lies past alpha = 3 and is a bound level on
+    # both routes
+    code, out, err = run_cli([
+        "wavefunction", "--model.family", "tan", "--model.kappa", "0.8",
+        "--grid.n", "1000", "--solver.levels", "5", "--sigma", "-1", "--n", "4",
+    ])
+    assert code == 0, err
+    preamble, _, _ = parse_csv(out)
+    assert float(preamble[1].split("=")[1]) >= 0.999
 
 
 def test_wavefunction_unbound_exit_5():

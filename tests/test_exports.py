@@ -41,6 +41,40 @@ def test_package_reexports_resolve():
             assert getattr(diracosc, bound) is getattr(source, alias.name)
 
 
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and neither reads nor lists in __all__."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    # an attribute's base is a Name too
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            exported = set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in read | exported]
+
+
+def test_unused_imports_are_found():
+    source = "from .errors import A, B\nimport numpy as np\n__all__ = ['B']\nnp.zeros(A)\n"
+    assert _unused_imports(source) == []
+    assert _unused_imports(source.replace("np.zeros(A)", "A")) == ["np"]
+
+
+@pytest.mark.parametrize("path", sorted(
+    path.name for path in pathlib.Path(diracosc.__file__).parent.glob("*.py")
+    if path.name != "__init__.py"))
+def test_module_reads_every_name_it_imports(path):
+    source = (pathlib.Path(diracosc.__file__).parent / path).read_text(encoding="utf-8")
+    assert _unused_imports(source) == []
+
+
 def test_every_traced_layer_keeps_a_binding(monkeypatch):
     # perfbench/layers.py wraps each kind's (module, attribute) bindings; a
     # kind with none left is reported absent, and its per-layer metrics drop
