@@ -11,16 +11,17 @@ Three independent routes to the same spectrum:
   level condition, plus spinor reconstruction
   (:mod:`diracosc.susy_reduction`).
 
-Shared domain types live in :mod:`diracosc.model`, the symmetric
-tridiagonal eigensolver kernel (LAPACK eigenvalues, Sturm counts and
-eigenvectors) in :mod:`diracosc.linalg`, and the command-line front end
-in :mod:`diracosc.cli` (installed as ``diracosc``).
+Shared domain types live in :mod:`diracosc.model`, with the level
+bookkeeping every route shares: the label n_sigma = n + (1+sigma)/2
+(``reduced_index``) and the reduced eigenvalue epsilon = E^2/(1-kappa^2) - m^2
+(``reduced_epsilon``); the closed-form laws take n_sigma directly. The
+symmetric tridiagonal eigensolver kernel (LAPACK eigenvalues, Sturm counts
+and eigenvectors) lives in :mod:`diracosc.linalg`, and the command-line
+front end in :mod:`diracosc.cli` (installed as ``diracosc``).
 """
 
 from . import analytic, cli, dirac_solver, linalg, model, susy_reduction
 from .analytic import (
-    BoundStateDomain,
-    bound_state_domain,
     degenerate_pairs,
     full_spectrum,
     spectrum_linear,
@@ -40,25 +41,22 @@ from .errors import (
     DiracOscError,
     DomainError,
     IndexOutOfRangeError,
-    NoRealEnergyError,
     ResourceError,
 )
 from .model import (
     Family,
     Grid,
-    LevelIndex,
     PhysicalParams,
     SpectrumRecord,
     SpinorState,
     Superpotential,
     build_grid,
     eval_superpotential,
-    potential_energy,
+    reduced_epsilon,
+    reduced_index,
 )
 from .susy_reduction import (
-    E_from_epsilon,
     effective_superpotential,
-    epsilon_from_E,
     reconstruct_spinor,
     schrodinger_operator,
     solve_nonlinear_level,

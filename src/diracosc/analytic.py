@@ -1,18 +1,18 @@
 """Closed-form level laws for the two certified superpotential families,
-index bookkeeping, degeneracy pairing, and the bound-state domain test.
+and degeneracy pairing.
 
 Both families share the reduced-problem structure: eliminating one spinor
 component maps the coupled system onto a pair of partner Schrodinger problems
 whose levels epsilon_n depend on the single index
 
-    n_sigma = n + (1 + sigma)/2,
+    n_sigma = n + (1 + sigma)/2        (model.reduced_index),
 
 so states (sigma=-1, n=k) and (sigma=+1, n=k-1) share n_sigma=k and are
 exactly degenerate; only the n_sigma=0 state (which exists on the sigma=-1
 side and on the positive energy branch alone, as +E0) is unpaired. Energies
 follow from
 
-    epsilon = E^2/(1-kappa^2) - m^2.
+    epsilon = E^2/(1-kappa^2) - m^2    (model.reduced_epsilon).
 
 Linear family (W = w1 x): epsilon_n = 2 w1 sqrt(1-kappa^2) n_sigma, giving
 
@@ -40,30 +40,26 @@ to ~1e-9.
 
 All of this holds only on the subcritical domain |kappa| < 1; at |kappa| = 1
 the effective coupling sqrt(1-kappa^2) vanishes and beyond it no bound states
-exist, which bound_state_domain classifies.
+exist, so the laws raise model.require_subcritical's CriticalFieldError.
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import NamedTuple
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConfigError, ConvergenceError, DomainError
 from .model import (
     Family,
-    LevelIndex,
     PhysicalParams,
     SpectrumRecord,
     level_labels,
+    reduced_epsilon,
     require_subcritical,
 )
 
 __all__ = [
-    "BoundStateDomain",
-    "bound_state_domain",
     "LevelPair",
-    "TanLevel",
     "spectrum_linear",
     "spectrum_tan",
     "level_energies",
@@ -74,32 +70,9 @@ __all__ = [
 ]
 
 
-class BoundStateDomain(Enum):
-    BOUND = "bound"
-    CRITICAL = "critical"
-    UNBOUND = "unbound"
-
-
-def bound_state_domain(kappa: float) -> BoundStateDomain:
-    """Classify the coupling: bound spectrum for |kappa|<1, the critical
-    point at |kappa|=1, no bound states beyond."""
-    a = abs(kappa)
-    if a < 1.0:
-        return BoundStateDomain.BOUND
-    if a == 1.0:
-        return BoundStateDomain.CRITICAL
-    return BoundStateDomain.UNBOUND
-
-
 class LevelPair(NamedTuple):
     E_plus: float
     E_minus: float
-
-
-class TanLevel(NamedTuple):
-    E_plus: float
-    E_minus: float
-    epsilon: float
 
 
 def linear_epsilon(w1: float, kappa: float, n_sigma: int) -> float:
@@ -115,16 +88,23 @@ def tan_epsilon(alpha: float, beta: float, n_sigma: int) -> float:
     return t * t - alpha * alpha + beta * beta - (alpha * beta / t) ** 2
 
 
-def spectrum_linear(m: float, w1: float, kappa: float, idx: LevelIndex) -> LevelPair:
-    """Closed-form level of the linear family at the given index.
+def _require_index(n_sigma: int) -> None:
+    if not n_sigma >= 0:
+        raise ConfigError(f"n_sigma must be >= 0, got {n_sigma!r}")
+
+
+def spectrum_linear(m: float, w1: float, kappa: float, n_sigma: int) -> LevelPair:
+    """Closed-form level of the linear family at reduced index n_sigma.
 
     E = +-sqrt((1-kappa^2)(2 w1 sqrt(1-kappa^2) n_sigma + m^2)); the two
-    branches are exact negatives. Raises CriticalFieldError for |kappa|>=1.
+    branches are exact negatives. Raises CriticalFieldError for |kappa|>=1
+    and ConfigError for n_sigma < 0.
     """
+    _require_index(n_sigma)
     omk = require_subcritical(kappa)
     if not w1 > 0.0:
         raise DomainError(f"linear slope must be positive, got {w1}")
-    e2 = omk * (linear_epsilon(w1, kappa, idx.n_sigma) + m * m)
+    e2 = omk * (linear_epsilon(w1, kappa, n_sigma) + m * m)
     e = math.sqrt(e2)
     return LevelPair(e, -e)
 
@@ -137,24 +117,23 @@ def _tan_E2(m: float, alpha0: float, kappa: float, n_sigma: int) -> float:
     return numerator / (1.0 + (alpha0 * kappa / t) ** 2)
 
 
-def spectrum_tan(m: float, alpha0: float, kappa: float, idx: LevelIndex) -> TanLevel:
-    """Closed-form level of the trigonometric family at the given index,
-    plus the reduced-problem eigenvalue epsilon for cross-checking.
+def spectrum_tan(m: float, alpha0: float, kappa: float, n_sigma: int) -> LevelPair:
+    """Closed-form level of the trigonometric family at reduced index n_sigma.
 
     The energy solves a quadratic in E^2 (see module docstring); the ladder
     form of the same law, evaluated at the solved E, must reproduce
-    epsilon = E^2/(1-kappa^2) - m^2 to 1e-12 relative - the two derivations
-    are independent transcriptions, so this guards both.
+    model.reduced_epsilon of it to 1e-12 relative - the two derivations are
+    independent transcriptions, so this guards both.
 
     The trigonometric ladder never stops: every n_sigma >= 0 is a bound
-    level. Raises CriticalFieldError for |kappa|>=1, ConvergenceError if the
-    two forms disagree.
+    level. Raises CriticalFieldError for |kappa|>=1, ConfigError for
+    n_sigma < 0 and ConvergenceError if the two forms disagree.
     """
-    n_sigma = idx.n_sigma
+    _require_index(n_sigma)
     e2 = _tan_E2(m, alpha0, kappa, n_sigma)
     e = math.sqrt(e2)
+    eps = reduced_epsilon(e, m, kappa)
     omk = 1.0 - kappa * kappa
-    eps = e2 / omk - m * m
     alpha = alpha0 * math.sqrt(omk)
     beta = kappa * e / math.sqrt(omk)
     eps_ladder = tan_epsilon(alpha, beta, n_sigma)
@@ -163,18 +142,16 @@ def spectrum_tan(m: float, alpha0: float, kappa: float, idx: LevelIndex) -> TanL
             "ladder and quadratic forms of the trigonometric level law disagree "
             f"at n_sigma = {n_sigma}: epsilon {eps_ladder!r} against {eps!r}"
         )
-    return TanLevel(e, -e, eps)
+    return LevelPair(e, -e)
 
 
 def level_energies(params: PhysicalParams, n_sigma: int) -> LevelPair:
     """Family-dispatched (E_plus, E_minus) at a reduced index n_sigma."""
     sp = params.superpotential
-    idx = LevelIndex(n=n_sigma, sigma=-1)
     if sp.family is Family.LINEAR:
-        return LevelPair(*spectrum_linear(params.mass, sp.w1, params.kappa, idx))
+        return spectrum_linear(params.mass, sp.w1, params.kappa, n_sigma)
     if sp.family is Family.TANGENT:
-        lv = spectrum_tan(params.mass, sp.alpha0, params.kappa, idx)
-        return LevelPair(lv.E_plus, lv.E_minus)
+        return spectrum_tan(params.mass, sp.alpha0, params.kappa, n_sigma)
     raise DomainError(
         "tabulated superpotentials are outside the closed-form route"
     )
@@ -193,12 +170,10 @@ def full_spectrum(params: PhysicalParams, max_n: int) -> list[SpectrumRecord]:
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     require_subcritical(params.kappa)
-    omk = 1.0 - params.kappa**2
-    m = params.mass
     records = []
     for k in range(max_n + 1):
         ep, em = level_energies(params, k)
-        eps = ep * ep / omk - m * m
+        eps = reduced_epsilon(ep, params.mass, params.kappa)
         for branch, e in ((1, ep), (-1, em)):
             for sigma, n in level_labels(branch, k):
                 records.append(

@@ -48,7 +48,6 @@ from .errors import (
     DiracOscError,
     DomainError,
     IndexOutOfRangeError,
-    NoRealEnergyError,
     ResourceError,
 )
 from .model import (
@@ -59,6 +58,7 @@ from .model import (
     Superpotential,
     build_grid,
     level_labels,
+    reduced_index,
     require_subcritical,
 )
 
@@ -321,7 +321,7 @@ def _dirac_result(params, grid, cfg) -> dirac_solver.ConvergeResult:
     """The lattice run with its records and states cut to n_sigma <=
     levels - 1, the levels the other routes hold: count = levels also
     solves the negative branch's n_sigma = levels. The run itself is the
-    cached one that `wavefunction` and `verify` reuse."""
+    cached one that `wavefunction` reuses."""
     result = dirac_solver.converge_box_full(
         params, count=cfg.levels, tol=cfg.tolerance, grid=grid
     )
@@ -412,9 +412,7 @@ def _verify_checks(cfg: RunConfig):
     max_n = min(cfg.levels - 1, 4)
     ana = analytic.full_spectrum(params, max_n)
     susy = _susy_records(params, grid, max_n)
-    dirac = dirac_solver.converge_box_full(
-        params, count=max_n + 1, tol=cfg.tolerance, grid=grid
-    ).records
+    dirac = _dirac_result(params, grid, replace(cfg, levels=max_n + 1)).records
     checks = []
 
     def keyed(records):
@@ -430,7 +428,7 @@ def _verify_checks(cfg: RunConfig):
             if key in other:
                 worst = max(worst, abs(ea - other[key]) / max(abs(ea), 1.0))
     # every route must hold the same levels within the requested range
-    held = [set(ka), set(ks), {key for key in kd if key[1] <= max_n}]
+    held = [set(ka), set(ks), set(kd)]
     lone = sorted(set.union(*held) - set.intersection(*held))
     checks.append(("three-route agreement", worst <= 1e-4 and not lone,
                    f"max cross-route discrepancy {worst:.3e} (limit 1e-04)"
@@ -442,7 +440,7 @@ def _verify_checks(cfg: RunConfig):
         "lattice resolution", not bad,
         f"levels (branch, n_sigma) = {bad} still drift under refinement, "
         f"max inter-round shift {drift:.3e}" if bad
-        else f"all {len(dirac)} lattice levels stationary under refinement",
+        else f"all {len(kd)} lattice levels stationary under refinement",
     ))
 
     # on the susy route the labels (sigma=-1, n=k) and (sigma=+1, n=k-1) of a
@@ -490,14 +488,13 @@ def _verify_checks(cfg: RunConfig):
     omk = 1.0 - params.kappa**2
     sp = params.superpotential
     for rec in ana:
-        eps = rec.E**2 / omk - params.mass**2
         if sp.family is Family.TANGENT:
             alpha = sp.alpha0 * math.sqrt(omk)
             beta = params.kappa * rec.E / math.sqrt(omk)
             law = analytic.tan_epsilon(alpha, beta, rec.n_sigma)
         else:
             law = analytic.linear_epsilon(sp.w1, params.kappa, rec.n_sigma)
-        worst = max(worst, abs(law - eps) / max(abs(eps), 1.0))
+        worst = max(worst, abs(law - rec.epsilon) / max(abs(rec.epsilon), 1.0))
     checks.append(("closed-form level residual", worst <= 1e-12,
                    f"max level-law residual {worst:.3e} (limit 1e-12)"))
     return checks
@@ -530,7 +527,7 @@ def cmd_wavefunction(cfg: RunConfig, sigma: int, n: int, branch: int = 1) -> int
     if branch not in (-1, 1):
         raise ConfigError("branch must be -1 or +1")
     params, grid = _build_problem(cfg)
-    n_sigma = n + (1 + sigma) // 2
+    n_sigma = reduced_index(sigma, n)
     result = dirac_solver.converge_box_full(
         params, count=max(cfg.levels, n_sigma + 2), tol=cfg.tolerance, grid=grid
     )
@@ -642,7 +639,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IndexOutOfRangeError, DegenerateStateError, NoRealEnergyError) as exc:
+    except (IndexOutOfRangeError, DegenerateStateError) as exc:
         print(f"level not found: {exc}", file=sys.stderr)
         return EXIT_LEVEL_NOT_FOUND
     except CriticalFieldError as exc:

@@ -111,6 +111,7 @@ from .model import (
     build_grid,
     eval_superpotential,
     level_labels,
+    reduced_epsilon,
     require_whole_domain,
 )
 
@@ -221,13 +222,6 @@ def _zero_tol(params: PhysicalParams) -> float:
     return 1e-11 * max(1.0, params.mass)
 
 
-def _epsilon_of(E: float, params: PhysicalParams) -> float:
-    omk = 1.0 - params.kappa**2
-    if omk <= 0.0:
-        return math.nan
-    return E * E / omk - params.mass**2
-
-
 def _settled(err, values, tol):
     """The converged flag: the move between rounds is at most tol relative
     to max(|E|, 1)."""
@@ -258,8 +252,8 @@ def _build_records(params, e_neg, e_pos, states, errs=(None, None), tol=None):
             estimate = float(err[j]) if err is not None else None
             for sigma, n in level_labels(branch, n_sigma):
                 record = SpectrumRecord(route="dirac", branch=branch, sigma=sigma, n=n, E=val,
-                                        epsilon=_epsilon_of(val, params), converged=flag,
-                                        err_est=estimate)
+                                        epsilon=reduced_epsilon(val, params.mass, params.kappa),
+                                        converged=flag, err_est=estimate)
                 pairs.append((record, state))
     pairs.sort(key=lambda pair: (abs(pair[0].E), -pair[0].branch, pair[0].sigma))
     return pairs

@@ -30,10 +30,6 @@ class CriticalFieldError(DiracOscError, ValueError):
     closed-form routes refuse to run."""
 
 
-class NoRealEnergyError(DiracOscError, ValueError):
-    """The requested level has no real energy (negative squared energy)."""
-
-
 class BracketError(DiracOscError, RuntimeError):
     """The nonlinear level solver found no sign change in its search window,
     i.e. no such bound level exists there."""

@@ -1,4 +1,6 @@
-"""Domain types shared by all solvers.
+"""Domain types shared by all solvers, and the level bookkeeping every route
+shares: the label n_sigma (reduced_index) and the reduced eigenvalue
+epsilon(E) (reduced_epsilon).
 
 Natural units hbar = c = 1 throughout: energies, masses and inverse lengths
 share one unit. The electric coupling enters only through the product
@@ -29,12 +31,12 @@ __all__ = [
     "Superpotential",
     "PhysicalParams",
     "Grid",
-    "LevelIndex",
     "SpectrumRecord",
     "SpinorState",
     "eval_superpotential",
     "level_labels",
-    "potential_energy",
+    "reduced_epsilon",
+    "reduced_index",
     "require_subcritical",
     "require_whole_domain",
     "build_grid",
@@ -170,14 +172,6 @@ def eval_superpotential(sp: Superpotential, x):
     return w, wp
 
 
-def potential_energy(sp: Superpotential, kappa: float, x):
-    """U(x) = kappa * W(x). The lattice assembly and the spinor
-    reconstruction form the same product inline from the W they already
-    evaluate; this is the stand-alone form."""
-    w = eval_superpotential(sp, x)[0]
-    return kappa * w
-
-
 def require_subcritical(kappa: float) -> float:
     """1 - kappa^2 for a subcritical coupling; raises CriticalFieldError at
     |kappa| >= 1, where the closed-form and reduction routes have no bound
@@ -256,24 +250,19 @@ def require_whole_domain(sp: Superpotential, grid: Grid) -> None:
         raise DomainError(f"tangent-family box half-width must be pi/2, got {grid.half_width!r}")
 
 
-@dataclass(frozen=True)
-class LevelIndex:
-    """Quantum numbers (n, sigma) with the unified level label
-    n_sigma = n + (1+sigma)/2: sigma=-1 counts 0,1,2,... and sigma=+1 counts
-    1,2,3,..., so both ladders meet at every n_sigma >= 1."""
+def reduced_index(sigma: int, n: int) -> int:
+    """The unified level label n_sigma = n + (1+sigma)/2: sigma=-1 counts
+    0,1,2,... and sigma=+1 counts 1,2,3,..., so both ladders meet at every
+    n_sigma >= 1."""
+    return n + (1 + sigma) // 2
 
-    n: int
-    sigma: int
 
-    def __post_init__(self):
-        if self.sigma not in (-1, 1):
-            raise ConfigError(f"sigma must be -1 or +1, got {self.sigma!r}")
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 0):
-            raise ConfigError(f"n must be a non-negative integer, got {self.n!r}")
-
-    @property
-    def n_sigma(self) -> int:
-        return int(self.n) + (1 + self.sigma) // 2
+def reduced_epsilon(E: float, mass: float, kappa: float) -> float:
+    """The reduced-problem eigenvalue E^2/(1-kappa^2) - m^2 of energy E; nan
+    at |kappa| >= 1, where no reduction exists."""
+    if not abs(kappa) < 1.0:
+        return math.nan
+    return E * E / (1.0 - kappa**2) - mass**2
 
 
 def level_labels(branch: int, n_sigma: int) -> tuple[tuple[int, int], ...]:
@@ -300,9 +289,8 @@ class SpectrumRecord:
     """One energy level as seen by one route.
 
     branch is the sign of E (+1/-1); sign(E) must match branch whenever
-    E != 0. epsilon is the reduced eigenvalue E^2/(1-kappa^2) - m^2 when the
-    route can compute it (nan above the critical field). err_est is None when
-    the route reports no error estimate.
+    E != 0. epsilon is reduced_epsilon of E on every route (nan at
+    |kappa| >= 1). err_est is None when the route reports no error estimate.
     """
 
     route: str
@@ -330,7 +318,7 @@ class SpectrumRecord:
 
     @property
     def n_sigma(self) -> int:
-        return self.n + (1 + self.sigma) // 2
+        return reduced_index(self.sigma, self.n)
 
 
 def _site_probabilities(psi1: np.ndarray, psi2: np.ndarray, h: float):

@@ -11,15 +11,16 @@ where the effective superpotential absorbs the coupling and the energy,
 
     Weff(x) = sqrt(1-kappa^2) * (W(x) + kappa E / (1-kappa^2)),
 
-and epsilon = E^2/(1-kappa^2) - m^2. Because Weff depends on E, the level
-condition  epsilon_n(Weff(E)) = E^2/(1-kappa^2) - m^2  is nonlinear in E;
-solve_nonlinear_level finds each root on two nested grids by one search:
-Newton steps from a seed, with the slope from the Hellmann-Feynman theorem,
-guarded by the first sign-change bracket they find (a bracket widened around
-the seed when they leave its reach). Each evaluation of epsilon_n bisects a
-window predicted from the last one. This route needs no closed form, so it
-generalizes beyond the certified families; on them it must reproduce the
-closed-form levels, which is the cross-check the package leans on.
+and epsilon = E^2/(1-kappa^2) - m^2 (model.reduced_epsilon). Because Weff
+depends on E, the level condition  epsilon_n(Weff(E)) = E^2/(1-kappa^2) - m^2
+is nonlinear in E; solve_nonlinear_level finds each root on two nested grids
+by one search: Newton steps from a seed, with the slope from the
+Hellmann-Feynman theorem, guarded by the first sign-change bracket they find
+(a bracket widened around the seed when they leave its reach). Each
+evaluation of epsilon_n bisects a window predicted from the last one. This
+route needs no closed form, so it generalizes beyond the certified families;
+on them it must reproduce the closed-form levels, which is the cross-check
+the package leans on.
 
 Everything here refuses |kappa| >= 1: the spin matrix becomes defective at
 the critical coupling and its eigenvalues go imaginary beyond, so no
@@ -36,11 +37,7 @@ import numpy as np
 
 from . import analytic
 from .dirac_solver import default_grid
-from .errors import (
-    BracketError,
-    DegenerateStateError,
-    NoRealEnergyError,
-)
+from .errors import BracketError, DegenerateStateError
 from .linalg import Tridiagonal, _indexed_eigenvalues, tridiagonal_eigenvectors
 from .model import (
     Family,
@@ -50,6 +47,8 @@ from .model import (
     SpinorState,
     Superpotential,
     eval_superpotential,
+    reduced_epsilon,
+    reduced_index,
     require_subcritical,
     require_whole_domain,
 )
@@ -59,8 +58,6 @@ __all__ = [
     "spin_eigensystem",
     "EffectiveSuperpotential",
     "effective_superpotential",
-    "epsilon_from_E",
-    "E_from_epsilon",
     "schrodinger_operator",
     "squared_form_potential",
     "solve_nonlinear_level",
@@ -141,26 +138,6 @@ def effective_superpotential(
     return EffectiveSuperpotential(base=sp, scale=scale, offset=kappa * E / scale)
 
 
-def epsilon_from_E(E: float, kappa: float, m: float) -> float:
-    """Reduced-problem eigenvalue from an energy: E^2/(1-kappa^2) - m^2."""
-    omk = require_subcritical(kappa)
-    return E * E / omk - m * m
-
-
-def E_from_epsilon(epsilon: float, kappa: float, m: float) -> tuple[float, float]:
-    """Energies (+E, -E) from a reduced eigenvalue; inverse of
-    epsilon_from_E to 1e-12 relative. Raises NoRealEnergyError when
-    epsilon + m^2 < 0."""
-    omk = require_subcritical(kappa)
-    s = epsilon + m * m
-    if s < 0.0:
-        raise NoRealEnergyError(
-            f"epsilon + m^2 = {s} < 0 admits no real energy"
-        )
-    e = math.sqrt(omk * s)
-    return e, -e
-
-
 def schrodinger_operator(
     weff: EffectiveSuperpotential, sigma: int, grid: Grid
 ) -> Tridiagonal:
@@ -202,14 +179,13 @@ def _level_condition(params, sigma, n, grid, E, window=None):
     weff = effective_superpotential(params.superpotential, params.kappa, E)
     t = schrodinger_operator(weff, sigma, grid)
     eps = _indexed_eigenvalues(t, [n + 1], window=window)
-    omk = 1.0 - params.kappa**2
-    return t, eps, float(eps[0]) - (E * E / omk - params.mass**2)
+    return t, eps, float(eps[0]) - reduced_epsilon(E, params.mass, params.kappa)
 
 
 def _root_window(params, E):
     """A window for epsilon_n at E when E is near a root, where f(E) = 0 puts
     epsilon_n at E^2/(1-kappa^2) - m^2: that value +- 1e-3 of itself (or of 1)."""
-    c = E * E / (1.0 - params.kappa**2) - params.mass**2
+    c = reduced_epsilon(E, params.mass, params.kappa)
     half = 1e-3 * max(abs(c), 1.0)
     return c - half, c + half
 
@@ -247,7 +223,7 @@ def _evaluator(params, sigma, n, grid, line=None):
         t, eps, f = _level_condition(params, sigma, n, grid, E, window)
         phi = tridiagonal_eigenvectors(t, eps)[:, 0]
         fp = 2.0 * params.kappa * float(np.dot(phi * phi, w)) - 2.0 * E
-        last[:] = E, f + (E * E / omk - params.mass**2), fp + 2.0 * E / omk
+        last[:] = E, f + reduced_epsilon(E, params.mass, params.kappa), fp + 2.0 * E / omk
         return f, fp
 
     return evaluate
@@ -264,7 +240,7 @@ def _seed(params, sigma, n, grid, branch):
     through the last two steps' eps; the first step with a sign change is
     the whole window, the one bracket tried, and its two eps give the line."""
     if params.superpotential.family in (Family.LINEAR, Family.TANGENT):
-        ep, em = analytic.level_energies(params, n + (1 + sigma) // 2)
+        ep, em = analytic.level_energies(params, reduced_index(sigma, n))
         seed = ep if branch > 0 else em
         if seed != 0.0:
             return seed, 1e-4 * max(abs(seed), 1.0), 0.25 * abs(seed), None
@@ -466,7 +442,6 @@ def _solve_level(params, sigma, n, grid):
         minus = plus
     else:
         minus = _solve_branch(params, sigma, n, grid, -1)
-    omk = 1.0 - params.kappa**2
     records = []
     for branch, (e, err, ok) in ((1, plus), (-1, minus)):
         e = branch * abs(e)
@@ -477,7 +452,7 @@ def _solve_level(params, sigma, n, grid):
                 sigma=sigma,
                 n=n,
                 E=e,
-                epsilon=e * e / omk - params.mass**2,
+                epsilon=reduced_epsilon(e, params.mass, params.kappa),
                 converged=ok,
                 err_est=err,
             )

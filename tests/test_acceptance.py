@@ -96,7 +96,7 @@ def test_criterion_02_tan_spectrum_reproduction(tan_results):
         # the level law in its two independent transcriptions: the quadratic
         # solved for E^2 and the ladder form evaluated at that E
         for n_sigma in sorted({r.n_sigma for r in records}):
-            lv = analytic.spectrum_tan(1.0, 5.0, kappa, analytic.LevelIndex(n_sigma, -1))
+            lv = analytic.spectrum_tan(1.0, 5.0, kappa, n_sigma)
             eps_quadratic = lv.E_plus**2 / omk - 1.0
             beta = kappa * lv.E_plus / math.sqrt(omk)
             eps_ladder = analytic.tan_epsilon(alpha, beta, n_sigma)
@@ -204,7 +204,7 @@ def test_criterion_06_ground_level_law(linear_results):
     grounds = []
     for kappa in LINEAR_KAPPAS:
         law = (1.0 - kappa**2)
-        plus, _ = analytic.spectrum_linear(1.0, 1.0, kappa, analytic.LevelIndex(0, -1))
+        plus, _ = analytic.spectrum_linear(1.0, 1.0, kappa, 0)
         worst_ana = max(worst_ana, abs(plus**2 - law))
         e_dirac = keyed_energies(linear_results[kappa].records)[(1, 0)]
         worst_dir = max(worst_dir, abs(e_dirac**2 - law) / law)

@@ -12,9 +12,7 @@ import pytest
 
 from conftest import linear_params, tan_params
 from diracosc.analytic import (
-    BoundStateDomain,
     DEGENERACY_RTOL,
-    bound_state_domain,
     degenerate_pairs,
     full_spectrum,
     level_energies,
@@ -25,7 +23,7 @@ from diracosc.analytic import (
 )
 from diracosc import analytic, dirac_solver
 from diracosc.errors import ConvergenceError, CriticalFieldError, DomainError
-from diracosc.model import LevelIndex, PhysicalParams, SpectrumRecord, Superpotential
+from diracosc.model import PhysicalParams, SpectrumRecord, Superpotential, reduced_epsilon
 
 # lattice route, tan alpha0=5, kappa=0.5, n_sigma = 0..4
 TAN_LATTICE_ORACLE = [
@@ -37,48 +35,42 @@ TAN_LATTICE_ORACLE = [
 ]
 
 
-def test_bound_state_domain_examples():
-    assert bound_state_domain(0.999) is BoundStateDomain.BOUND
-    assert bound_state_domain(1.0) is BoundStateDomain.CRITICAL
-    assert bound_state_domain(-1.2) is BoundStateDomain.UNBOUND
-
-
 def test_spectrum_linear_pinned_examples():
-    plus, minus = spectrum_linear(1.0, 1.0, 0.0, LevelIndex(0, -1))
+    plus, minus = spectrum_linear(1.0, 1.0, 0.0, 0)
     assert (plus, minus) == (1.0, -1.0)
-    plus, minus = spectrum_linear(1.0, 1.0, 0.0, LevelIndex(1, -1))
+    plus, minus = spectrum_linear(1.0, 1.0, 0.0, 1)
     assert abs(plus - math.sqrt(3.0)) < 1e-15
     # kappa=0.6, n_sigma=1: E = sqrt(0.64 * (0.8*2 + 1))
-    plus, minus = spectrum_linear(1.0, 1.0, 0.6, LevelIndex(1, -1))
+    plus, minus = spectrum_linear(1.0, 1.0, 0.6, 1)
     assert abs(plus - math.sqrt(0.64 * 2.6)) < 1e-15
     assert minus == -plus
 
 
 def test_spectrum_linear_kappa0_reduction_is_exact():
     for n_sigma in range(10):
-        plus, minus = spectrum_linear(1.0, 1.0, 0.0, LevelIndex(n_sigma, -1))
+        plus, minus = spectrum_linear(1.0, 1.0, 0.0, n_sigma)
         assert plus == math.sqrt(2.0 * n_sigma + 1.0)
         assert minus == -plus
 
 
 def test_spectrum_linear_rejects_critical_field_and_bad_slope():
     with pytest.raises(CriticalFieldError):
-        spectrum_linear(1.0, 1.0, 1.0, LevelIndex(0, -1))
+        spectrum_linear(1.0, 1.0, 1.0, 0)
     with pytest.raises(CriticalFieldError):
-        spectrum_linear(1.0, 1.0, -1.3, LevelIndex(0, -1))
+        spectrum_linear(1.0, 1.0, -1.3, 0)
     with pytest.raises(DomainError):
-        spectrum_linear(1.0, 0.0, 0.5, LevelIndex(0, -1))
+        spectrum_linear(1.0, 0.0, 0.5, 0)
 
 
 def test_ground_level_law_and_monotonicity():
     kappas = np.linspace(0.0, 0.99, 34)
     prev = None
     for kap in kappas:
-        plus, _ = spectrum_linear(2.0, 1.0, float(kap), LevelIndex(0, -1))
+        plus, _ = spectrum_linear(2.0, 1.0, float(kap), 0)
         assert abs(plus - 2.0 * math.sqrt(1.0 - kap * kap)) <= 1e-14
     for n_sigma in (0, 1, 3):
         vals = [
-            spectrum_linear(1.0, 1.0, float(k), LevelIndex(n_sigma, -1)).E_plus
+            spectrum_linear(1.0, 1.0, float(k), n_sigma).E_plus
             for k in kappas
         ]
         assert all(b < a for a, b in zip(vals, vals[1:]))
@@ -95,15 +87,15 @@ def test_epsilon_ladders():
 def test_spectrum_tan_kappa0_closed_form():
     # at kappa=0 the level law collapses to E^2 = m^2 + 2 alpha0 n + n^2
     for n_sigma, e2 in ((0, 1.0), (1, 12.0), (2, 25.0), (3, 40.0), (4, 57.0)):
-        lv = spectrum_tan(1.0, 5.0, 0.0, LevelIndex(n_sigma, -1))
+        lv = spectrum_tan(1.0, 5.0, 0.0, n_sigma)
         assert abs(lv.E_plus - math.sqrt(e2)) < 1e-14
         assert lv.E_minus == -lv.E_plus
-        assert abs(lv.epsilon - (e2 - 1.0)) < 1e-12
+        assert abs(reduced_epsilon(lv.E_plus, 1.0, 0.0) - (e2 - 1.0)) < 1e-12
 
 
 def test_spectrum_tan_matches_lattice_oracle():
     for n_sigma, ref in enumerate(TAN_LATTICE_ORACLE):
-        lv = spectrum_tan(1.0, 5.0, 0.5, LevelIndex(n_sigma, -1))
+        lv = spectrum_tan(1.0, 5.0, 0.5, n_sigma)
         assert abs(lv.E_plus - ref) <= 1e-8 * ref
 
 
@@ -116,10 +108,10 @@ def test_spectrum_tan_certified_window():
         rec = next(r for r in lattice.records
                    if (r.branch, r.sigma, r.n_sigma) == (1, -1, n_sigma))
         assert rec.converged
-        lv = spectrum_tan(1.0, 2.5, 0.9, LevelIndex(n_sigma, -1))
+        lv = spectrum_tan(1.0, 2.5, 0.9, n_sigma)
         assert abs(lv.E_plus - rec.E) <= 1e-6 * rec.E
     with pytest.raises(CriticalFieldError):
-        spectrum_tan(1.0, 5.0, 1.0, LevelIndex(0, -1))
+        spectrum_tan(1.0, 5.0, 1.0, 0)
 
 
 def test_spectrum_tan_forms_disagreeing_raise(monkeypatch):
@@ -127,7 +119,7 @@ def test_spectrum_tan_forms_disagreeing_raise(monkeypatch):
     ladder = analytic.tan_epsilon
     monkeypatch.setattr(analytic, "tan_epsilon", lambda a, b, n: ladder(a, b, n) + 1e-9)
     with pytest.raises(ConvergenceError, match="disagree"):
-        spectrum_tan(1.0, 5.0, 0.5, LevelIndex(1, -1))
+        spectrum_tan(1.0, 5.0, 0.5, 1)
 
 
 def test_level_energies_dispatch():

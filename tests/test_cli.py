@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import diracosc
-from diracosc import analytic, cli, susy_reduction
+from diracosc import analytic, cli, dirac_solver, susy_reduction
 from diracosc.cli import (
     RunConfig,
     load_config,
@@ -472,6 +472,32 @@ def test_verify_fails_when_the_susy_route_drops_a_level_past_alpha(monkeypatch):
     line = check_lines(out)[0]
     assert line.startswith("FAIL three-route agreement")
     assert "(-1, 4)" in line and "(1, 4)" in line
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model.kappa", "0.6"],
+    ["--model.family", "tan", "--model.kappa", "0.8", "--grid.n", "1000",
+     "--solver.levels", "5"],
+])
+def test_verify_judges_the_levels_it_compares(monkeypatch, argv):
+    # the lattice run also solves the negative branch's n_sigma = count,
+    # which no other route holds: its drift is not verify's to report, and
+    # the count is of (branch, n_sigma) levels, not of their label views
+    converge = dirac_solver.converge_box_full
+
+    def drifting(params, count, tol=1e-6, grid=None):
+        result = converge(params, count, tol, grid)
+        records = tuple(dataclasses.replace(r, converged=False)
+                        if (r.branch, r.n_sigma) == (-1, count) else r
+                        for r in result.records)
+        assert records != result.records
+        return dataclasses.replace(result, records=records)
+
+    monkeypatch.setattr(dirac_solver, "converge_box_full", drifting)
+    code, out, _ = run_cli(["verify", *argv])
+    assert code == 0
+    assert check_lines(out)[1] == (
+        "PASS lattice resolution: all 9 lattice levels stationary under refinement")
 
 
 def test_verify_pairing_fails_on_split_susy_partners(monkeypatch):

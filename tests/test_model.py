@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import linear_params, tan_params
+from diracosc import analytic, dirac_solver, susy_reduction
 from diracosc.errors import ConfigError, DomainError
 from diracosc.model import (
+    HALF_PI,
+    ROUTES,
     Family,
     Grid,
-    LevelIndex,
     PhysicalParams,
     SpectrumRecord,
     SpinorState,
@@ -17,7 +20,8 @@ from diracosc.model import (
     build_grid,
     eval_superpotential,
     localization_of,
-    potential_energy,
+    reduced_epsilon,
+    reduced_index,
 )
 
 
@@ -44,21 +48,6 @@ def test_tangent_rejects_points_outside_open_interval():
         eval_superpotential(sp, math.pi / 2.0)
     with pytest.raises(DomainError):
         eval_superpotential(sp, np.array([0.0, -math.pi / 2.0]))
-
-
-def test_potential_energy_examples():
-    lin = Superpotential.linear(1.0)
-    assert potential_energy(lin, 0.0, 7.0) == 0.0
-    assert potential_energy(lin, 0.6, 2.0) == 1.2
-    tan = Superpotential.tangent(5.0)
-    assert abs(potential_energy(tan, 0.5, math.pi / 4.0) - 2.5) < 1e-12
-
-
-def test_potential_energy_is_kappa_times_w_bitwise_for_linear():
-    sp = Superpotential.linear(0.7310585786300049)
-    x = np.linspace(-11.0, 13.0, 57)
-    w = eval_superpotential(sp, x)[0]
-    assert np.array_equal(potential_energy(sp, 0.37, x), 0.37 * w)
 
 
 def test_tabulated_interpolates_samples():
@@ -173,14 +162,39 @@ def test_build_grid_rejects_bad_arguments():
 
 
 def test_level_index_unified_label():
-    assert LevelIndex(0, -1).n_sigma == 0
-    assert LevelIndex(3, -1).n_sigma == 3
-    assert LevelIndex(0, 1).n_sigma == 1
-    assert LevelIndex(3, 1).n_sigma == 4
+    assert reduced_index(-1, 0) == 0
+    assert reduced_index(-1, 3) == 3
+    assert reduced_index(1, 0) == 1
+    assert reduced_index(1, 3) == 4
+    # a record refuses a sigma other than +-1, the closed-form laws a
+    # negative label
     with pytest.raises(ConfigError):
-        LevelIndex(0, 2)
-    with pytest.raises(ConfigError):
-        LevelIndex(-1, 1)
+        SpectrumRecord(route="analytic", branch=1, sigma=2, n=0, E=1.0, epsilon=0.0,
+                       converged=True)
+    for law in (analytic.spectrum_linear, analytic.spectrum_tan):
+        with pytest.raises(ConfigError):
+            law(1.0, 1.0, 0.5, -1)
+
+
+@pytest.mark.parametrize("params, grid", [
+    (linear_params(0.4), Grid(half_width=10.0, n=300)),
+    (tan_params(0.5), Grid(half_width=HALF_PI, n=300)),
+])
+def test_every_route_carries_the_model_epsilon(params, grid):
+    records = [*analytic.full_spectrum(params, 2),
+               *susy_reduction.solve_nonlinear_level(params, -1, 1, grid),
+               *susy_reduction.solve_nonlinear_level(params, 1, 0, grid),
+               *dirac_solver.converge_box_full(params, 3, grid=grid).records]
+    assert {r.route for r in records} == set(ROUTES)
+    for r in records:
+        assert r.epsilon.hex() == reduced_epsilon(r.E, params.mass, params.kappa).hex()
+
+
+def test_supercritical_lattice_records_carry_nan_epsilon():
+    result = dirac_solver.converge_box_full(linear_params(1.2), 3,
+                                            grid=Grid(half_width=10.0, n=300))
+    assert result.records
+    assert all(math.isnan(r.epsilon) for r in result.records)
 
 
 def test_spectrum_record_validates_branch_sign():

@@ -11,7 +11,6 @@ from diracosc.errors import (
     CriticalFieldError,
     DegenerateStateError,
     DomainError,
-    NoRealEnergyError,
 )
 from diracosc import analytic, linalg, susy_reduction
 from diracosc.linalg import _indexed_eigenvalues
@@ -21,11 +20,10 @@ from diracosc.model import (
     PhysicalParams,
     Superpotential,
     level_labels,
+    reduced_epsilon,
 )
 from diracosc.susy_reduction import (
-    E_from_epsilon,
     effective_superpotential,
-    epsilon_from_E,
     reconstruct_spinor,
     schrodinger_operator,
     solve_nonlinear_level,
@@ -160,29 +158,24 @@ def test_effective_superpotential_critical():
 
 
 def test_epsilon_from_E_examples():
-    assert epsilon_from_E(1.0, 0.0, 1.0) == 0.0
-    assert epsilon_from_E(1.289961, 0.6, 1.0) == pytest.approx(1.6, abs=1e-5)
-    assert epsilon_from_E(0.0, 0.3, 2.0) == -4.0
-
-
-def test_E_from_epsilon_examples():
-    assert E_from_epsilon(0.0, 0.0, 1.0) == (1.0, -1.0)
-    ep, em = E_from_epsilon(1.6, 0.6, 1.0)
-    assert ep == pytest.approx(math.sqrt(0.64 * 2.6), rel=1e-12)
-    assert em == -ep
-    with pytest.raises(NoRealEnergyError):
-        E_from_epsilon(-5.0, 0.0, 2.0)
+    assert reduced_epsilon(1.0, 1.0, 0.0) == 0.0
+    assert reduced_epsilon(1.289961, 1.0, 0.6) == pytest.approx(1.6, abs=1e-5)
+    assert reduced_epsilon(0.0, 2.0, 0.3) == -4.0
+    # the lattice's rule: no reduction exists at |kappa| >= 1
+    for kappa in (1.0, -1.0, 1.2):
+        assert math.isnan(reduced_epsilon(1.0, 1.0, kappa))
 
 
 def test_energy_epsilon_round_trip():
+    # E = +-sqrt((1-kappa^2)(epsilon + m^2)) inverts model.reduced_epsilon
     rng = np.random.default_rng(7)
     for _ in range(50):
         kappa = float(rng.uniform(-0.95, 0.95))
         m = float(rng.uniform(0.1, 3.0))
         eps = float(rng.uniform(-m * m, 40.0))
-        ep, em = E_from_epsilon(eps, kappa, m)
-        for e in (ep, em):
-            back = epsilon_from_E(e, kappa, m)
+        ep = math.sqrt((1.0 - kappa * kappa) * (eps + m * m))
+        for e in (ep, -ep):
+            back = reduced_epsilon(e, m, kappa)
             assert back == pytest.approx(eps, rel=1e-12, abs=1e-12)
 
 
