@@ -317,19 +317,6 @@ def _susy_records(params, grid, max_n):
     return records
 
 
-def _dirac_result(params, grid, cfg) -> dirac_solver.ConvergeResult:
-    """The lattice run with its records and states cut to n_sigma <=
-    levels - 1, the levels the other routes hold: count = levels also
-    solves the negative branch's n_sigma = levels. The run itself is the
-    cached one that `wavefunction` reuses."""
-    result = dirac_solver.converge_box_full(
-        params, count=cfg.levels, tol=cfg.tolerance, grid=grid
-    )
-    keep = [i for i, rec in enumerate(result.records) if rec.n_sigma < cfg.levels]
-    return replace(result, records=tuple(result.records[i] for i in keep),
-                   states=tuple(result.states[i] for i in keep))
-
-
 def _xcheck_column(rows: list[dict]) -> None:
     """Per (branch, n_sigma) group: max pairwise cross-route |dE|, relative
     to max(|E|, 1) in the group."""
@@ -350,6 +337,12 @@ def _xcheck_column(rows: list[dict]) -> None:
             row["xcheck"] = worst
 
 
+def _label_order(row: dict) -> tuple:
+    """One route's row order, by labels alone so that no move of the energies
+    reorders rows: n_sigma, the positive branch first, sigma."""
+    return row["n_sigma"], row["branch"] != "+", row["sigma"]
+
+
 def cmd_spectrum(cfg: RunConfig) -> int:
     """Run the selected route(s) and emit the spectrum table. route=all adds
     a per-level cross-route max-discrepancy column. Rows are ordered by
@@ -364,12 +357,13 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     if cfg.route in ("susy", "all"):
         rows.extend(_record_row(r) for r in _susy_records(params, grid, max_n))
     if cfg.route in ("dirac", "all"):
-        rows.extend(_record_row(r) for r in _dirac_result(params, grid, cfg).records)
+        result = dirac_solver.converge_box_full(params, cfg.levels, cfg.tolerance, grid)
+        rows.extend(_record_row(r) for r in result.records)
     header = list(SPECTRUM_HEADER)
     if cfg.route == "all":
         _xcheck_column(rows)
         header.append("xcheck")
-    rows.sort(key=lambda r: (r["n_sigma"], r["branch"] != "+", r["sigma"], r["route"]))
+    rows.sort(key=lambda r: (*_label_order(r), r["route"]))
     _emit(_row_columns(rows, header), cfg)
     return EXIT_OK
 
@@ -380,7 +374,8 @@ SWEEP_HEADER = ["kappa"] + SPECTRUM_HEADER + ["pr"]
 def cmd_sweep_kappa(cfg: RunConfig, kappa_list: list[float]) -> int:
     """One lattice-route row per (kappa, level view): energies, convergence
     flags (the unbound marker beyond the critical coupling), participation
-    ratios. Rows are ordered by kappa ascending, then |E|."""
+    ratios. Rows are ordered by kappa ascending, then by their labels:
+    n_sigma, the positive branch first, sigma."""
     if not kappa_list:
         raise ConfigError("sweep needs at least one kappa value")
     for k in kappa_list:
@@ -391,15 +386,14 @@ def cmd_sweep_kappa(cfg: RunConfig, kappa_list: list[float]) -> int:
         point_cfg = replace(cfg, kappa=kappa)
         try:
             params, grid = _build_problem(point_cfg)
-            result = _dirac_result(params, grid, point_cfg)
+            result = dirac_solver.converge_box_full(params, cfg.levels, cfg.tolerance, grid)
         except DiracOscError as exc:
             print(f"sweep point kappa={kappa:g} failed: {exc}", file=sys.stderr)
             rows.append({"kappa": kappa, "route": "dirac", "converged": False})
             continue
-        for rec, state in zip(result.records, result.states):
-            row = {"kappa": kappa, **_record_row(rec)}
-            row["pr"] = state.participation_ratio
-            rows.append(row)
+        point = [{"kappa": kappa, **_record_row(rec), "pr": state.participation_ratio}
+                 for rec, state in zip(result.records, result.states)]
+        rows.extend(sorted(point, key=_label_order))
     _emit(_row_columns(rows, SWEEP_HEADER), cfg)
     return EXIT_OK
 
@@ -412,7 +406,7 @@ def _verify_checks(cfg: RunConfig):
     max_n = min(cfg.levels - 1, 4)
     ana = analytic.full_spectrum(params, max_n)
     susy = _susy_records(params, grid, max_n)
-    dirac = _dirac_result(params, grid, replace(cfg, levels=max_n + 1)).records
+    dirac = dirac_solver.converge_box_full(params, max_n + 1, cfg.tolerance, grid).records
     checks = []
 
     def keyed(records):
@@ -528,9 +522,9 @@ def cmd_wavefunction(cfg: RunConfig, sigma: int, n: int, branch: int = 1) -> int
         raise ConfigError("branch must be -1 or +1")
     params, grid = _build_problem(cfg)
     n_sigma = reduced_index(sigma, n)
+    # the spectrum's run holds every level it lists
     result = dirac_solver.converge_box_full(
-        params, count=max(cfg.levels, n_sigma + 2), tol=cfg.tolerance, grid=grid
-    )
+        params, max(cfg.levels, n_sigma + 1), cfg.tolerance, grid)
     match = None
     for rec, state in zip(result.records, result.states):
         if (rec.sigma, rec.n, rec.branch) == (sigma, n, branch):

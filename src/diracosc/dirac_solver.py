@@ -180,8 +180,10 @@ def assemble_dirac_matrix(params: PhysicalParams, grid: Grid) -> Tridiagonal:
     return Tridiagonal(d, e)
 
 
-def _lattice_eigenvalues(params, grid, count, guess=None):
-    """The `count` smallest-|E| eigenvalues of each sign, and their vectors.
+def _lattice_eigenvalues(params, grid, levels, guess=None):
+    """The eigenvalues of n_sigma 0..levels-1, and their vectors: the
+    `levels` smallest-|E| positive ones and the `levels` - 1 negative ones
+    (the negative branch has no n_sigma 0).
 
     Returns (E_neg, E_pos, vectors); E_pos ascending (closest to zero
     first), E_neg descending (closest to zero first), and the vectors as
@@ -195,8 +197,8 @@ def _lattice_eigenvalues(params, grid, count, guess=None):
     t = assemble_dirac_matrix(params, grid)
     # zero modes go to the positive branch, which holds n_sigma 0
     c0 = int(sturm_count(t, [-_zero_tol(params)])[0])
-    k_neg = np.arange(max(c0 - count + 1, 1), c0 + 1, dtype=np.int64)
-    k_pos = np.arange(c0 + 1, min(c0 + count, t.n) + 1, dtype=np.int64)
+    k_neg = np.arange(max(c0 - levels + 2, 1), c0 + 1, dtype=np.int64)
+    k_pos = np.arange(c0 + 1, min(c0 + levels, t.n) + 1, dtype=np.int64)
     ks = np.concatenate([k_neg, k_pos])
     found = None
     if guess is not None:
@@ -275,26 +277,26 @@ def _states_for(grid, e_neg, e_pos, vecs):
     return states[:k][::-1], states[k:]
 
 
-def dirac_spectrum(params: PhysicalParams, grid: Grid, count: int):
-    """The `count` smallest-|E| eigenpairs of each sign on one grid, as
-    _build_records' (record, state) pairs: sorted by |E|, one record per
+def dirac_spectrum(params: PhysicalParams, grid: Grid, levels: int):
+    """The eigenpairs of n_sigma 0..levels-1 on both branches on one grid,
+    as _build_records' (record, state) pairs: sorted by |E|, one record per
     label view, and the two views of a level share one state.
     converged=False on every record: Richardson extrapolation and box
     convergence are converge_box_full's job.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    e_neg, e_pos, vecs = _lattice_eigenvalues(params, grid, count)
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
+    e_neg, e_pos, vecs = _lattice_eigenvalues(params, grid, levels)
     return _build_records(params, e_neg, e_pos, _states_for(grid, e_neg, e_pos, vecs))
 
 
 @dataclass(frozen=True)
 class ConvergeResult:
-    """converge_box_full output: records (converged flags and error estimates,
-    the move between the last two rounds, set), states sampled on the
-    caller's base grid, that grid, and the number of refinement rounds
-    actually run (0 past the critical coupling). Tuples, since results are
-    cached and shared between callers."""
+    """converge_box_full output: records of n_sigma 0..levels-1 on both
+    branches (converged flags and error estimates, the move between the last
+    two rounds, set), states sampled on the caller's base grid, that grid,
+    and the number of refinement rounds actually run (0 past the critical
+    coupling). Tuples, since results are cached and shared between callers."""
 
     records: tuple
     states: tuple
@@ -306,23 +308,24 @@ def _dim(grid: Grid) -> int:
     return 2 * grid.n + 1
 
 
-def _richardson_levels(grid, count, solved):
+def _richardson_levels(grid, solved):
     """(E_neg, E_pos) on the (h, h/2) pair combined as (4 E2 - E1)/3, which
     cancels the h^2 error term of the staggered scheme. `solved` maps a grid
     to its (E_neg, E_pos) and holds both grids of the pair."""
     (c_neg, c_pos), (f_neg, f_pos) = solved[grid], solved[grid.refined()]
-    k = min(len(c_neg), len(f_neg), count)
-    j = min(len(c_pos), len(f_pos), count)
+    k = min(len(c_neg), len(f_neg))
+    j = min(len(c_pos), len(f_pos))
     return (4.0 * f_neg[:k] - c_neg[:k]) / 3.0, (4.0 * f_pos[:j] - c_pos[:j]) / 3.0
 
 
 def converge_box_full(
     params: PhysicalParams,
-    count: int,
+    levels: int,
     tol: float = 1e-6,
     grid: Grid | None = None,
 ) -> ConvergeResult:
-    """Refine until every level is stationary or the rounds reach DIM_CAP.
+    """Refine the levels n_sigma 0..levels-1 on both branches, the set the
+    other routes hold, until each is stationary or the rounds reach DIM_CAP.
 
     Every round takes the grid Grid(widen * L, 2N + 1), so N + 1 doubles:
     a W unbounded on both sides (the linear family) widens the box by half
@@ -345,14 +348,14 @@ def converge_box_full(
     moving when rounds stop are classified unbound (converged=False). At
     |kappa| >= 1, the rule of model.require_subcritical, no level is bound:
     the base grid's values are reported, unconverged with no error estimate,
-    and no round runs. Raises ValueError unless count >= 1 and
+    and no round runs. Raises ValueError unless levels >= 1 and
     0 < tol < inf, and ResourceError unless the base grid's h/2 grid fits
     the dimension cap. Raises DomainError on a tan box other than
     (-pi/2, pi/2), and unless W runs from negative to positive across the
     base box, the assumption the level labels rest on.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     base = grid if grid is not None else default_grid(params)
@@ -363,7 +366,7 @@ def converge_box_full(
             f"h/2 grid of the initial grid, 2N+1 = {fine}, exceeds the dimension cap {DIM_CAP}")
     # positional and with its defaults resolved, so that equivalent calls
     # share one cache key
-    return _converge_cached(params, count, tol, base)
+    return _converge_cached(params, levels, tol, base)
 
 
 def _require_sign_change(params: PhysicalParams, grid: Grid) -> None:
@@ -380,13 +383,13 @@ def _require_sign_change(params: PhysicalParams, grid: Grid) -> None:
         )
 
 
-def _converge(params, count, tol, base):
+def _converge(params, levels, tol, base):
     """converge_box_full's refinement loop, on checked and resolved arguments."""
     _require_sign_change(params, base)
     if not abs(params.kappa) < 1.0:
         # the spin matrix -sigma_z + i kappa sigma_x, eigenvalues +-sqrt(1 -
         # kappa^2), is defective or imaginary: no level is bound, whatever W is
-        records, states = zip(*dirac_spectrum(params, base, count))
+        records, states = zip(*dirac_spectrum(params, base, levels))
         return ConvergeResult(records=records, states=states, base_grid=base, rounds=0)
     lo, hi = params.superpotential.domain
     widen = 1.5 if math.isinf(lo) and math.isinf(hi) else 1.0
@@ -404,33 +407,33 @@ def _converge(params, count, tol, base):
 
     # the base grid is solved alone, and its vectors serve the states;
     # every later grid is predicted from the grids solved before it
-    e_neg, e_pos, vecs = _lattice_eigenvalues(params, base, count)
+    e_neg, e_pos, vecs = _lattice_eigenvalues(params, base, levels)
     solved = {base: (e_neg, e_pos)}
     states = _states_for(base, e_neg, e_pos, vecs)
     nxt = round_grid(base)
     # round 1 runs whenever it fits, so its pair is solved along with the
     # base grid's h/2 grid
-    _solve_pairs(params, count, [base, nxt] if fits(nxt) else [base], solved)
-    levels = _richardson_levels(base, count, solved)
+    _solve_pairs(params, levels, [base, nxt] if fits(nxt) else [base], solved)
+    values = _richardson_levels(base, solved)
     errs = (None, None)
     rounds = 0
     while fits(nxt):
-        _solve_pairs(params, count, [nxt], solved)
-        new = _richardson_levels(nxt, count, solved)
+        _solve_pairs(params, levels, [nxt], solved)
+        new = _richardson_levels(nxt, solved)
         rounds += 1
         # a branch keeps the levels that both rounds hold
-        spans = [min(len(a), len(b)) for a, b in zip(levels, new)]
-        errs = tuple(np.abs(b[:k] - a[:k]) for a, b, k in zip(levels, new, spans))
-        levels = tuple(b[:k] for b, k in zip(new, spans))
-        if all(_settled(e, v, tol).all() for e, v in zip(errs, levels)):
+        spans = [min(len(a), len(b)) for a, b in zip(values, new)]
+        errs = tuple(np.abs(b[:k] - a[:k]) for a, b, k in zip(values, new, spans))
+        values = tuple(b[:k] for b, k in zip(new, spans))
+        if all(_settled(e, v, tol).all() for e, v in zip(errs, values)):
             break
         nxt = round_grid(nxt)
 
-    records, states = zip(*_build_records(params, *levels, states, errs, tol))
+    records, states = zip(*_build_records(params, *values, states, errs, tol))
     return ConvergeResult(records=records, states=states, base_grid=base, rounds=rounds)
 
 
-def _solve_pairs(params, count, grids, solved):
+def _solve_pairs(params, levels, grids, solved):
     """Solve the (h, h/2) pairs of `grids` into `solved`, which maps a grid
     to its (E_neg, E_pos) and holds at least the base grid. A grid already
     there is not solved again: a box that is not widened is refined in place,
@@ -446,7 +449,7 @@ def _solve_pairs(params, count, grids, solved):
     guess = solved[max(solved, key=_dim)]
 
     def task(grid):
-        return _lattice_eigenvalues(params, grid, count, guess)[:2]
+        return _lattice_eigenvalues(params, grid, levels, guess)[:2]
 
     solved.update(zip(new, _run_all([functools.partial(task, g) for g in new])))
 

@@ -1,7 +1,8 @@
 """Shared parameter builders.
 
 Tests that need a converged spectrum use the same canonical calls: linear
-families with count=8, tan families with count=5, tol=1e-6, default grid.
+families with levels=8, tan families with levels=5 (n_sigma 0..levels-1 on
+both branches), tol=1e-6, default grid.
 The library keeps its 4 least recently used lattice convergence runs and 16
 level solves, keyed on the call after its defaults are resolved (a default
 passed explicitly is the same call), so a repeated call is served from the

@@ -43,14 +43,14 @@ def linear_results():
     out = {}
     for kappa in LINEAR_KAPPAS:
         t0 = time.monotonic()
-        out[kappa] = converge_box_full(linear_params(kappa), count=8, tol=1e-6)
+        out[kappa] = converge_box_full(linear_params(kappa), levels=8, tol=1e-6)
         out[kappa, "t"] = time.monotonic() - t0
     return out
 
 
 @pytest.fixture(scope="module")
 def tan_results():
-    return {kappa: converge_box_full(tan_params(kappa), count=5, tol=1e-6)
+    return {kappa: converge_box_full(tan_params(kappa), levels=5, tol=1e-6)
             for kappa in TAN_KAPPAS}
 
 
@@ -189,7 +189,7 @@ def test_criterion_05_supercritical_unbound():
             analytic.full_spectrum(params, max_n=2)
         with pytest.raises(CriticalFieldError):
             solve_nonlinear_level(params, -1, 0)
-        res = converge_box_full(params, count=3, tol=1e-6)
+        res = converge_box_full(params, levels=3, tol=1e-6)
         bound = [r for r in res.records if r.converged]
         if bound:
             failures.append(f"{params.superpotential.family}: {len(bound)} converged")

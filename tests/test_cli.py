@@ -149,31 +149,37 @@ def test_spectrum_route_all_cross_checks():
 
 
 def test_spectrum_row_order_is_a_function_of_the_labels(monkeypatch):
-    # a 1e-13 move of one route's energies must not reorder the rows, which
-    # run by n_sigma, the positive branch first, sigma, then route
-    argv = ["spectrum", "--model.kappa", "0.6", "--grid.n", "600"]
-    real = cli._dirac_result
+    # a 1e-13 move of the lattice's energies, opposite on the two branches,
+    # must not reorder the rows, which run by kappa, n_sigma, the positive
+    # branch first, sigma, then route
+    real = dirac_solver.converge_box_full
 
-    def order(scale):
-        def scaled(params, grid, cfg):
-            res = real(params, grid, cfg)
-            records = tuple(dataclasses.replace(r, E=r.E * scale) for r in res.records)
+    def order(argv, shift):
+        def moved(params, levels, tol=1e-6, grid=None):
+            res = real(params, levels, tol, grid)
+            records = tuple(dataclasses.replace(r, E=r.E * (1.0 + r.branch * shift))
+                            for r in res.records)
             return dataclasses.replace(res, records=records)
 
-        monkeypatch.setattr(cli, "_dirac_result", scaled)
+        monkeypatch.setattr(dirac_solver, "converge_box_full", moved)
         code, out, _ = run_cli(argv)
         assert code == 0
-        return [(r["n_sigma"], r["branch"], r["sigma"], r["route"]) for r in parse_csv(out)[2]]
+        return [(float(r.get("kappa", 0.0)), int(r["n_sigma"]), r["branch"] != "+",
+                 int(r["sigma"]), r["route"]) for r in parse_csv(out)[2]]
 
-    plain = order(1.0)
-    assert order(1.0 + 1e-13) == order(1.0 - 1e-13) == plain
-    assert plain == sorted(plain, key=lambda r: (int(r[0]), r[1] != "+", int(r[2]), r[3]))
-    assert {r[3] for r in plain} == {"analytic", "susy", "dirac"}
+    for argv, routes in [
+        (["spectrum", "--model.kappa", "0.6", "--grid.n", "600"], {"analytic", "susy", "dirac"}),
+        # at kappa 0 the (-, 1) and (+, 1) levels have one |E| to the last bits
+        (["sweep-kappa", "--kappas=0", "--grid.n", "1000", "--solver.levels", "3"], {"dirac"}),
+    ]:
+        plain = order(argv, 0.0)
+        assert order(argv, 1e-13) == order(argv, -1e-13) == plain
+        assert plain == sorted(plain)
+        assert {r[4] for r in plain} == routes
 
 
 def test_spectrum_routes_hold_the_same_levels():
-    # tan kappa 0.8 has alpha = 3: n_sigma 3 and 4 lie past it on every
-    # route, and the lattice's extra negative-branch n_sigma 5 is not shown
+    # tan kappa 0.8 has alpha = 3: n_sigma 3 and 4 lie past it on every route
     code, out, _ = run_cli([
         "spectrum", "--model.family", "tan", "--model.kappa", "0.8",
         "--grid.n", "1000", "--solver.levels", "5",
@@ -480,22 +486,21 @@ def test_verify_fails_when_the_susy_route_drops_a_level_past_alpha(monkeypatch):
      "--solver.levels", "5"],
 ])
 def test_verify_judges_the_levels_it_compares(monkeypatch, argv):
-    # the lattice run also solves the negative branch's n_sigma = count,
-    # which no other route holds: its drift is not verify's to report, and
-    # the count is of (branch, n_sigma) levels, not of their label views
+    # the lattice run holds n_sigma 0-4 on both branches, the levels the
+    # other routes hold and no more, and the count is of (branch, n_sigma)
+    # levels, not of their label views
     converge = dirac_solver.converge_box_full
+    held = []
 
-    def drifting(params, count, tol=1e-6, grid=None):
-        result = converge(params, count, tol, grid)
-        records = tuple(dataclasses.replace(r, converged=False)
-                        if (r.branch, r.n_sigma) == (-1, count) else r
-                        for r in result.records)
-        assert records != result.records
-        return dataclasses.replace(result, records=records)
+    def spy(params, levels, tol=1e-6, grid=None):
+        result = converge(params, levels, tol, grid)
+        held.append({(r.branch, r.n_sigma) for r in result.records})
+        return result
 
-    monkeypatch.setattr(dirac_solver, "converge_box_full", drifting)
+    monkeypatch.setattr(dirac_solver, "converge_box_full", spy)
     code, out, _ = run_cli(["verify", *argv])
     assert code == 0
+    assert held == [{(1, 0)} | {(b, k) for b in (1, -1) for k in range(1, 5)}]
     assert check_lines(out)[1] == (
         "PASS lattice resolution: all 9 lattice levels stationary under refinement")
 
@@ -601,6 +606,23 @@ def test_wavefunction_tan_level_past_alpha():
     assert code == 0, err
     preamble, _, _ = parse_csv(out)
     assert float(preamble[1].split("=")[1]) >= 0.999
+
+
+@pytest.mark.parametrize("family,kappa,n", [("linear", "0.4", "1000"), ("tan", "0.5", "500")])
+def test_wavefunction_reuses_the_spectrum_run(family, kappa, n):
+    # the top level a spectrum lists is served from that spectrum's lattice
+    # run, so its wavefunction prints the spectrum's energy and solves nothing
+    base = ["--model.family", family, "--model.kappa", kappa, "--grid.n", n,
+            "--solver.levels", "3"]
+    code, out, _ = run_cli(["spectrum", *base])
+    assert code == 0
+    row, = [r for r in parse_csv(out)[2] if (r["route"], r["branch"], r["sigma"], r["n"])
+            == ("dirac", "+", "-1", "2")]
+    misses = dirac_solver._converge_cached.cache_info().misses
+    code, out, err = run_cli(["wavefunction", *base, "--sigma", "-1", "--n", "2"])
+    assert code == 0, err
+    assert dirac_solver._converge_cached.cache_info().misses == misses
+    assert parse_csv(out)[0][0] == f"level sigma=-1 n=2 branch=+1 E={row['E']}"
 
 
 def test_wavefunction_unbound_exit_5():
@@ -726,14 +748,14 @@ def test_spectrum_columns_emit_like_rows(fmt, emitted):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_columns_with_empty_cells_emit_like_rows(fmt, emitted, monkeypatch):
-    dirac_result = cli._dirac_result
+    converge = dirac_solver.converge_box_full
 
-    def failing_at_03(params, grid, cfg):
-        if cfg.kappa == 0.3:
+    def failing_at_03(params, levels, tol=1e-6, grid=None):
+        if params.kappa == 0.3:
             raise ConvergenceError("no convergence at kappa 0.3")
-        return dirac_result(params, grid, cfg)
+        return converge(params, levels, tol, grid)
 
-    monkeypatch.setattr(cli, "_dirac_result", failing_at_03)
+    monkeypatch.setattr(dirac_solver, "converge_box_full", failing_at_03)
     code, out, err = run_cli(["sweep-kappa", "--kappas", "0.2 0.3 1.2", "--grid.n", "400",
                               "--solver.levels", "2", "--format", fmt])
     assert code == 0 and "kappa=0.3 failed" in err

@@ -30,12 +30,12 @@ from conftest import linear_params, tan_params
 
 @pytest.fixture(scope="module")
 def converged_k0():
-    return converge_box_full(linear_params(0.0), count=8, tol=1e-6)
+    return converge_box_full(linear_params(0.0), levels=8, tol=1e-6)
 
 
 @pytest.fixture(scope="module")
 def converged_k06():
-    return converge_box_full(linear_params(0.6), count=8, tol=1e-6)
+    return converge_box_full(linear_params(0.6), levels=8, tol=1e-6)
 
 
 def positive_levels(records):
@@ -166,7 +166,7 @@ def test_converge_refuses_a_tolerance_outside_zero_to_inf():
     # however far it moved
     for tol in (math.inf, math.nan, 0.0, -1e-6):
         with pytest.raises(ValueError, match="tol"):
-            converge_box_full(linear_params(0.3), count=2, tol=tol, grid=Grid(20.0, 200))
+            converge_box_full(linear_params(0.3), levels=2, tol=tol, grid=Grid(20.0, 200))
 
 
 def test_residual_of_returned_eigenpairs():
@@ -234,7 +234,7 @@ def test_massless_zero_mode_on_positive_branch():
     # grid; it belongs to the positive branch, which holds n_sigma 0, and a
     # split at exactly E = 0 would shift every ordinal label of both branches
     params = PhysicalParams(mass=0.0, kappa=0.4, superpotential=Superpotential.linear(1.0))
-    res = converge_box_full(params, count=4, grid=default_grid(params, n=2000))
+    res = converge_box_full(params, levels=4, grid=default_grid(params, n=2000))
     assert all(r.converged for r in res.records)
     pos = [r for r in res.records if r.branch > 0]
     assert sorted({r.n_sigma for r in pos}) == [0, 1, 2, 3]
@@ -292,12 +292,12 @@ def test_plus_minus_pairing_after_convergence(converged_k06):
 def test_cached_result_cannot_be_emptied_by_a_caller():
     params = tan_params(0.3)
     grid = default_grid(params, n=300)
-    res = converge_box_full(params, count=2, grid=grid)
+    res = converge_box_full(params, levels=2, grid=grid)
     assert isinstance(res.records, tuple) and isinstance(res.states, tuple)
-    assert len(res.records) == 7
+    assert len(res.records) == 5
     with pytest.raises(AttributeError):
         res.records.clear()
-    assert len(converge_box_full(params, count=2, grid=grid).records) == 7
+    assert len(converge_box_full(params, levels=2, grid=grid).records) == 5
 
 
 def test_equivalent_calls_share_one_cached_result():
@@ -306,7 +306,7 @@ def test_equivalent_calls_share_one_cached_result():
     params = tan_params(0.3)
     grid = default_grid(params, n=300)
     first = converge_box_full(params, 2, grid=grid)
-    assert converge_box_full(params, count=2, tol=1e-6, grid=grid) is first
+    assert converge_box_full(params, levels=2, tol=1e-6, grid=grid) is first
 
 
 @pytest.mark.parametrize(
@@ -350,7 +350,7 @@ def test_each_grid_is_solved_once_per_convergence_run(monkeypatch, kappa, n, cou
     monkeypatch.setattr(dirac_solver, "assemble_dirac_matrix", assemble)
     monkeypatch.setattr(dirac_solver, "tridiagonal_eigenvectors", vecs)
     params = tan_params(kappa)
-    res = converge_box_full(params, count=count, grid=default_grid(params, n=n))
+    res = converge_box_full(params, levels=count, grid=default_grid(params, n=n))
     assert res.rounds == rounds
     dims = [dim for dim, _ in certified]
     assert len(dims) == len(set(dims)) == solves == len(assembled)
@@ -371,18 +371,18 @@ def test_each_grid_is_solved_once_per_convergence_run(monkeypatch, kappa, n, cou
      (tan_params(0.59988), 1000, 3), (tan_params(0.5698), 500, 3)],
 )
 def test_former_problem_couplings_converge_fully(params, n, count):
-    res = converge_box_full(params, count=count, grid=default_grid(params, n=n))
+    res = converge_box_full(params, levels=count, grid=default_grid(params, n=n))
     assert res.rounds == 1
     assert all(r.converged for r in res.records)
     labels = {(r.branch, r.n_sigma) for r in res.records}
-    assert labels == {(1, k) for k in range(count)} | {(-1, k) for k in range(1, count + 1)}
+    assert labels == {(1, k) for k in range(count)} | {(-1, k) for k in range(1, count)}
     for r in res.records:
         exact = analytic.level_energies(params, r.n_sigma)[0 if r.branch > 0 else 1]
         assert r.E == pytest.approx(exact, rel=1e-5)
 
 
 def test_supercritical_levels_all_unbound():
-    res = converge_box_full(linear_params(1.2), count=3, tol=1e-6)
+    res = converge_box_full(linear_params(1.2), levels=3, tol=1e-6)
     assert res.records and all(not r.converged for r in res.records)
 
 
@@ -409,7 +409,7 @@ def test_supercritical_run_solves_the_base_grid_only(monkeypatch, params, n, cou
     dirac_solver._converge_cached.cache_clear()
     monkeypatch.setattr(dirac_solver, "_indexed_eigenvalues", eigs)
     grid = default_grid(params, n=n)
-    res = converge_box_full(params, count=count, grid=grid)
+    res = converge_box_full(params, levels=count, grid=grid)
     assert res.rounds == 0
     assert dims == [2 * n + 1]
     assert res.records
@@ -424,7 +424,7 @@ def test_linear_flags_only_resolved_levels_on_coarse_grids(kappa, n):
     # move between rounds sees the h^4 error; a doubled box at fixed h sees
     # box error only and flags levels with errors up to 1.2e-4 relative
     params = linear_params(kappa)
-    res = converge_box_full(params, count=3, grid=Grid(half_width=20.0, n=n))
+    res = converge_box_full(params, levels=3, grid=Grid(half_width=20.0, n=n))
     for r in res.records:
         if r.converged:
             exact = analytic.level_energies(params, r.n_sigma)[0 if r.branch > 0 else 1]
@@ -445,7 +445,7 @@ def test_err_est_bounds_the_true_error(family, kappa, n):
     # h halves) times the error left in the reported value: it bounds that
     # error without overstating it a hundredfold, at every grid.n
     params = linear_params(kappa) if family == "linear" else tan_params(kappa)
-    res = converge_box_full(params, count=3, grid=default_grid(params, n=n))
+    res = converge_box_full(params, levels=3, grid=default_grid(params, n=n))
     converged = [r for r in res.records if r.converged]
     assert converged
     for r in converged:
@@ -459,14 +459,15 @@ def test_err_est_bounds_the_true_error(family, kappa, n):
 # never would
 @pytest.mark.parametrize(
     "kappa,grid,rounds",
-    [(-0.99, Grid(half_width=20.0, n=2000), 2), (0.6, Grid(half_width=3.0, n=300), 4)],
+    [(-0.99, Grid(half_width=20.0, n=2000), 1), (0.6, Grid(half_width=3.0, n=300), 3)],
     ids=["near-critical", "small-box"],
 )
 def test_linear_levels_converge_to_the_closed_form(kappa, grid, rounds):
     params = linear_params(kappa)
-    res = converge_box_full(params, count=3, grid=grid)
+    res = converge_box_full(params, levels=3, grid=grid)
     assert res.rounds == rounds
-    assert len(res.records) == 11 and all(r.converged for r in res.records)
+    # n_sigma 0-2: one label view at n_sigma 0, two on each branch above it
+    assert len(res.records) == 9 and all(r.converged for r in res.records)
     for r in res.records:
         exact = _exact(params, r)
         assert abs(r.E - exact) <= 1e-8 * max(1.0, abs(exact))
@@ -474,7 +475,7 @@ def test_linear_levels_converge_to_the_closed_form(kappa, grid, rounds):
 
 def test_massless_zero_mode_exists_and_converges():
     params = PhysicalParams(mass=0.0, kappa=0.0, superpotential=Superpotential.linear(1.0))
-    res = converge_box_full(params, count=2, tol=1e-6)
+    res = converge_box_full(params, levels=2, tol=1e-6)
     zero = [r for r in res.records if r.E == 0.0]
     assert zero and any(r.converged for r in zero)
     assert all(r.n_sigma == 0 for r in zero)
@@ -484,14 +485,14 @@ def test_initial_grid_over_cap_raises():
     # 2N+1 = 65539 is past the dimension cap
     assert 2 * 32769 + 1 > dirac_solver.DIM_CAP
     with pytest.raises(ResourceError):
-        converge_box_full(linear_params(0.6), count=2, grid=Grid(half_width=20.0, n=32769))
+        converge_box_full(linear_params(0.6), levels=2, grid=Grid(half_width=20.0, n=32769))
 
 
 def test_cap_blocks_refinement_rounds():
     # the base pair fits (2N+1 = 18001 and 36003) but the first round's does
     # not (its grid is (30, 18001), whose h/2 grid has 72007 rows) -> honest
     # unconverged output rather than an error
-    res = converge_box_full(linear_params(0.6), count=2, grid=Grid(half_width=20.0, n=9000))
+    res = converge_box_full(linear_params(0.6), levels=2, grid=Grid(half_width=20.0, n=9000))
     assert res.rounds == 0
     assert all(not r.converged for r in res.records)
 
@@ -501,23 +502,56 @@ def test_base_grid_whose_half_spacing_grid_passes_the_cap_raises():
     # every value is extrapolated over the (h, h/2) pair
     params = tan_params(0.5)
     with pytest.raises(ResourceError, match="h/2 grid"):
-        converge_box_full(params, count=1, grid=default_grid(params, n=20000))
+        converge_box_full(params, levels=1, grid=default_grid(params, n=20000))
+
+
+def _w_equals_x():
+    """W = x tabulated on (-12, 12), kappa 0: the oscillator E^2 = 1 + 2 n_sigma."""
+    xs = np.linspace(-12.0, 12.0, 2401)
+    tab = Superpotential.tabulated(xs, xs, np.ones_like(xs))
+    return PhysicalParams(mass=1.0, kappa=0.0, superpotential=tab)
 
 
 def test_tabulated_family_refines_in_place():
-    xs = np.linspace(-12.0, 12.0, 2401)
-    tab = Superpotential.tabulated(xs, xs, np.ones_like(xs))
-    params = PhysicalParams(mass=1.0, kappa=0.0, superpotential=tab)
-    res = converge_box_full(params, count=2, tol=1e-6, grid=Grid(half_width=12.0, n=800))
+    params = _w_equals_x()
+    res = converge_box_full(params, levels=2, tol=1e-6, grid=Grid(half_width=12.0, n=800))
     assert res.base_grid.half_width == 12.0  # finite table domain: box never grows
     assert all(r.converged for r in res.records)
     pos = sorted({r.E for r in res.records if r.E > 0})
     np.testing.assert_allclose(pos, [1.0, math.sqrt(3)], atol=1e-6)
     # tables take the certified families' labels: n_sigma 0, 1 on the
-    # positive branch and 1, 2 on the negative one, each n_sigma >= 1 twice
+    # positive branch and 1 on the negative one, each n_sigma >= 1 twice
     assert sorted((r.branch, r.sigma, r.n) for r in res.records) == [
-        (-1, -1, 1), (-1, -1, 2), (-1, 1, 0), (-1, 1, 1),
-        (1, -1, 0), (1, -1, 1), (1, 1, 0)]
+        (-1, -1, 1), (-1, 1, 0), (1, -1, 0), (1, -1, 1), (1, 1, 0)]
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", ["linear", "tan", "table"])
+def test_every_route_holds_the_same_levels(monkeypatch, case, levels):
+    """`levels` means n_sigma 0..levels-1 on both branches: the lattice
+    solves `levels` positive and `levels` - 1 negative eigenvalues on every
+    grid, and holds the levels the closed form enumerates (a table, which
+    has none, the same set). At levels 1 the negative branch is empty."""
+    split = []
+    real_predicted = dirac_solver._predicted_eigenvalues
+
+    def predicted(t, ks, guess):
+        c0 = int(linalg.sturm_count(t, [-dirac_solver._zero_tol(params)])[0])
+        split.append((int(np.sum(ks <= c0)), int(np.sum(ks > c0))))
+        return real_predicted(t, ks, guess)
+
+    monkeypatch.setattr(dirac_solver, "_predicted_eigenvalues", predicted)
+    dirac_solver._converge_cached.cache_clear()
+    if case == "table":
+        params, grid = _w_equals_x(), Grid(half_width=12.0, n=800)
+        want = {(1, 0)} | {(b, k) for b in (1, -1) for k in range(1, levels)}
+    else:
+        params = linear_params(0.4) if case == "linear" else tan_params(0.5)
+        grid = default_grid(params, n=300)
+        want = {(r.branch, r.n_sigma) for r in analytic.full_spectrum(params, levels - 1)}
+    res = converge_box_full(params, levels, grid=grid)
+    assert {(r.branch, r.n_sigma) for r in res.records} == want
+    assert split and set(split) == {(levels - 1, levels)}
 
 
 def test_tabulated_runs_share_the_cache():
@@ -531,11 +565,11 @@ def test_tabulated_runs_share_the_cache():
 
     grid = Grid(half_width=12.0, n=400)
     dirac_solver._converge_cached.cache_clear()
-    first = converge_box_full(params(np.ones_like(xs)), count=2, grid=grid)
-    assert converge_box_full(params(np.ones_like(xs)), count=2, grid=grid) is first
+    first = converge_box_full(params(np.ones_like(xs)), levels=2, grid=grid)
+    assert converge_box_full(params(np.ones_like(xs)), levels=2, grid=grid) is first
     changed = np.ones_like(xs)
     changed[0] = 1.01
-    assert converge_box_full(params(changed), count=2, grid=grid) is not first
+    assert converge_box_full(params(changed), levels=2, grid=grid) is not first
     assert dirac_solver._converge_cached.cache_info().misses == 2
 
 
@@ -547,11 +581,11 @@ def test_one_sign_superpotential_is_refused():
     tab = Superpotential.tabulated(xs, xs + 8.0, np.ones_like(xs))
     params = PhysicalParams(mass=1.0, kappa=0.0, superpotential=tab)
     with pytest.raises(DomainError, match="negative to positive"):
-        converge_box_full(params, count=3, grid=Grid(half_width=6.0, n=600))
+        converge_box_full(params, levels=3, grid=Grid(half_width=6.0, n=600))
     # a falling linear W breaks the same assumption
     falling = PhysicalParams(mass=1.0, kappa=0.3, superpotential=Superpotential.linear(-1.0))
     with pytest.raises(DomainError):
-        converge_box_full(falling, count=2, grid=Grid(half_width=8.0, n=400))
+        converge_box_full(falling, levels=2, grid=Grid(half_width=8.0, n=400))
 
 
 # ---------------------------------------------------------------- concurrent grid solves
@@ -651,7 +685,7 @@ def test_a_failing_grid_solve_propagates_and_leaves_nothing_running(
     for name in ("_indexed_eigenvalues", "_predicted_eigenvalues"):
         monkeypatch.setattr(dirac_solver, name, spy(getattr(dirac_solver, name)))
     with pytest.raises(ConvergenceError, match=f"at {failing} rows"):
-        converge_box_full(linear_params(0.4), count=2, grid=Grid(half_width=20.0, n=500))
+        converge_box_full(linear_params(0.4), levels=2, grid=Grid(half_width=20.0, n=500))
     with lock:
         assert running[0] == 0
         at_return = list(started)
@@ -674,7 +708,7 @@ def _converge_in_child():
     for name in ("_indexed_eigenvalues", "_predicted_eigenvalues"):
         setattr(dirac_solver, name, spy(getattr(dirac_solver, name)))
     params = tan_params(0.3)
-    res = converge_box_full(params, count=3, grid=default_grid(params, n=300))
+    res = converge_box_full(params, levels=3, grid=default_grid(params, n=300))
     assert res.rounds == 1 and all(r.converged for r in res.records)
     assert len(threads) == 2
 
@@ -683,7 +717,7 @@ def test_forked_child_runs_on_helper_threads_of_its_own(cpus):
     # a fork copies the parent's pool but none of its threads: the child
     # must finish, and share its solves with helper threads it starts itself
     cpus(2)
-    converge_box_full(linear_params(0.4), count=2, grid=Grid(half_width=20.0, n=500))
+    converge_box_full(linear_params(0.4), levels=2, grid=Grid(half_width=20.0, n=500))
     assert dirac_solver._helpers() is not None
     child = multiprocessing.get_context("fork").Process(target=_converge_in_child)
     child.start()

@@ -320,7 +320,7 @@ def test_tan_box_inside_the_domain_is_refused():
     params = tan_params(0.3)
     grid = Grid(half_width=1.0, n=300)
     with pytest.raises(DomainError, match="pi/2"):
-        converge_box_full(params, count=3, grid=grid)
+        converge_box_full(params, levels=3, grid=grid)
     with pytest.raises(DomainError, match="pi/2"):
         solve_nonlinear_level(params, -1, 0, grid)
 
@@ -635,7 +635,7 @@ def test_solve_argument_validation():
 
 
 def test_reconstructed_ground_matches_lattice_route():
-    res = converge_box_full(linear_params(0.0), count=8, tol=1e-6)
+    res = converge_box_full(linear_params(0.0), levels=8, tol=1e-6)
     # the positive-branch ground level, +E0 (the lattice has no -E0 level)
     idx = min(
         (i for i, r in enumerate(res.records) if r.branch > 0),
