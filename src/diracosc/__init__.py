@@ -50,7 +50,6 @@ from .model import (
     SpectrumRecord,
     SpinorState,
     Superpotential,
-    build_grid,
     eval_superpotential,
     reduced_epsilon,
     reduced_index,

@@ -56,10 +56,11 @@ from .model import (
     PhysicalParams,
     SpectrumRecord,
     Superpotential,
-    build_grid,
     level_labels,
+    localization_of,
     reduced_index,
     require_subcritical,
+    require_whole_domain,
 )
 
 __all__ = [
@@ -198,9 +199,9 @@ def _build_problem(cfg: RunConfig) -> tuple[PhysicalParams, Grid]:
         sp = _load_table(cfg.table_path)
     params = PhysicalParams(superpotential=sp, kappa=cfg.kappa, mass=cfg.mass)
     if cfg.box_half_width is None:
-        grid = dirac_solver.default_grid(params, n=cfg.n)
-    else:
-        grid = build_grid(cfg.box_half_width, cfg.n, sp.family)
+        return params, dirac_solver.default_grid(params, n=cfg.n)
+    grid = Grid(cfg.box_half_width, cfg.n)
+    require_whole_domain(sp, grid)
     return params, grid
 
 
@@ -288,6 +289,11 @@ def _emit(columns: dict, cfg: RunConfig, preamble: list[str] = ()):
         text = "\n".join(lines) + "\n"
     else:
         text = _json_text(header, cells, preamble) + "\n"
+    _write(text, cfg)
+
+
+def _write(text: str, cfg: RunConfig) -> None:
+    """Write a command's output to output.path or stdout."""
     if cfg.path:
         with open(cfg.path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -373,9 +379,10 @@ SWEEP_HEADER = ["kappa"] + SPECTRUM_HEADER + ["pr"]
 
 def cmd_sweep_kappa(cfg: RunConfig, kappa_list: list[float]) -> int:
     """One lattice-route row per (kappa, level view): energies, convergence
-    flags (the unbound marker beyond the critical coupling), participation
-    ratios. Rows are ordered by kappa ascending, then by their labels:
-    n_sigma, the positive branch first, sigma."""
+    flags (the unbound marker beyond the critical coupling), and the
+    participation ratio of each level's state on the run's base grid. Rows
+    are ordered by kappa ascending, then by their labels: n_sigma, the
+    positive branch first, sigma."""
     if not kappa_list:
         raise ConfigError("sweep needs at least one kappa value")
     for k in kappa_list:
@@ -391,7 +398,9 @@ def cmd_sweep_kappa(cfg: RunConfig, kappa_list: list[float]) -> int:
             print(f"sweep point kappa={kappa:g} failed: {exc}", file=sys.stderr)
             rows.append({"kappa": kappa, "route": "dirac", "converged": False})
             continue
-        point = [{"kappa": kappa, **_record_row(rec), "pr": state.participation_ratio}
+        g = result.base_grid
+        point = [{"kappa": kappa, **_record_row(rec),
+                  "pr": localization_of(state.psi1, state.psi2, g.x, g.h)[0]}
                  for rec, state in zip(result.records, result.states)]
         rows.extend(sorted(point, key=_label_order))
     _emit(_row_columns(rows, SWEEP_HEADER), cfg)
@@ -498,15 +507,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     """Cross-route and internal-identity audit; PASS/FAIL line per check,
     exit 0 iff all pass."""
     checks = _verify_checks(cfg)
-    lines = []
-    for name, passed, detail in checks:
-        lines.append(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
-    report = "\n".join(lines) + "\n"
-    if cfg.path:
-        with open(cfg.path, "w", encoding="utf-8") as fh:
-            fh.write(report)
-    else:
-        sys.stdout.write(report)
+    _write("".join(f"{'PASS' if passed else 'FAIL'} {name}: {detail}\n"
+                   for name, passed, detail in checks), cfg)
     return EXIT_OK if all(c[1] for c in checks) else EXIT_VERIFY_FAIL
 
 

@@ -108,7 +108,6 @@ from .model import (
     PhysicalParams,
     SpectrumRecord,
     SpinorState,
-    build_grid,
     eval_superpotential,
     level_labels,
     reduced_epsilon,
@@ -135,17 +134,17 @@ DIM_CAP = 65536
 _COARSE_TOL = 1e-4
 
 
-def default_grid(params: PhysicalParams, n: int = DEFAULT_N, L: float | None = None) -> Grid:
-    """Desk-scale default lattice: L=20, N=4000 for unbounded families;
-    the clipped (-pi/2, pi/2) interval with N=4000 for the tangent family."""
+def default_grid(params: PhysicalParams, n: int = DEFAULT_N) -> Grid:
+    """Desk-scale default lattice of n points: L=20 for the linear family,
+    the widest box symmetric about 0 inside a table's range, and the clipped
+    (-pi/2, pi/2) interval for the tangent family."""
     family = params.superpotential.family
     if family is Family.TANGENT:
-        return build_grid(HALF_PI, n, family)
+        return Grid(HALF_PI, n)
     if family is Family.TABULATED:
         lo, hi = params.superpotential.domain
-        half = min(hi, -lo)
-        return build_grid(half if L is None else min(L, half), n, family)
-    return build_grid(DEFAULT_L if L is None else L, n, family)
+        return Grid(min(hi, -lo), n)
+    return Grid(DEFAULT_L, n)
 
 
 def assemble_dirac_matrix(params: PhysicalParams, grid: Grid) -> Tridiagonal:
@@ -386,10 +385,14 @@ def _require_sign_change(params: PhysicalParams, grid: Grid) -> None:
 def _converge(params, levels, tol, base):
     """converge_box_full's refinement loop, on checked and resolved arguments."""
     _require_sign_change(params, base)
+    # the base grid is solved alone, and its vectors serve the states;
+    # every later grid is predicted from the grids solved before it
+    e_neg, e_pos, vecs = _lattice_eigenvalues(params, base, levels)
+    states = _states_for(base, e_neg, e_pos, vecs)
     if not abs(params.kappa) < 1.0:
         # the spin matrix -sigma_z + i kappa sigma_x, eigenvalues +-sqrt(1 -
         # kappa^2), is defective or imaginary: no level is bound, whatever W is
-        records, states = zip(*dirac_spectrum(params, base, levels))
+        records, states = zip(*_build_records(params, e_neg, e_pos, states))
         return ConvergeResult(records=records, states=states, base_grid=base, rounds=0)
     lo, hi = params.superpotential.domain
     widen = 1.5 if math.isinf(lo) and math.isinf(hi) else 1.0
@@ -405,11 +408,7 @@ def _converge(params, levels, tol, base):
         # doubles every round, so this ends every run
         return _dim(grid.refined()) <= DIM_CAP
 
-    # the base grid is solved alone, and its vectors serve the states;
-    # every later grid is predicted from the grids solved before it
-    e_neg, e_pos, vecs = _lattice_eigenvalues(params, base, levels)
     solved = {base: (e_neg, e_pos)}
-    states = _states_for(base, e_neg, e_pos, vecs)
     nxt = round_grid(base)
     # round 1 runs whenever it fits, so its pair is solved along with the
     # base grid's h/2 grid

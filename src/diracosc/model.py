@@ -2,6 +2,12 @@
 shares: the label n_sigma (reduced_index) and the reduced eigenvalue
 epsilon(E) (reduced_epsilon).
 
+Each value type checks its own invariants when it is built: a Grid its
+point count and half-width, a SpinorState its sample shapes and
+normalization. The tan family's box rule is require_whole_domain's alone,
+and a state's localization metrics are computed on demand by
+localization_of.
+
 Natural units hbar = c = 1 throughout: energies, masses and inverse lengths
 share one unit. The electric coupling enters only through the product
 U(x) = kappa * W(x); the charge and the bare potential are never represented
@@ -39,7 +45,6 @@ __all__ = [
     "reduced_index",
     "require_subcritical",
     "require_whole_domain",
-    "build_grid",
 ]
 
 HALF_PI = math.pi / 2.0
@@ -202,12 +207,23 @@ class Grid:
     """Uniform interior lattice on (-L, L) with Dirichlet walls.
 
     Interior points x_i = -L + i h, i = 1..n, spacing h = 2L/(n+1). Both
-    spinor components vanish at +-L. For the Tangent family L = pi/2, so the
-    points are automatically clipped one spacing inside the open domain.
+    spinor components vanish at +-L. A grid checks itself: n is an integer
+    >= 3, so a centered stencil exists everywhere, and L is finite and > 0;
+    anything else raises ConfigError. Which L a family takes is
+    require_whole_domain's rule: the tangent family's L = pi/2 keeps every
+    point one spacing inside the open domain.
     """
 
     half_width: float
     n: int
+
+    def __post_init__(self):
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 3):
+            raise ConfigError(f"grid needs at least 3 interior points, got {self.n!r}")
+        if not (math.isfinite(self.half_width) and self.half_width > 0.0):
+            raise ConfigError(f"grid half-width must be positive, got {self.half_width!r}")
+        object.__setattr__(self, "half_width", float(self.half_width))
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def h(self) -> float:
@@ -225,29 +241,13 @@ class Grid:
         return pts
 
 
-def build_grid(L: float, N: int, family: Family = Family.LINEAR) -> Grid:
-    """Uniform interior grid. N >= 3 so a centered stencil exists everywhere;
-    the Tangent family takes L = pi/2 alone (the builder keeps the points
-    strictly inside the open interval by construction)."""
-    if not (isinstance(N, (int, np.integer)) and N >= 3):
-        raise ConfigError(f"grid needs at least 3 interior points, got {N!r}")
-    if not (math.isfinite(L) and L > 0.0):
-        raise ConfigError(f"grid half-width must be positive, got {L!r}")
-    if not _is_whole_domain(family, L):
-        raise ConfigError(f"tangent-family grid half-width must be pi/2, got {L!r}")
-    return Grid(half_width=float(L), n=int(N))
-
-
-def _is_whole_domain(family: Family, L: float) -> bool:
-    """False for a tangent-family half-width other than pi/2, where W diverges:
-    walls inside (-pi/2, pi/2) cut the levels into states of the box."""
-    return family is not Family.TANGENT or abs(L - HALF_PI) <= 1e-15
-
-
 def require_whole_domain(sp: Superpotential, grid: Grid) -> None:
-    """Raises DomainError unless a tangent-family box is the whole (-pi/2, pi/2)."""
-    if not _is_whole_domain(sp.family, grid.half_width):
-        raise DomainError(f"tangent-family box half-width must be pi/2, got {grid.half_width!r}")
+    """Raises DomainError unless a tangent-family box is the whole
+    (-pi/2, pi/2): W diverges at +-pi/2, and walls inside the interval cut
+    the levels into states of the box."""
+    if sp.family is Family.TANGENT and abs(grid.half_width - HALF_PI) > 1e-15:
+        raise DomainError(
+            f"tangent-family grid half-width must be pi/2, got {grid.half_width!r}")
 
 
 def reduced_index(sigma: int, n: int) -> int:
@@ -321,12 +321,6 @@ class SpectrumRecord:
         return reduced_index(self.sigma, self.n)
 
 
-def _site_probabilities(psi1: np.ndarray, psi2: np.ndarray, h: float):
-    q = np.abs(psi1) ** 2 + np.abs(psi2) ** 2
-    total = h * float(np.sum(q))
-    return q, total
-
-
 def localization_of(psi1: np.ndarray, psi2: np.ndarray, x: np.ndarray, h: float):
     """(participation ratio, rms width) of a two-component amplitude sample.
 
@@ -334,11 +328,12 @@ def localization_of(psi1: np.ndarray, psi2: np.ndarray, x: np.ndarray, h: float)
     uniform state gives the box length, a single-site spike gives h. The rms
     width is taken about the probability centroid.
     """
-    q, total = _site_probabilities(psi1, psi2, h)
+    q = np.abs(psi1) ** 2 + np.abs(psi2) ** 2
+    total = float(np.sum(q))
     if total <= 0.0:
         raise ValueError("cannot compute localization of a null state")
-    pr = h * float(np.sum(q)) ** 2 / float(np.sum(q * q))
-    p = q / np.sum(q)
+    pr = h * total**2 / float(np.sum(q * q))
+    p = q / total
     centroid = float(np.sum(p * x))
     rms = math.sqrt(float(np.sum(p * (x - centroid) ** 2)))
     return pr, rms
@@ -346,44 +341,32 @@ def localization_of(psi1: np.ndarray, psi2: np.ndarray, x: np.ndarray, h: float)
 
 @dataclass(frozen=True)
 class SpinorState:
-    """Normalized two-component eigenvector samples plus localization metrics.
+    """Normalized two-component eigenvector samples on a grid's points.
 
     Normalization convention: h * sum(|psi1|^2 + |psi2|^2) = 1. residual is
-    the reported first-order-equation residual when the state came from the
-    reconstruction path (None for direct lattice eigenvectors, whose residual
-    is checked against the matrix instead).
+    the first-order-equation residual of a state from the reconstruction
+    path (None for direct lattice eigenvectors, whose residual is checked
+    against the matrix instead). localization_of gives a state's
+    participation ratio and rms width.
     """
 
     E: float
     psi1: np.ndarray
     psi2: np.ndarray
-    norm: float
-    participation_ratio: float
-    rms_width: float
     residual: float | None = None
 
     @classmethod
-    def from_samples(cls, E, psi1, psi2, grid: Grid, residual=None) -> "SpinorState":
+    def from_samples(cls, E, psi1, psi2, grid: Grid) -> "SpinorState":
         psi1 = np.asarray(psi1, dtype=complex)
         psi2 = np.asarray(psi2, dtype=complex)
         if psi1.shape != (grid.n,) or psi2.shape != (grid.n,):
             raise ValueError("component samples must match the grid size")
-        _, total = _site_probabilities(psi1, psi2, grid.h)
+        total = grid.h * float(np.sum(np.abs(psi1) ** 2 + np.abs(psi2) ** 2))
         if total <= 0.0:
             raise ValueError("cannot normalize a null state")
         scale = 1.0 / math.sqrt(total)
         psi1 = psi1 * scale
         psi2 = psi2 * scale
-        _, norm_sq = _site_probabilities(psi1, psi2, grid.h)
-        pr, rms = localization_of(psi1, psi2, grid.x, grid.h)
         psi1.setflags(write=False)
         psi2.setflags(write=False)
-        return cls(
-            E=float(E),
-            psi1=psi1,
-            psi2=psi2,
-            norm=math.sqrt(norm_sq),
-            participation_ratio=pr,
-            rms_width=rms,
-            residual=None if residual is None else float(residual),
-        )
+        return cls(E=float(E), psi1=psi1, psi2=psi2)

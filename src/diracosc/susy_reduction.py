@@ -65,6 +65,11 @@ __all__ = [
     "susy_state",
 ]
 
+# the default grid of both entry points: half the lattice route's default
+# density, whose lost order the paired-grid extrapolation in _solve_branch
+# recovers
+_DEFAULT_N = 2000
+
 
 @dataclass(frozen=True)
 class SpinEigenpair:
@@ -421,10 +426,7 @@ def solve_nonlinear_level(
     if n < 0:
         raise ValueError("n must be >= 0")
     if grid is None:
-        # half the lattice route's default density; the paired-grid
-        # extrapolation in _solve_branch recovers the lost order
-        base = default_grid(params)
-        grid = Grid(half_width=base.half_width, n=2000)
+        grid = default_grid(params, n=_DEFAULT_N)
     require_whole_domain(params.superpotential, grid)
     # positional and with the grid resolved, so that equivalent calls share
     # one cache key
@@ -542,9 +544,10 @@ def susy_state(
     """End-to-end reduced route for one level: solve the nonlinear level
     condition, take the reduced eigenfunction at the solved energy, and
     reconstruct the two-component state; the massless ground level, which
-    the reconstruction annihilates, is built directly."""
+    the reconstruction annihilates, is built directly. The default grid is
+    solve_nonlinear_level's, so both report the same record."""
     if grid is None:
-        grid = default_grid(params)
+        grid = default_grid(params, n=_DEFAULT_N)
     plus, minus = solve_nonlinear_level(params, sigma, n, grid)
     rec = plus if branch > 0 else minus
     # the level the root solve tracked, at the solved energy

@@ -21,7 +21,7 @@ from diracosc.dirac_solver import (
     eigenvalue_count_in_window,
 )
 from diracosc.errors import ConvergenceError, DomainError, ResourceError
-from diracosc.model import Grid, PhysicalParams, Superpotential
+from diracosc.model import Grid, PhysicalParams, Superpotential, localization_of
 from diracosc import analytic
 
 import tridiagonal_oracle as oracle
@@ -45,20 +45,25 @@ def positive_levels(records):
 # ---------------------------------------------------------------- assembly
 
 
-def test_block_assembly_two_site_example():
-    # h = 2*1.5/3 = 1, lower sites x = (-0.5, +0.5), upper sites (-1, 0, 1):
-    # rows u, l, u, l, u at x = -1, -0.5, 0, 0.5, 1 and W = x, so with
-    # kappa = 0.5 the diagonal is +-m + W/2. Bond midpoints -0.75, -0.25,
-    # 0.25, 0.75; bond = W/2 -+ sqrt(1/h^2 + W^2/4), minus towards a lower site
+def test_block_assembly_three_site_example():
+    # h = 2*2/4 = 1, lower sites x = (-1, 0, 1), upper sites (-1.5, -0.5,
+    # 0.5, 1.5): rows u, l, u, l, u, l, u at x = -1.5, -1, ..., 1.5 and W = x,
+    # so with kappa = 0.5 the diagonal is +-m + W/2. Bond midpoints -1.25,
+    # -0.75, ..., 1.25; bond = W/2 -+ sqrt(1/h^2 + W^2/4), minus towards a
+    # lower site
     params = PhysicalParams(mass=0.5, kappa=0.5, superpotential=Superpotential.linear(1.0))
-    grid = Grid(half_width=1.5, n=2)
+    grid = Grid(half_width=2.0, n=3)
     assert grid.h == pytest.approx(1.0, abs=1e-15)
     t = assemble_dirac_matrix(params, grid)
-    np.testing.assert_allclose(t.d, [0.0, -0.75, 0.5, -0.25, 1.0], atol=1e-15)
-    outer = math.sqrt(1.0 + 0.375**2)
+    np.testing.assert_allclose(t.d, [-0.25, -1.0, 0.25, -0.5, 0.75, 0.0, 1.25], atol=1e-15)
+    outer = math.sqrt(1.0 + 0.625**2)
+    middle = math.sqrt(1.0 + 0.375**2)
     inner = math.sqrt(1.0 + 0.125**2)
     np.testing.assert_allclose(
-        t.e, [-0.375 - outer, -0.125 + inner, 0.125 - inner, 0.375 + outer], atol=1e-15
+        t.e,
+        [-0.625 - outer, -0.375 + middle, -0.125 - inner,
+         0.125 + inner, 0.375 - middle, 0.625 + outer],
+        atol=1e-15,
     )
 
 
@@ -891,7 +896,9 @@ def test_ground_state_width_is_unit_oscillator(converged_k0):
     assert res.records[idx].E == pytest.approx(1.0, rel=1e-5)
     # the annihilated lower component carries no weight at zero coupling
     assert float(np.sum(np.abs(st.psi2) ** 2)) * res.base_grid.h < 1e-20
-    assert st.rms_width == pytest.approx(1.0 / math.sqrt(2.0), rel=0.05)
+    g = res.base_grid
+    _, rms = localization_of(st.psi1, st.psi2, g.x, g.h)
+    assert rms == pytest.approx(1.0 / math.sqrt(2.0), rel=0.05)
 
 
 def test_default_grid_per_family():

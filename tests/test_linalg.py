@@ -154,7 +154,8 @@ def _params(family, kappa, mass=1.0):
 
 def _lattice_matrix(family, kappa, n, mass=1.0, L=None):
     params = _params(family, kappa, mass)
-    return assemble_dirac_matrix(params, default_grid(params, n=n, L=L))
+    grid = default_grid(params, n=n) if L is None else Grid(L, n)
+    return assemble_dirac_matrix(params, grid)
 
 
 def _schrodinger_matrix(family, kappa, n, sigma):

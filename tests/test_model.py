@@ -17,11 +17,11 @@ from diracosc.model import (
     SpectrumRecord,
     SpinorState,
     Superpotential,
-    build_grid,
     eval_superpotential,
     localization_of,
     reduced_epsilon,
     reduced_index,
+    require_whole_domain,
 )
 
 
@@ -135,30 +135,47 @@ def test_wprime_consistent_with_centered_difference(family, builder, window):
 
 
 def test_build_grid_three_point_example():
-    g = build_grid(1.0, 3)
+    g = Grid(1.0, 3)
     assert g.h == 0.5
     assert np.allclose(g.x, [-0.5, 0.0, 0.5])
 
 
 def test_build_grid_default_spacing():
-    g = build_grid(20.0, 4000)
+    g = Grid(20.0, 4000)
     assert abs(g.h - 40.0 / 4001.0) < 1e-18
     assert g.x.size == 4000
 
 
 def test_build_grid_tangent_points_stay_inside_open_interval():
-    g = build_grid(math.pi / 2.0, 999, Family.TANGENT)
+    g = Grid(math.pi / 2.0, 999)
+    require_whole_domain(Superpotential.tangent(1.0), g)
     assert np.all(g.x > -math.pi / 2.0)
     assert np.all(g.x < math.pi / 2.0)
 
 
 def test_build_grid_rejects_bad_arguments():
     with pytest.raises(ConfigError):
-        build_grid(0.0, 100)
+        Grid(0.0, 100)
     with pytest.raises(ConfigError):
-        build_grid(1.0, 2)
+        Grid(1.0, 2)
+    # the tan box is the whole open interval: require_whole_domain's rule
+    with pytest.raises(DomainError, match="pi/2"):
+        require_whole_domain(Superpotential.tangent(1.0), Grid(2.0, 100))
+
+
+@pytest.mark.parametrize("half_width, n", [
+    (0.0, 100), (-5.0, 100), (math.nan, 100), (math.inf, 100),
+    (5.0, 2), (5.0, 2.5), (5.0, 0),
+])
+def test_grid_refuses_invalid_values_at_construction(half_width, n):
     with pytest.raises(ConfigError):
-        build_grid(2.0, 100, Family.TANGENT)
+        Grid(half_width, n)
+
+
+def test_grid_coerces_its_fields():
+    g = Grid(np.float64(2), np.int64(7))
+    assert type(g.half_width) is float and type(g.n) is int
+    assert g == Grid(2.0, 7) and hash(g) == hash(Grid(2.0, 7))
 
 
 def test_level_index_unified_label():
@@ -213,17 +230,22 @@ def test_spectrum_record_validates_branch_sign():
 
 
 def test_spinor_state_normalization_convention():
-    g = build_grid(5.0, 200)
+    g = Grid(5.0, 200)
     psi1 = np.exp(-g.x**2)
     psi2 = 0.5 * np.exp(-g.x**2) * g.x
     st = SpinorState.from_samples(1.0, psi1, psi2, g)
     total = g.h * float(np.sum(np.abs(st.psi1) ** 2 + np.abs(st.psi2) ** 2))
     assert abs(total - 1.0) < 1e-12
-    assert abs(st.norm - 1.0) < 1e-12
+    assert st.residual is None
+    assert not st.psi1.flags.writeable and not st.psi2.flags.writeable
+    with pytest.raises(ValueError):
+        SpinorState.from_samples(1.0, psi1[:-1], psi2, g)
+    with pytest.raises(ValueError):
+        SpinorState.from_samples(1.0, np.zeros(g.n), np.zeros(g.n), g)
 
 
 def test_localization_uniform_and_spike():
-    g = build_grid(5.0, 500)
+    g = Grid(5.0, 500)
     ones = np.ones(g.n)
     pr, _ = localization_of(ones, np.zeros(g.n), g.x, g.h)
     assert abs(pr - 2.0 * g.half_width) <= 2.0 * g.h

@@ -605,6 +605,8 @@ def test_equivalent_solves_share_one_cached_result():
     first = solve_nonlinear_level(params, -1, 1)
     default = Grid(half_width=20.0, n=2000)
     assert solve_nonlinear_level(params, sigma=-1, n=1, grid=default) is first
+    # susy_state resolves the same default grid, so it reports the same level
+    assert susy_state(params, -1, 1)[0] == first[0]
 
 
 def test_tabulated_solves_share_the_cache():
@@ -634,6 +636,11 @@ def test_solve_argument_validation():
 # ---------------------------------------------------------- reconstruction
 
 
+def _norm(state, grid):
+    """sqrt(h sum(|psi1|^2 + |psi2|^2)), 1 for a normalized state."""
+    return math.sqrt(grid.h * float(np.sum(np.abs(state.psi1) ** 2 + np.abs(state.psi2) ** 2)))
+
+
 def test_reconstructed_ground_matches_lattice_route():
     res = converge_box_full(linear_params(0.0), levels=8, tol=1e-6)
     # the positive-branch ground level, +E0 (the lattice has no -E0 level)
@@ -649,7 +656,7 @@ def test_reconstructed_ground_matches_lattice_route():
         h * np.sum(np.conj(st.psi1) * direct.psi1 + np.conj(st.psi2) * direct.psi2)
     )
     assert overlap >= 0.999
-    assert st.norm == pytest.approx(1.0, abs=1e-10)
+    assert _norm(st, res.base_grid) == pytest.approx(1.0, abs=1e-10)
     assert st.residual <= 1e-3
 
 
@@ -671,18 +678,20 @@ def test_massless_zero_mode_is_built_directly(kappa):
     # the reconstruction annihilates the E = 0 level; its state is
     # (phi, -i beta phi), phi the sigma=-1 reduced ground state
     params = PhysicalParams(mass=0.0, kappa=kappa, superpotential=Superpotential.linear(1.0))
-    rec, st = susy_state(params, -1, 0, grid=Grid(half_width=20.0, n=1000))
+    grid = Grid(half_width=20.0, n=1000)
+    rec, st = susy_state(params, -1, 0, grid=grid)
     assert rec.E == 0.0 and st.E == 0.0
-    assert st.norm == pytest.approx(1.0, abs=1e-10)
+    assert _norm(st, grid) == pytest.approx(1.0, abs=1e-10)
     assert st.residual <= 1e-3
     beta = -kappa / (1.0 + math.sqrt(1.0 - kappa**2))
     np.testing.assert_allclose(st.psi2, -1j * beta * st.psi1, rtol=1e-14, atol=0.0)
 
 
 def test_negative_branch_excited_level_reconstructs():
-    rec, st = susy_state(linear_params(0.0), -1, 1, branch=-1)
+    params = linear_params(0.0)
+    rec, st = susy_state(params, -1, 1, branch=-1)
     assert rec.E == pytest.approx(-math.sqrt(3.0), rel=1e-6)
-    assert st.norm == pytest.approx(1.0, abs=1e-10)
+    assert _norm(st, default_grid(params, n=2000)) == pytest.approx(1.0, abs=1e-10)
     assert st.residual <= 1e-3
 
 
