@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -51,6 +52,7 @@ from .errors import (
     ResourceError,
 )
 from .model import (
+    ROUTES,
     Family,
     Grid,
     PhysicalParams,
@@ -319,28 +321,40 @@ def _susy_records(params, grid, max_n):
             plus, minus = susy_reduction.solve_nonlinear_level(params, sigma, n, grid)
             # the negative root at n_sigma 0 is -E0, whose state is annihilated
             records.extend(r for r in (plus, minus) if level_labels(r.branch, k))
-    records.sort(key=lambda r: (abs(r.E), r.sigma, -r.branch))
     return records
 
 
-def _xcheck_column(rows: list[dict]) -> None:
-    """Per (branch, n_sigma) group: max pairwise cross-route |dE|, relative
-    to max(|E|, 1) in the group."""
-    groups: dict = {}
-    for row in rows:
-        groups.setdefault((row["branch"], row["n_sigma"]), []).append(row)
-    for members in groups.values():
-        by_route: dict = {}
-        for row in members:
-            by_route.setdefault(row["route"], row["E"])
-        vals = list(by_route.values())
-        worst = 0.0
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                scale = max(abs(vals[i]), abs(vals[j]), 1.0)
-                worst = max(worst, abs(vals[i] - vals[j]) / scale)
-        for row in members:
-            row["xcheck"] = worst
+def _route_records(cfg: RunConfig, params, grid, routes) -> list[SpectrumRecord]:
+    """Every label's record on each of `routes` for n_sigma 0 .. levels-1."""
+    max_n = cfg.levels - 1
+    records = []
+    if "analytic" in routes:
+        records += analytic.full_spectrum(params, max_n)
+    if "susy" in routes:
+        records += _susy_records(params, grid, max_n)
+    if "dirac" in routes:
+        records += dirac_solver.converge_box_full(params, cfg.levels, cfg.tolerance, grid).records
+    return records
+
+
+def _by_level(records) -> dict:
+    """(branch, n_sigma) -> route -> the energies of the level's labels."""
+    levels: dict = {}
+    for rec in records:
+        levels.setdefault((rec.branch, rec.n_sigma), {}).setdefault(rec.route, []).append(rec.E)
+    return levels
+
+
+def _relative(a: float, b: float) -> float:
+    return abs(a - b) / max(abs(a), abs(b), 1.0)
+
+
+def _discrepancy(by_route: dict) -> float:
+    """The worst relative difference between any two labels of two different
+    routes of one level."""
+    return max((_relative(a, b)
+                for ea, eb in itertools.combinations(by_route.values(), 2)
+                for a in ea for b in eb), default=0.0)
 
 
 def _label_order(row: dict) -> tuple:
@@ -351,23 +365,18 @@ def _label_order(row: dict) -> tuple:
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     """Run the selected route(s) and emit the spectrum table. route=all adds
-    a per-level cross-route max-discrepancy column. Rows are ordered by
+    the column xcheck, each level's _discrepancy. Rows are ordered by
     their labels alone: n_sigma, the positive branch first, sigma, then
     route, so that no difference between the routes' energies reorders
     them."""
     params, grid = _build_problem(cfg)
-    max_n = cfg.levels - 1
-    rows: list[dict] = []
-    if cfg.route in ("analytic", "all"):
-        rows.extend(_record_row(r) for r in analytic.full_spectrum(params, max_n))
-    if cfg.route in ("susy", "all"):
-        rows.extend(_record_row(r) for r in _susy_records(params, grid, max_n))
-    if cfg.route in ("dirac", "all"):
-        result = dirac_solver.converge_box_full(params, cfg.levels, cfg.tolerance, grid)
-        rows.extend(_record_row(r) for r in result.records)
+    records = _route_records(cfg, params, grid, ROUTES if cfg.route == "all" else (cfg.route,))
+    rows = [_record_row(r) for r in records]
     header = list(SPECTRUM_HEADER)
     if cfg.route == "all":
-        _xcheck_column(rows)
+        levels = _by_level(records)
+        for rec, row in zip(records, rows):
+            row["xcheck"] = _discrepancy(levels[rec.branch, rec.n_sigma])
         header.append("xcheck")
     rows.sort(key=lambda r: (*_label_order(r), r["route"]))
     _emit(_row_columns(rows, header), cfg)
@@ -412,61 +421,46 @@ def _verify_checks(cfg: RunConfig):
     params, grid = _build_problem(cfg)
     if params.superpotential.family is Family.TABULATED:
         raise ConfigError("verify needs a certified family (linear or tan)")
-    max_n = min(cfg.levels - 1, 4)
-    ana = analytic.full_spectrum(params, max_n)
-    susy = _susy_records(params, grid, max_n)
-    dirac = dirac_solver.converge_box_full(params, max_n + 1, cfg.tolerance, grid).records
+    records = _route_records(cfg, params, grid, ROUTES)
+    levels = _by_level(records)
     checks = []
 
-    def keyed(records):
-        out = {}
-        for rec in records:
-            out.setdefault((rec.branch, rec.n_sigma), rec.E)
-        return out
-
-    worst = 0.0
-    ka, ks, kd = keyed(ana), keyed(susy), keyed(dirac)
-    for key, ea in ka.items():
-        for other in (ks, kd):
-            if key in other:
-                worst = max(worst, abs(ea - other[key]) / max(abs(ea), 1.0))
+    worst = max(map(_discrepancy, levels.values()))
     # every route must hold the same levels within the requested range
-    held = [set(ka), set(ks), set(kd)]
-    lone = sorted(set.union(*held) - set.intersection(*held))
+    lone = sorted(key for key, by_route in levels.items() if len(by_route) < len(ROUTES))
     checks.append(("three-route agreement", worst <= 1e-4 and not lone,
                    f"max cross-route discrepancy {worst:.3e} (limit 1e-04)"
                    + (f"; levels (branch, n_sigma) not on every route: {lone}" if lone else "")))
 
+    dirac = [r for r in records if r.route == "dirac"]
+    lattice = {key: by_route["dirac"] for key, by_route in levels.items() if "dirac" in by_route}
     bad = sorted({(r.branch, r.n_sigma) for r in dirac if not r.converged})
     drift = max((r.err_est for r in dirac if r.err_est is not None), default=0.0)
     checks.append((
         "lattice resolution", not bad,
         f"levels (branch, n_sigma) = {bad} still drift under refinement, "
         f"max inter-round shift {drift:.3e}" if bad
-        else f"all {len(kd)} lattice levels stationary under refinement",
+        else f"all {len(lattice)} lattice levels stationary under refinement",
     ))
 
     # on the susy route the labels (sigma=-1, n=k) and (sigma=+1, n=k-1) of a
     # level are independent partner solves; on the other two they are one number
     details = []
     for branch in (1, -1):
-        subset = [r for r in susy if r.branch == branch]
-        pairs, _ = analytic.degenerate_pairs(subset)
-        paired = {p[0].n_sigma for p in pairs}
-        expect = {r.n_sigma for r in subset if r.sigma == 1}
-        if paired != expect:
-            details.append(f"susy branch {branch:+d}: paired {sorted(paired)}"
-                           f" expected {sorted(expect)}")
+        pairs = {k: by_route["susy"] for (b, k), by_route in sorted(levels.items())
+                 if b == branch and len(by_route.get("susy", ())) == 2}
+        paired = [k for k, (ea, eb) in pairs.items()
+                  if ea and eb and _relative(ea, eb) <= analytic.DEGENERACY_RTOL]
+        if paired != list(pairs):
+            details.append(f"susy branch {branch:+d}: paired {paired} expected {list(pairs)}")
     checks.append(("degeneracy pairing", not details, "; ".join(details)
                    or f"susy partner levels agree to {analytic.DEGENERACY_RTOL:.0e} relative"))
 
     # only the lattice can break it: the analytic route is exact, and the
     # susy minus record is the mirror of the plus one
-    worst = 0.0
-    for (branch, k_sig), e in kd.items():
-        mirror = kd.get((-1, k_sig))
-        if branch == 1 and mirror is not None:
-            worst = max(worst, abs(e + mirror) / max(abs(e), 1.0))
+    worst = max((abs(e + mirror) / max(abs(e), 1.0) for (branch, k), es in lattice.items()
+                 if branch == 1 for e in es for mirror in lattice.get((-1, k), ())),
+                default=0.0)
     checks.append(("branch symmetry", worst <= 1e-5,
                    f"lattice max |E+ + E-| deviation {worst:.3e} (limit 1e-05); "
                    "the analytic and susy routes are symmetric by construction"))
@@ -490,7 +484,7 @@ def _verify_checks(cfg: RunConfig):
     worst = 0.0
     omk = 1.0 - params.kappa**2
     sp = params.superpotential
-    for rec in ana:
+    for rec in (r for r in records if r.route == "analytic"):
         if sp.family is Family.TANGENT:
             alpha = sp.alpha0 * math.sqrt(omk)
             beta = params.kappa * rec.E / math.sqrt(omk)
@@ -620,6 +614,19 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (exit code, stderr prefix) of every error the package raises on purpose
+_EXITS = {
+    ConfigError: (EXIT_CONFIG, "config error"),
+    DomainError: (EXIT_CONFIG, "config error"),
+    IndexOutOfRangeError: (EXIT_LEVEL_NOT_FOUND, "level not found"),
+    DegenerateStateError: (EXIT_LEVEL_NOT_FOUND, "level not found"),
+    CriticalFieldError: (EXIT_CRITICAL_FIELD, "critical field"),
+    ConvergenceError: (EXIT_CONVERGENCE, "convergence failure"),
+    ResourceError: (EXIT_CONVERGENCE, "convergence failure"),
+    BracketError: (EXIT_CONVERGENCE, "convergence failure"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     wavefunction = args.command == "wavefunction"
@@ -632,24 +639,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg)
         return cmd_wavefunction(cfg, sigma=args.sigma, n=args.n, branch=args.branch)
-    except (ConfigError, DomainError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (IndexOutOfRangeError, DegenerateStateError) as exc:
-        print(f"level not found: {exc}", file=sys.stderr)
-        return EXIT_LEVEL_NOT_FOUND
-    except CriticalFieldError as exc:
-        if wavefunction:
-            print(f"level not found: {exc}", file=sys.stderr)
-            return EXIT_LEVEL_NOT_FOUND
-        print(f"critical field: {exc}", file=sys.stderr)
-        return EXIT_CRITICAL_FIELD
-    except (ConvergenceError, ResourceError, BracketError) as exc:
-        if wavefunction:
-            print(f"level not found: {exc}", file=sys.stderr)
-            return EXIT_LEVEL_NOT_FOUND
-        print(f"convergence failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
+    except DiracOscError as exc:
+        code, prefix = next(v for kind, v in _EXITS.items() if isinstance(exc, kind))
+        if wavefunction and code > EXIT_CONFIG:
+            # past its config, any failure of one level's run means no such level
+            code, prefix = EXIT_LEVEL_NOT_FOUND, "level not found"
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

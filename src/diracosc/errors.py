@@ -19,9 +19,9 @@ class ConfigError(DiracOscError, ValueError):
 
 
 class ConvergenceError(DiracOscError, RuntimeError):
-    """A numerical routine failed: an eigensolver exceeded its sweep cap or
-    reported failure (pathological input), or two derivations of one
-    quantity disagree beyond rounding."""
+    """A numerical routine failed: a LAPACK eigensolver reported failure or
+    returned the wrong number of eigenvalues (pathological input), or two
+    derivations of one quantity disagree beyond rounding."""
 
 
 class CriticalFieldError(DiracOscError, ValueError):
@@ -46,4 +46,5 @@ class IndexOutOfRangeError(DiracOscError, IndexError):
 
 
 class ResourceError(DiracOscError, RuntimeError):
-    """A requested lattice exceeds the configured matrix-dimension cap."""
+    """A requested lattice exceeds the matrix-dimension cap, the constant
+    dirac_solver.DIM_CAP."""

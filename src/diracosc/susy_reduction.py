@@ -473,10 +473,10 @@ def _centered_derivative(f: np.ndarray, h: float) -> np.ndarray:
     return (g[2:] - g[:-2]) / (2.0 * h)
 
 
-def _apply_dirac(params, grid, psi1, psi2):
+def _apply_dirac(params, grid, w, psi1, psi2):
     """The first-order operator applied with centered differences (the
-    reconstruction-side discretization, independent of the solver lattice)."""
-    w, _ = eval_superpotential(params.superpotential, grid.x)
+    reconstruction-side discretization, independent of the solver lattice);
+    w is W on the grid."""
     u = params.kappa * w
     m = params.mass
     d1 = _centered_derivative(psi1, grid.h)
@@ -522,12 +522,12 @@ def reconstruct_spinor(
             f"reconstruction annihilated the state at E = {E:.6g} "
             f"(norm {raw:.3g}); it has no counterpart on this branch"
         )
-    return _with_residual(params, grid, SpinorState.from_samples(E, psi1, psi2, grid))
+    return _with_residual(params, grid, w, SpinorState.from_samples(E, psi1, psi2, grid))
 
 
-def _with_residual(params, grid, state):
-    """The state carrying its first-order eigenvalue residual."""
-    r1, r2 = _apply_dirac(params, grid, state.psi1, state.psi2)
+def _with_residual(params, grid, w, state):
+    """The state carrying its first-order eigenvalue residual; w is W on the grid."""
+    r1, r2 = _apply_dirac(params, grid, w, state.psi1, state.psi2)
     r1 = r1 - state.E * state.psi1
     r2 = r2 - state.E * state.psi2
     residual = math.sqrt(grid.h * float(np.sum(np.abs(r1) ** 2 + np.abs(r2) ** 2)))
@@ -559,7 +559,8 @@ def susy_state(
         # phi) with beta = -kappa/(1 + gamma) solves the first-order equation
         beta = -params.kappa / (1.0 + math.sqrt(1.0 - params.kappa**2))
         state = SpinorState.from_samples(0.0, phi, -1j * beta * phi, grid)
-        return rec, _with_residual(params, grid, state)
+        w, _ = eval_superpotential(params.superpotential, grid.x)
+        return rec, _with_residual(params, grid, w, state)
     pair = spin_eigensystem(params.kappa)
     chi = pair[0] if sigma > 0 else pair[1]
     state = reconstruct_spinor(params, rec.E, chi, phi, grid)

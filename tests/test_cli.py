@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import diracosc
-from diracosc import analytic, cli, dirac_solver, susy_reduction
+from diracosc import analytic, cli, dirac_solver, errors, susy_reduction
 from diracosc.cli import (
     RunConfig,
     load_config,
@@ -22,6 +22,7 @@ from diracosc.cli import (
     parse_config_text,
 )
 from diracosc.errors import ConfigError, ConvergenceError
+from diracosc.model import reduced_index
 
 
 def run_cli(argv):
@@ -505,6 +506,43 @@ def test_verify_judges_the_levels_it_compares(monkeypatch, argv):
         "PASS lattice resolution: all 9 lattice levels stationary under refinement")
 
 
+def test_verify_judges_every_requested_level():
+    code, out, _ = run_cli([
+        "verify", "--model.kappa", "0.4", "--grid.n", "500", "--solver.levels", "6",
+    ])
+    assert code == 0
+    assert check_lines(out)[1] == (
+        "PASS lattice resolution: all 11 lattice levels stationary under refinement")
+
+
+def test_cross_check_compares_every_susy_label(monkeypatch):
+    # move the larger-|E| susy label of n_sigma 2 by 2e-4 relative: both the
+    # spectrum's xcheck and verify's agreement must see it, though its
+    # partner label agrees with the other routes
+    solve = susy_reduction.solve_nonlinear_level
+
+    def shifted(params, sigma, n, grid=None):
+        records = solve(params, sigma, n, grid)
+        if reduced_index(sigma, n) == 2:
+            partner = solve(params, -sigma, n + sigma, grid)[0]
+            if (abs(records[0].E), sigma) > (abs(partner.E), -sigma):
+                records = tuple(dataclasses.replace(r, E=r.E * (1.0 + 2e-4)) for r in records)
+        return records
+
+    monkeypatch.setattr(susy_reduction, "solve_nonlinear_level", shifted)
+    argv = ["--model.kappa", "0.6", "--grid.n", "1000", "--solver.levels", "3"]
+    code, out, _ = run_cli(["spectrum", *argv])
+    assert code == 0
+    xcheck = {(r["branch"], int(r["n_sigma"])): float(r["xcheck"]) for r in parse_csv(out)[2]}
+    # a 2e-4 move of E reads 2e-4 / (1 + 2e-4) on the scale max(|E|, 1)
+    assert xcheck[("+", 2)] >= 2e-4 / (1.0 + 2e-4) - 1e-7
+    assert xcheck[("-", 2)] >= 2e-4 / (1.0 + 2e-4) - 1e-7
+    assert max(v for (b, k), v in xcheck.items() if k != 2) <= 1e-5
+    code, out, _ = run_cli(["verify", *argv])
+    assert code == 1
+    assert check_lines(out)[0].startswith("FAIL three-route agreement")
+
+
 def test_verify_pairing_fails_on_split_susy_partners(monkeypatch):
     solve = susy_reduction.solve_nonlinear_level
 
@@ -639,6 +677,12 @@ def test_wavefunction_negative_n_exit_2():
 
 
 # ---------------------------------------------------------------- process
+
+
+def test_every_package_error_has_one_exit_code():
+    kinds = {c for c in vars(errors).values()
+             if isinstance(c, type) and issubclass(c, errors.DiracOscError)}
+    assert set(cli._EXITS) == kinds - {errors.DiracOscError}
 
 
 def test_module_entry_point_subprocess():

@@ -701,3 +701,21 @@ def test_reconstruct_spinor_validates_sampling():
     plus, _ = spin_eigensystem(0.0)
     with pytest.raises(ValueError):
         reconstruct_spinor(params, 1.0, plus, np.ones(7), grid)
+
+
+@pytest.mark.parametrize("mass, sigma, n", [(1.0, -1, 1), (0.0, -1, 0)])
+def test_susy_state_evaluates_w_twice(monkeypatch, mass, sigma, n):
+    # once for the reduced operator at the solved E, and once shared by the
+    # reconstruction (or the massless zero mode) and its residual
+    params, grid = linear_params(0.4, mass=mass), Grid(20.0, 500)
+    solve_nonlinear_level(params, sigma, n, grid)
+    real = susy_reduction.eval_superpotential
+    shapes = []
+
+    def spy(sp, x):
+        shapes.append(np.shape(x))
+        return real(sp, x)
+
+    monkeypatch.setattr(susy_reduction, "eval_superpotential", spy)
+    susy_state(params, sigma, n, grid)
+    assert shapes == [(500,), (500,)]
