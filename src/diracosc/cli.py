@@ -41,7 +41,6 @@ import numpy as np
 
 from . import analytic, dirac_solver, susy_reduction
 from .errors import (
-    BracketError,
     ConfigError,
     ConvergenceError,
     CriticalFieldError,
@@ -49,7 +48,6 @@ from .errors import (
     DiracOscError,
     DomainError,
     IndexOutOfRangeError,
-    ResourceError,
 )
 from .model import (
     ROUTES,
@@ -345,14 +343,10 @@ def _by_level(records) -> dict:
     return levels
 
 
-def _relative(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1.0)
-
-
 def _discrepancy(by_route: dict) -> float:
     """The worst relative difference between any two labels of two different
     routes of one level."""
-    return max((_relative(a, b)
+    return max((abs(a - b) / max(abs(a), abs(b), 1.0)
                 for ea, eb in itertools.combinations(by_route.values(), 2)
                 for a in ea for b in eb), default=0.0)
 
@@ -447,12 +441,13 @@ def _verify_checks(cfg: RunConfig):
     # level are independent partner solves; on the other two they are one number
     details = []
     for branch in (1, -1):
-        pairs = {k: by_route["susy"] for (b, k), by_route in sorted(levels.items())
-                 if b == branch and len(by_route.get("susy", ())) == 2}
-        paired = [k for k, (ea, eb) in pairs.items()
-                  if ea and eb and _relative(ea, eb) <= analytic.DEGENERACY_RTOL]
-        if paired != list(pairs):
-            details.append(f"susy branch {branch:+d}: paired {paired} expected {list(pairs)}")
+        subset = [r for r in records if r.route == "susy" and r.branch == branch]
+        pairs, _ = analytic.degenerate_pairs(subset)
+        paired = {p[0].n_sigma for p in pairs}
+        expect = {r.n_sigma for r in subset if r.sigma == 1}
+        if paired != expect:
+            details.append(f"susy branch {branch:+d}: paired {sorted(paired)}"
+                           f" expected {sorted(expect)}")
     checks.append(("degeneracy pairing", not details, "; ".join(details)
                    or f"susy partner levels agree to {analytic.DEGENERACY_RTOL:.0e} relative"))
 
@@ -614,16 +609,14 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-# (exit code, stderr prefix) of every error the package raises on purpose
+# (exit code, stderr prefix) per package error; any other package error is a
+# failed numerical run (see main)
 _EXITS = {
     ConfigError: (EXIT_CONFIG, "config error"),
     DomainError: (EXIT_CONFIG, "config error"),
     IndexOutOfRangeError: (EXIT_LEVEL_NOT_FOUND, "level not found"),
     DegenerateStateError: (EXIT_LEVEL_NOT_FOUND, "level not found"),
     CriticalFieldError: (EXIT_CRITICAL_FIELD, "critical field"),
-    ConvergenceError: (EXIT_CONVERGENCE, "convergence failure"),
-    ResourceError: (EXIT_CONVERGENCE, "convergence failure"),
-    BracketError: (EXIT_CONVERGENCE, "convergence failure"),
 }
 
 
@@ -640,7 +633,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_verify(cfg)
         return cmd_wavefunction(cfg, sigma=args.sigma, n=args.n, branch=args.branch)
     except DiracOscError as exc:
-        code, prefix = next(v for kind, v in _EXITS.items() if isinstance(exc, kind))
+        code, prefix = next((v for kind, v in _EXITS.items() if isinstance(exc, kind)),
+                            (EXIT_CONVERGENCE, "convergence failure"))
         if wavefunction and code > EXIT_CONFIG:
             # past its config, any failure of one level's run means no such level
             code, prefix = EXIT_LEVEL_NOT_FOUND, "level not found"

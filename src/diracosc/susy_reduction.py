@@ -473,19 +473,6 @@ def _centered_derivative(f: np.ndarray, h: float) -> np.ndarray:
     return (g[2:] - g[:-2]) / (2.0 * h)
 
 
-def _apply_dirac(params, grid, w, psi1, psi2):
-    """The first-order operator applied with centered differences (the
-    reconstruction-side discretization, independent of the solver lattice);
-    w is W on the grid."""
-    u = params.kappa * w
-    m = params.mass
-    d1 = _centered_derivative(psi1, grid.h)
-    d2 = _centered_derivative(psi2, grid.h)
-    r1 = (m + u) * psi1 + 1j * (w * psi2 - d2)
-    r2 = -1j * (w * psi1 + d1) + (-m + u) * psi2
-    return r1, r2
-
-
 def reconstruct_spinor(
     params: PhysicalParams,
     E: float,
@@ -526,10 +513,16 @@ def reconstruct_spinor(
 
 
 def _with_residual(params, grid, w, state):
-    """The state carrying its first-order eigenvalue residual; w is W on the grid."""
-    r1, r2 = _apply_dirac(params, grid, w, state.psi1, state.psi2)
-    r1 = r1 - state.E * state.psi1
-    r2 = r2 - state.E * state.psi2
+    """The state carrying its first-order eigenvalue residual: the operator
+    applied with centered differences (the reconstruction-side
+    discretization, independent of the solver lattice); w is W on the grid."""
+    psi1, psi2 = state.psi1, state.psi2
+    u = params.kappa * w
+    m = params.mass
+    d1 = _centered_derivative(psi1, grid.h)
+    d2 = _centered_derivative(psi2, grid.h)
+    r1 = (m + u) * psi1 + 1j * (w * psi2 - d2) - state.E * psi1
+    r2 = -1j * (w * psi1 + d1) + (-m + u) * psi2 - state.E * psi2
     residual = math.sqrt(grid.h * float(np.sum(np.abs(r1) ** 2 + np.abs(r2) ** 2)))
     return replace(state, residual=residual)
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import diracosc
-from diracosc import analytic, cli, dirac_solver, errors, susy_reduction
+from diracosc import analytic, cli, dirac_solver, susy_reduction
 from diracosc.cli import (
     RunConfig,
     load_config,
@@ -677,12 +677,6 @@ def test_wavefunction_negative_n_exit_2():
 
 
 # ---------------------------------------------------------------- process
-
-
-def test_every_package_error_has_one_exit_code():
-    kinds = {c for c in vars(errors).values()
-             if isinstance(c, type) and issubclass(c, errors.DiracOscError)}
-    assert set(cli._EXITS) == kinds - {errors.DiracOscError}
 
 
 def test_module_entry_point_subprocess():
