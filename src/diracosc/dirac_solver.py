@@ -48,38 +48,34 @@ converge_box_full refuses a box where it fails.
 
 Refinement
 ----------
-converge_box_full extrapolates each grid's levels over its (h, h/2) pair,
-which leaves an O(h^4) error, and runs rounds on one grid rule: L -> widen L
-and N -> 2N + 1. The linear family's box widens by half (widen 1.5), so a
-round moves both the box error and the h^4 error (h shrinks by 3/4); a
-bounded domain is refined in place (widen 1, h halves). The move between the
-last two rounds is each level's err_est (Richardson, Phil. Trans. R. Soc. A
-226 (1927) 299): about 2.2 (linear) or 15 (in place) times the error left
-in the reported value.
+converge_box_full takes the energies from a ladder of grids on one box and
+the states from the caller's grid. The ladder starts at a quarter of the
+caller's grid and refines in place, N -> 2N + 1, so h halves a round. Each
+(h, h/2) pair is Richardson-extrapolated, which leaves an O(h^4) error, and
+the move between the last two rounds is each level's err_est (Richardson,
+Phil. Trans. R. Soc. A 226 (1927) 299): 15 times the error left in the
+reported value. In-place refinement cannot see a box that cuts a state, so
+before the ladder runs a W unbounded on both sides (the linear family) grows
+the box by half at the same h while some state of the ladder's first grid
+holds more than tol of its weight in the outer 5% of the box (_EDGE), or
+in the outermost row at each end where that share holds no other row. A
+bounded domain keeps the caller's box.
 
 Every grid's levels come from one inverse-iteration call at a guess of
 them, certified by their residuals and two Sturm counts
-(linalg._predicted_eigenvalues). A run solves its base grid first, alone:
-its guess is a bisection stopped at absolute width _COARSE_TOL (1e-4), and
-the same call's vectors are the run's states. The grids after it have their
-levels predicted to O(h^2) by the finest grid solved before them, and fall
-back to the coarse bisection only when a prediction misses: when the box
-widens past where the levels have settled (linear kappa 0.999 at L = 20, or
-a box of L = 3). A grid whose coarse guess misses too takes the full index
-search, and its vectors their own dstein call. Each fallback logs a DEBUG
-record on this module's logger, with the grid's rows and the step that
-missed.
-
-A run knows several of those grids at once: the base grid's h/2 grid and
-round 1's pair, since round 1 runs whenever its pair fits the dimension
-cap, and then each later round's new grids (two when the box widens, one
-in place). These are solved concurrently. The calling thread solves the
-largest and a pool of helper threads, one fewer than the CPUs the process
-may run on, the rest; LAPACK releases the GIL while it works. Each solve is
-deterministic and depends on its own grid and its prediction alone, so
-records, states and rounds are those of solving the grids one after
-another, which is what a process on one CPU does. Results are cached by
-call, tabulated shapes included, since a table compares by its samples.
+(linalg._predicted_eigenvalues). The ladder's first grid, and each grown
+box's, has no prediction: its guess is a bisection stopped at absolute width
+_COARSE_TOL (1e-4). Each later rung has its levels predicted to O(h^2) by
+the rung before it, and the caller's grid by the finest rung carried to its
+spacing by the h^2 term, or, when the box grew, by the coarse bisection,
+since a wider box's levels are no prediction of the caller's. That call's
+vectors are the run's states. A predicted grid whose guess misses falls
+back to the coarse bisection, and a grid whose coarse guess misses too to
+the full index search, with its vectors from their own dstein call. Each
+fallback logs a DEBUG record on this module's logger, with the grid's rows
+and the step that missed. The grids are solved one after another on the
+calling thread. Results are cached by call, tabulated shapes included, since
+a table compares by its samples.
 """
 
 from __future__ import annotations
@@ -88,7 +84,6 @@ import functools
 import itertools
 import logging
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +127,9 @@ DIM_CAP = 65536
 # absolute width to which a grid without a prediction is bisected before
 # inverse iteration: 1e-2 leaves dstein a second call and 1e-6 bisects longer
 _COARSE_TOL = 1e-4
+# the share of the box, both ends together, where a state's weight above tol
+# grows a box that can grow
+_EDGE = 0.05
 
 
 def default_grid(params: PhysicalParams, n: int = DEFAULT_N) -> Grid:
@@ -295,7 +293,8 @@ class ConvergeResult:
     branches (converged flags and error estimates, the move between the last
     two rounds, set), states sampled on the caller's base grid, that grid,
     and the number of refinement rounds actually run (0 past the critical
-    coupling). Tuples, since results are cached and shared between callers."""
+    coupling, and when the box would grow past the cap). Tuples, since
+    results are cached and shared between callers."""
 
     records: tuple
     states: tuple
@@ -307,14 +306,32 @@ def _dim(grid: Grid) -> int:
     return 2 * grid.n + 1
 
 
-def _richardson_levels(grid, solved):
-    """(E_neg, E_pos) on the (h, h/2) pair combined as (4 E2 - E1)/3, which
-    cancels the h^2 error term of the staggered scheme. `solved` maps a grid
-    to its (E_neg, E_pos) and holds both grids of the pair."""
-    (c_neg, c_pos), (f_neg, f_pos) = solved[grid], solved[grid.refined()]
-    k = min(len(c_neg), len(f_neg))
-    j = min(len(c_pos), len(f_pos))
-    return (4.0 * f_neg[:k] - c_neg[:k]) / 3.0, (4.0 * f_pos[:j] - c_pos[:j]) / 3.0
+def _richardson(coarse, fine):
+    """(E_neg, E_pos) of an (h, h/2) pair combined as (4 E2 - E1)/3, which
+    cancels the h^2 error term of the staggered scheme; a branch keeps the
+    levels both grids hold."""
+    out = []
+    for c, f in zip(coarse, fine):
+        k = min(len(c), len(f))
+        out.append((4.0 * f[:k] - c[:k]) / 3.0)
+    return tuple(out)
+
+
+def _edge_weight(grid: Grid, vecs) -> np.ndarray:
+    """Each column's weight in the outer _EDGE of the box, both ends
+    together, and never less than the outermost row at each end, which on a
+    grid with h >= 2 _EDGE L is all the region holds; row r of the chain
+    sits at -L + (r+1) h/2."""
+    x = -grid.half_width + 0.5 * grid.h * np.arange(1, _dim(grid) + 1)
+    weight = vecs * vecs
+    outer = np.abs(x) > min((1.0 - _EDGE) * grid.half_width, grid.half_width - grid.h)
+    return weight[outer].sum(axis=0) / weight.sum(axis=0)
+
+
+def _widened(grid: Grid) -> Grid:
+    """The box grown by half at the same spacing h."""
+    m = round(1.5 * (grid.n + 1))
+    return Grid(half_width=0.5 * grid.h * m, n=m - 1)
 
 
 def converge_box_full(
@@ -324,34 +341,37 @@ def converge_box_full(
     grid: Grid | None = None,
 ) -> ConvergeResult:
     """Refine the levels n_sigma 0..levels-1 on both branches, the set the
-    other routes hold, until each is stationary or the rounds reach DIM_CAP.
+    other routes hold, until each is stationary or the ladder reaches
+    DIM_CAP.
 
-    Every round takes the grid Grid(widen * L, 2N + 1), so N + 1 doubles:
-    a W unbounded on both sides (the linear family) widens the box by half
-    (widen 1.5), which shrinks h by 3/4, and a bounded domain (tangent,
-    tabulated) is refined in place (widen 1), which halves h. Every round's
-    value is Richardson-extrapolated over an (h, h/2) pair, and a round is
-    run only if its whole pair fits the dimension cap. The base grid is
-    solved first, from a bisection to 1e-4 refined by one certified
-    inverse-iteration call, which also gives the states; its h/2 grid and
-    round 1's pair are then solved concurrently from its predictions, as
-    are each later round's new grids from the last round's fine grid (see
-    the module docstring); the results are those of solving them one after
-    another.
+    The energies come from a ladder that starts at a quarter of the
+    caller's grid, Grid(L, N0) with N0 + 1 = round((N + 1)/4), and refines
+    in place, N -> 2N + 1, so that h halves a round. Every round's value is
+    Richardson-extrapolated over an (h, h/2) pair, and a round is run only
+    if its fine grid fits the dimension cap. A W unbounded on both sides
+    (the linear family) first grows the ladder's base box by half, at the
+    same h, while some state of it holds more than tol of its weight in the
+    outer 5% of the box, never less than its outermost row at each end; a
+    bounded domain (tangent, tabulated) keeps the caller's box.
 
-    err_est is the move of a level between the last two rounds. Both its box
-    error and its h^4 error shrink between rounds, the latter by r^4 for h
-    shrinking by r, so the move is (1 - r^4)/r^4 times the error left in the
-    reported value: 175/81, about 2.2, with the box widened and 15 in place.
-    A level is converged when err_est <= tol * max(|E|, 1). Levels still
-    moving when rounds stop are classified unbound (converged=False). At
+    err_est is the move of a level between the last two rounds. The h^4
+    error left after extrapolation shrinks 16-fold a round, so the move is
+    15 times the error left in the reported value. A level is converged
+    when err_est <= tol * max(|E|, 1). Levels still moving when rounds stop
+    are classified unbound (converged=False), and so is every level when
+    the box would have to grow past the cap.
+
+    The states come from the caller's grid, from one certified call at the
+    ladder's finest values carried to its spacing, or at a bisection when
+    the box grew. At
     |kappa| >= 1, the rule of model.require_subcritical, no level is bound:
-    the base grid's values are reported, unconverged with no error estimate,
-    and no round runs. Raises ValueError unless levels >= 1 and
-    0 < tol < inf, and ResourceError unless the base grid's h/2 grid fits
-    the dimension cap. Raises DomainError on a tan box other than
-    (-pi/2, pi/2), and unless W runs from negative to positive across the
-    base box, the assumption the level labels rest on.
+    the caller's grid's values are reported, unconverged with no error
+    estimate, and no round runs. Raises ValueError unless levels >= 1 and
+    0 < tol < inf, and ResourceError unless the caller's h/2 grid, about
+    the size of the ladder's second round, fits the dimension cap. Raises
+    DomainError on a tan box other than (-pi/2, pi/2), and unless W runs
+    from negative to positive across the caller's box, the assumption the
+    level labels rest on.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -383,42 +403,59 @@ def _require_sign_change(params: PhysicalParams, grid: Grid) -> None:
 
 
 def _converge(params, levels, tol, base):
-    """converge_box_full's refinement loop, on checked and resolved arguments."""
+    """converge_box_full's ladder and the caller's grid, on checked and
+    resolved arguments."""
     _require_sign_change(params, base)
-    # the base grid is solved alone, and its vectors serve the states;
-    # every later grid is predicted from the grids solved before it
-    e_neg, e_pos, vecs = _lattice_eigenvalues(params, base, levels)
+    kept = {}
+
+    def solve(grid, guess=None):
+        # the caller's grid can be a rung of the ladder; it is solved once
+        found = kept.get(grid) or _lattice_eigenvalues(params, grid, levels, guess)
+        if grid == base:
+            kept[base] = found
+        return found
+
+    values, errs, rounds, guess = None, (None, None), 0, None
+    # at |kappa| >= 1 the spin matrix -sigma_z + i kappa sigma_x, eigenvalues
+    # +-sqrt(1 - kappa^2), is defective or imaginary: no level is bound,
+    # whatever W is, and no ladder runs
+    if abs(params.kappa) < 1.0:
+        grid = Grid(base.half_width, max(round((base.n + 1) / 4) - 1, 3))
+        e_neg, e_pos, vecs = solve(grid)
+        lo, hi = params.superpotential.domain
+        while math.isinf(lo) and math.isinf(hi) and np.any(_edge_weight(grid, vecs) > tol):
+            grid = _widened(grid)
+            if _dim(grid.refined()) > DIM_CAP:
+                break
+            e_neg, e_pos, vecs = solve(grid)
+        else:
+            # reached unless the box had to grow past the cap
+            values, errs, rounds, finest = _ladder(solve, grid, (e_neg, e_pos), tol, base.h)
+            # a wider box's levels are no prediction of the caller's
+            if grid.half_width == base.half_width:
+                guess = finest
+    e_neg, e_pos, vecs = solve(base, guess)
     states = _states_for(base, e_neg, e_pos, vecs)
-    if not abs(params.kappa) < 1.0:
-        # the spin matrix -sigma_z + i kappa sigma_x, eigenvalues +-sqrt(1 -
-        # kappa^2), is defective or imaginary: no level is bound, whatever W is
-        records, states = zip(*_build_records(params, e_neg, e_pos, states))
-        return ConvergeResult(records=records, states=states, base_grid=base, rounds=0)
-    lo, hi = params.superpotential.domain
-    widen = 1.5 if math.isinf(lo) and math.isinf(hi) else 1.0
+    records, states = zip(*_build_records(
+        params, *(values or (e_neg, e_pos)), states, errs, tol))
+    return ConvergeResult(records=records, states=states, base_grid=base, rounds=rounds)
 
-    def round_grid(grid):
-        # N + 1 doubles, so h shrinks by widen/2 and the h^4 error moves
-        # between rounds along with the box error
-        return Grid(half_width=widen * grid.half_width, n=2 * grid.n + 1)
 
-    def fits(grid):
-        # each round must afford its full (h, h/2) pair: a single grid would
-        # fold discretization error into the inter-round delta. N at least
-        # doubles every round, so this ends every run
-        return _dim(grid.refined()) <= DIM_CAP
-
-    solved = {base: (e_neg, e_pos)}
-    nxt = round_grid(base)
-    # round 1 runs whenever it fits, so its pair is solved along with the
-    # base grid's h/2 grid
-    _solve_pairs(params, levels, [base, nxt] if fits(nxt) else [base], solved)
-    values = _richardson_levels(base, solved)
-    errs = (None, None)
-    rounds = 0
-    while fits(nxt):
-        _solve_pairs(params, levels, [nxt], solved)
-        new = _richardson_levels(nxt, solved)
+def _ladder(solve, grid, coarse, tol, h):
+    """Refine in place from `grid`, whose (E_neg, E_pos) is `coarse`, until
+    every level is _settled at tol or the next grid passes DIM_CAP; each
+    grid is solved by solve(grid, guess) from the levels of the one before
+    it, which are off by O(h^2). Returns (values, errs, rounds, finest): the
+    last round's extrapolated values, their move since the round before
+    ((None, None) before round 1), the rounds run, and the finest grid's
+    (E_neg, E_pos) carried to spacing h by their h^2 term."""
+    grid = grid.refined()
+    fine = solve(grid, coarse)[:2]
+    values, errs, rounds = _richardson(coarse, fine), (None, None), 0
+    while _dim(grid.refined()) <= DIM_CAP:
+        grid = grid.refined()
+        coarse, fine = fine, solve(grid, fine)[:2]
+        new = _richardson(coarse, fine)
         rounds += 1
         # a branch keeps the levels that both rounds hold
         spans = [min(len(a), len(b)) for a, b in zip(values, new)]
@@ -426,74 +463,8 @@ def _converge(params, levels, tol, base):
         values = tuple(b[:k] for b, k in zip(new, spans))
         if all(_settled(e, v, tol).all() for e, v in zip(errs, values)):
             break
-        nxt = round_grid(nxt)
-
-    records, states = zip(*_build_records(params, *values, states, errs, tol))
-    return ConvergeResult(records=records, states=states, base_grid=base, rounds=rounds)
-
-
-def _solve_pairs(params, levels, grids, solved):
-    """Solve the (h, h/2) pairs of `grids` into `solved`, which maps a grid
-    to its (E_neg, E_pos) and holds at least the base grid. A grid already
-    there is not solved again: a box that is not widened is refined in place,
-    so a round's coarse grid is the previous round's fine one. The finest
-    grid solved so far predicts the levels of the new ones, which are off
-    from it by O(h^2) (_lattice_eigenvalues' `guess`).
-
-    The new grids are independent and each solve is deterministic, so they
-    run concurrently (_run_all), largest first, with the results they would
-    have one after another."""
-    new = dict.fromkeys(g for grid in grids for g in (grid, grid.refined()) if g not in solved)
-    new = sorted(new, key=_dim, reverse=True)
-    guess = solved[max(solved, key=_dim)]
-
-    def task(grid):
-        return _lattice_eigenvalues(params, grid, levels, guess)[:2]
-
-    solved.update(zip(new, _run_all([functools.partial(task, g) for g in new])))
-
-
-@functools.cache
-def _helpers():
-    """The executor whose threads help the calling one, made on first use,
-    or None when the process may run on one CPU only. It holds one thread
-    fewer than the CPUs the process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    if cpus < 2:
-        return None
-    # imported here, so that importing the package does not pay for it
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(cpus - 1, thread_name_prefix="diracosc")
-
-
-# a forked child has a copy of its parent's executor but none of its
-# threads, so it makes its own
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_helpers.cache_clear)
-
-
-def _run_all(tasks):
-    """Results of the zero-argument callables `tasks`, in order. The calling
-    thread runs the first, the helper threads the rest; LAPACK releases the
-    GIL, so they run in parallel. If a task raises, the tasks not yet started
-    are dropped and the running ones waited for before the exception
-    propagates, so that no solve outlives the call. With no helper the tasks
-    run one after another."""
-    pool = _helpers() if len(tasks) > 1 else None
-    if pool is None:
-        return [task() for task in tasks]
-    futures = [pool.submit(task) for task in tasks[1:]]
-    try:
-        return [tasks[0]()] + [future.result() for future in futures]
-    except BaseException:
-        for future in futures:
-            if not future.cancel():
-                future.exception()
-        raise
+    scale = (h / grid.h) ** 2
+    return values, errs, rounds, tuple(v + scale * (f[: len(v)] - v) for v, f in zip(values, fine))
 
 
 # a few entries: a session revisits the configuration it is working on, and

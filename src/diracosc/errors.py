@@ -47,4 +47,5 @@ class IndexOutOfRangeError(DiracOscError, IndexError):
 
 class ResourceError(DiracOscError, RuntimeError):
     """A requested lattice exceeds the matrix-dimension cap, the constant
-    dirac_solver.DIM_CAP."""
+    dirac_solver.DIM_CAP: a convergence run's base grid must leave its h/2
+    grid within it, which is about the size of the ladder's second round."""

@@ -22,7 +22,7 @@ from diracosc.cli import (
     parse_config_text,
 )
 from diracosc.errors import ConfigError, ConvergenceError
-from diracosc.model import reduced_index
+from diracosc.model import PhysicalParams, Superpotential, reduced_index
 
 
 def run_cli(argv):
@@ -433,14 +433,27 @@ def test_verify_tan_defaults_pass():
 
 
 def test_verify_coarse_grid_fails_loudly():
-    code, out, err = run_cli([
-        "verify", "--model.kappa", "0.6", "--grid.n", "32",
-    ])
+    args = ["--model.kappa", "0.6", "--grid.n", "32"]
+    code, out, err = run_cli(["verify"] + args)
     assert code == 1
     lines = check_lines(out)
-    # under-resolution must be reported, not hidden
-    assert any(ln.startswith("FAIL lattice resolution") for ln in lines)
+    # the susy route's under-resolution must be reported, not hidden
     assert any(ln.startswith("FAIL three-route agreement") for ln in lines)
+    # the lattice's energies come from a ladder refined to the tolerance,
+    # whatever grid its states are sampled on, so its levels are resolved
+    assert any(ln.startswith("PASS lattice resolution") for ln in lines)
+    code, out, _ = run_cli(["spectrum", "--solver.route", "dirac"] + args)
+    assert code == 0
+    params = PhysicalParams(mass=1.0, kappa=0.6, superpotential=Superpotential.linear(1.0))
+    rows = parse_csv(out)[2]
+    # n_sigma 0-4 at the default 5 levels: one label view at n_sigma 0, and
+    # two on each branch above it
+    assert len(rows) == 17
+    for row in rows:
+        branch = 1 if row["branch"] == "+" else -1
+        exact = analytic.level_energies(params, int(row["n_sigma"]))[0 if branch > 0 else 1]
+        assert row["converged"] == "true"
+        assert abs(float(row["E"]) - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
 @pytest.mark.parametrize("change", ["gain", "loss"])
