@@ -397,6 +397,7 @@ def cmd_sweep_kappa(cfg: RunConfig, kappa_list: list[float]) -> int:
         try:
             params, grid = _build_problem(point_cfg)
             result = dirac_solver.converge_box_full(params, cfg.levels, cfg.tolerance, grid)
+            states = result.states
         except DiracOscError as exc:
             print(f"sweep point kappa={kappa:g} failed: {exc}", file=sys.stderr)
             rows.append({"kappa": kappa, "route": "dirac", "converged": False})
@@ -404,7 +405,7 @@ def cmd_sweep_kappa(cfg: RunConfig, kappa_list: list[float]) -> int:
         g = result.base_grid
         point = [{"kappa": kappa, **_record_row(rec),
                   "pr": localization_of(state.psi1, state.psi2, g.x, g.h)[0]}
-                 for rec, state in zip(result.records, result.states)]
+                 for rec, state in zip(result.records, states)]
         rows.extend(sorted(point, key=_label_order))
     _emit(_row_columns(rows, SWEEP_HEADER), cfg)
     return EXIT_OK
@@ -504,7 +505,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_wavefunction(cfg: RunConfig, sigma: int, n: int, branch: int = 1) -> int:
     """Emit per-point probability densities of one level from both the
     lattice eigenvector and the reconstructed reduced-route state, plus their
-    overlap. Exits 5 when the requested level is not a bound state."""
+    overlap. Exits 5 when the requested level is not a bound state, and when
+    the box cuts its lattice state: more than solver.tolerance of its weight
+    lies in the outer 5% of a linear or tabulated box."""
     if sigma not in (-1, 1):
         raise ConfigError("sigma must be -1 or +1")
     if n < 0:
@@ -516,23 +519,28 @@ def cmd_wavefunction(cfg: RunConfig, sigma: int, n: int, branch: int = 1) -> int
     # the spectrum's run holds every level it lists
     result = dirac_solver.converge_box_full(
         params, max(cfg.levels, n_sigma + 1), cfg.tolerance, grid)
-    match = None
-    for rec, state in zip(result.records, result.states):
-        if (rec.sigma, rec.n, rec.branch) == (sigma, n, branch):
-            match = (rec, state)
-            break
+    match = next((i for i, rec in enumerate(result.records)
+                  if (rec.sigma, rec.n, rec.branch) == (sigma, n, branch)), None)
     if match is None:
         raise IndexOutOfRangeError(
             f"no lattice level with sigma={sigma}, n={n}, branch={branch:+d}"
         )
-    rec, dstate = match
+    rec = result.records[match]
     if not rec.converged:
         raise ConvergenceError(
             f"level (sigma={sigma}, n={n}, branch={branch:+d}) is not a "
             "converged bound state"
         )
-    _, sstate = susy_reduction.susy_state(params, sigma, n, result.base_grid, branch)
     g = result.base_grid
+    dstate = result.states[match]
+    cut = dirac_solver.edge_share(params, g, dstate)
+    if cut > cfg.tolerance:
+        raise ConvergenceError(
+            f"the box cuts level (sigma={sigma}, n={n}, branch={branch:+d}): its "
+            f"state holds {cut:.2g} of its weight in the outer 5% of the box, more "
+            f"than solver.tolerance {cfg.tolerance:g}"
+        )
+    _, sstate = susy_reduction.susy_state(params, sigma, n, g, branch)
     overlap = float(abs(g.h * np.sum(
         np.conj(sstate.psi1) * dstate.psi1
         + np.conj(sstate.psi2) * dstate.psi2)))

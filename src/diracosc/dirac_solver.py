@@ -66,16 +66,21 @@ them, certified by their residuals and two Sturm counts
 (linalg._predicted_eigenvalues). The ladder's first grid, and each grown
 box's, has no prediction: its guess is a bisection stopped at absolute width
 _COARSE_TOL (1e-4). Each later rung has its levels predicted to O(h^2) by
-the rung before it, and the caller's grid by the finest rung carried to its
-spacing by the h^2 term, or, when the box grew, by the coarse bisection,
-since a wider box's levels are no prediction of the caller's. That call's
-vectors are the run's states. A predicted grid whose guess misses falls
-back to the coarse bisection, and a grid whose coarse guess misses too to
-the full index search, with its vectors from their own dstein call. Each
-fallback logs a DEBUG record on this module's logger, with the grid's rows
-and the step that missed. The grids are solved one after another on the
-calling thread. Results are cached by call, tabulated shapes included, since
-a table compares by its samples.
+the rung before it. A predicted grid whose guess misses falls back to the
+coarse bisection, and a grid whose coarse guess misses too to the full index
+search, with its vectors from their own dstein call. Each fallback logs a
+DEBUG record on this module's logger, with the grid's rows and the step that
+missed. The grids are solved one after another on the calling thread.
+
+The records need only the ladder, so the caller's grid is solved only when a
+caller reads the run's states: one certified call on that grid at the
+finest rung's levels carried to its spacing by the h^2 term, or, when the box
+grew, at the coarse bisection, since a wider box's levels are no prediction
+of the caller's. That call's vectors are the run's states. A run that solved
+the caller's grid anyway, past the critical coupling, when the box would
+grow past the cap, or when that grid is a rung of the ladder, holds its
+states from the start. Results are cached by call, tabulated shapes
+included, since a table compares by its samples.
 """
 
 from __future__ import annotations
@@ -84,11 +89,11 @@ import functools
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import ConvergenceError, DomainError, ResourceError
 from .linalg import (
     Tridiagonal,
     _indexed_eigenvalues,
@@ -115,6 +120,7 @@ __all__ = [
     "converge_box_full",
     "ConvergeResult",
     "eigenvalue_count_in_window",
+    "edge_share",
     "default_grid",
 ]
 
@@ -227,25 +233,25 @@ def _settled(err, values, tol):
     return err <= tol * np.maximum(np.abs(values), 1.0)
 
 
-def _build_records(params, e_neg, e_pos, states, errs=(None, None), tol=None):
-    """(record, state) pairs of signed eigenvalue lists, one record per label
+def _build_records(params, e_neg, e_pos, errs=(None, None), tol=None):
+    """(record, slot) pairs of signed eigenvalue lists, one record per label
     view, sorted by (|E|, -branch, sigma).
 
-    states holds each branch's states, (states_neg, states_pos) parallel to
-    the values as _states_for returns them; the two label views of a level
-    share its state. errs holds each branch's move between the last two
-    rounds, (err_neg, err_pos) parallel to the values, or None for a branch
-    without one; a level is converged when _settled at tol.
+    A record's slot (b, j) names its level's state in _states_for's
+    (states_neg, states_pos): the j-th level from E = 0 of branch b, 0
+    negative and 1 positive; the two label views of a level share it. errs
+    holds each branch's move between the last two rounds, (err_neg, err_pos)
+    parallel to the values, or None for a branch without one; a level is
+    converged when _settled at tol.
     """
     # zero modes are snapped to 0, so that the record's sign check sees none
     snap = _zero_tol(params)
     pairs = []
-    for branch, values, branch_states, err in ((1, e_pos, states[1], errs[1]),
-                                               (-1, e_neg, states[0], errs[0])):
+    for b, branch, values, err in ((1, 1, e_pos, errs[1]), (0, -1, e_neg, errs[0])):
         flags = _settled(err, values, tol) if err is not None else [False] * len(values)
         # the j-th eigenvalue from E = 0 is the j-th level the branch holds
         held = (k for k in itertools.count() if level_labels(branch, k))
-        for j, (raw, n_sigma, state) in enumerate(zip(values, held, branch_states)):
+        for j, (raw, n_sigma) in enumerate(zip(values, held)):
             val = 0.0 if abs(float(raw)) <= snap else float(raw)
             flag = bool(flags[j])
             estimate = float(err[j]) if err is not None else None
@@ -253,7 +259,7 @@ def _build_records(params, e_neg, e_pos, states, errs=(None, None), tol=None):
                 record = SpectrumRecord(route="dirac", branch=branch, sigma=sigma, n=n, E=val,
                                         epsilon=reduced_epsilon(val, params.mass, params.kappa),
                                         converged=flag, err_est=estimate)
-                pairs.append((record, state))
+                pairs.append((record, (b, j)))
     pairs.sort(key=lambda pair: (abs(pair[0].E), -pair[0].branch, pair[0].sigma))
     return pairs
 
@@ -274,32 +280,59 @@ def _states_for(grid, e_neg, e_pos, vecs):
     return states[:k][::-1], states[k:]
 
 
+def _sampled(grid, found, slots):
+    """The states at `slots`, _build_records' slot of each record, in order,
+    from `found`, _lattice_eigenvalues' (E_neg, E_pos, vectors) on `grid`.
+    Raises ConvergenceError when the grid holds fewer levels than the
+    records, which the ladder's finer grids can hold."""
+    states = _states_for(grid, *found)
+    try:
+        return tuple(states[b][j] for b, j in slots)
+    except IndexError:
+        raise ConvergenceError(
+            f"the grid of {grid.n} points holds {len(states[0])} negative and "
+            f"{len(states[1])} positive levels, fewer than the run reports") from None
+
+
 def dirac_spectrum(params: PhysicalParams, grid: Grid, levels: int):
     """The eigenpairs of n_sigma 0..levels-1 on both branches on one grid,
-    as _build_records' (record, state) pairs: sorted by |E|, one record per
-    label view, and the two views of a level share one state.
+    as (record, state) pairs in _build_records' order: sorted by |E|, one
+    record per label view, and the two views of a level share one state.
     converged=False on every record: Richardson extrapolation and box
     convergence are converge_box_full's job.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    e_neg, e_pos, vecs = _lattice_eigenvalues(params, grid, levels)
-    return _build_records(params, e_neg, e_pos, _states_for(grid, e_neg, e_pos, vecs))
+    found = _lattice_eigenvalues(params, grid, levels)
+    records, slots = zip(*_build_records(params, *found[:2]))
+    return list(zip(records, _sampled(grid, found, slots)))
 
 
 @dataclass(frozen=True)
 class ConvergeResult:
     """converge_box_full output: records of n_sigma 0..levels-1 on both
     branches (converged flags and error estimates, the move between the last
-    two rounds, set), states sampled on the caller's base grid, that grid,
-    and the number of refinement rounds actually run (0 past the critical
-    coupling, and when the box would grow past the cap). Tuples, since
-    results are cached and shared between callers."""
+    two rounds, set), the caller's base grid, and the number of refinement
+    rounds actually run (0 past the critical coupling, and when the box would
+    grow past the cap). Tuples, since results are cached and shared between
+    callers.
+
+    states, parallel to records, are sampled on the base grid. A run that
+    solved that grid holds them from the start; any other solves it on the
+    first read, from _source, and keeps them."""
 
     records: tuple
-    states: tuple
     base_grid: Grid
     rounds: int
+    # (params, levels, guess) of the base grid's solve, and each record's slot
+    _source: tuple = field(repr=False, compare=False)
+    _slots: tuple = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def states(self) -> tuple:
+        params, levels, guess = self._source
+        found = _lattice_eigenvalues(params, self.base_grid, levels, guess)
+        return _sampled(self.base_grid, found, self._slots)
 
 
 def _dim(grid: Grid) -> int:
@@ -317,15 +350,29 @@ def _richardson(coarse, fine):
     return tuple(out)
 
 
+def _outer(grid: Grid, x, spacing: float) -> np.ndarray:
+    """Where samples x, `spacing` apart, lie in the outer _EDGE of the box,
+    both ends together, or are the outermost sample at either end, which is
+    all that share holds once 2 spacing >= _EDGE L."""
+    return np.abs(x) > min((1.0 - _EDGE) * grid.half_width, grid.half_width - 2.0 * spacing)
+
+
 def _edge_weight(grid: Grid, vecs) -> np.ndarray:
-    """Each column's weight in the outer _EDGE of the box, both ends
-    together, and never less than the outermost row at each end, which on a
-    grid with h >= 2 _EDGE L is all the region holds; row r of the chain
-    sits at -L + (r+1) h/2."""
+    """Each column's weight in the _outer region of the box; row r of the
+    chain sits at -L + (r+1) h/2."""
     x = -grid.half_width + 0.5 * grid.h * np.arange(1, _dim(grid) + 1)
     weight = vecs * vecs
-    outer = np.abs(x) > min((1.0 - _EDGE) * grid.half_width, grid.half_width - grid.h)
-    return weight[outer].sum(axis=0) / weight.sum(axis=0)
+    return weight[_outer(grid, x, 0.5 * grid.h)].sum(axis=0) / weight.sum(axis=0)
+
+
+def edge_share(params: PhysicalParams, grid: Grid, state: SpinorState) -> float:
+    """The share of a lattice state's weight that its box cuts: its weight on
+    the grid's points in the region whose weight grows a linear box (_outer).
+    0 on the tangent family, whose box is the domain's own walls."""
+    if params.superpotential.family is Family.TANGENT:
+        return 0.0
+    weight = np.abs(state.psi1) ** 2 + np.abs(state.psi2) ** 2
+    return float(weight[_outer(grid, grid.x, grid.h)].sum() / weight.sum())
 
 
 def _widened(grid: Grid) -> Grid:
@@ -361,14 +408,17 @@ def converge_box_full(
     are classified unbound (converged=False), and so is every level when
     the box would have to grow past the cap.
 
-    The states come from the caller's grid, from one certified call at the
-    ladder's finest values carried to its spacing, or at a bisection when
-    the box grew. At
-    |kappa| >= 1, the rule of model.require_subcritical, no level is bound:
-    the caller's grid's values are reported, unconverged with no error
-    estimate, and no round runs. Raises ValueError unless levels >= 1 and
-    0 < tol < inf, and ResourceError unless the caller's h/2 grid, about
-    the size of the ladder's second round, fits the dimension cap. Raises
+    The states, ConvergeResult.states, come from the caller's grid, from
+    one certified call at the ladder's finest values carried to its
+    spacing, or at a bisection when the box grew. That call is made on the
+    first read of the states, not here, unless the run solved the caller's
+    grid anyway: as a rung of the ladder, when the box would grow past the
+    cap, or past the critical coupling. At |kappa| >= 1, the rule of
+    model.require_subcritical, no level is bound: the caller's grid's values
+    are reported, unconverged with no error estimate, and no round runs.
+    Raises ValueError unless levels >= 1 and 0 < tol < inf, and
+    ResourceError unless the caller's h/2 grid, about the size of the
+    ladder's second round, fits the dimension cap. Raises
     DomainError on a tan box other than (-pi/2, pi/2), and unless W runs
     from negative to positive across the caller's box, the assumption the
     level labels rest on.
@@ -434,11 +484,15 @@ def _converge(params, levels, tol, base):
             # a wider box's levels are no prediction of the caller's
             if grid.half_width == base.half_width:
                 guess = finest
-    e_neg, e_pos, vecs = solve(base, guess)
-    states = _states_for(base, e_neg, e_pos, vecs)
-    records, states = zip(*_build_records(
-        params, *(values or (e_neg, e_pos)), states, errs, tol))
-    return ConvergeResult(records=records, states=states, base_grid=base, rounds=rounds)
+    if values is None:
+        values = solve(base)[:2]
+    records, slots = zip(*_build_records(params, *values, errs, tol))
+    result = ConvergeResult(records=records, base_grid=base, rounds=rounds,
+                            _source=(params, levels, guess), _slots=slots)
+    if base in kept:
+        # solved on the way: its states cost no second solve
+        object.__setattr__(result, "states", _sampled(base, kept[base], slots))
+    return result
 
 
 def _ladder(solve, grid, coarse, tol, h):
@@ -468,7 +522,7 @@ def _ladder(solve, grid, coarse, tol, h):
 
 
 # a few entries: a session revisits the configuration it is working on, and
-# each entry holds its states, about 1 MB at grid.n 2000
+# an entry whose states were read holds them, about 1 MB at grid.n 2000
 _converge_cached = functools.lru_cache(maxsize=4)(_converge)
 
 

@@ -388,6 +388,18 @@ def test_sweep_supercritical_rows_marked_unbound():
     assert all(r["converged"] == "false" for r in rows)
 
 
+def test_sweep_point_whose_grid_cannot_hold_its_levels_fails_alone():
+    # 12 levels on 8 points: the ladder's grids hold them, but the 8-point
+    # grid that samples the states holds 8 negative and 9 positive levels
+    code, out, err = run_cli([
+        "sweep-kappa", "--kappas", "0.4 0.5", "--grid.n", "8", "--solver.levels", "12",
+    ])
+    assert code == 0
+    assert err.count("failed") == 2 and "holds 8 negative and 9 positive levels" in err
+    _, _, rows = parse_csv(out)
+    assert [(r["kappa"], r["converged"]) for r in rows] == [("0.4", "false"), ("0.5", "false")]
+
+
 def test_sweep_empty_list_exit_2():
     code, _, err = run_cli(["sweep-kappa", "--kappas", " "])
     assert code == 2 and "config error" in err
@@ -682,6 +694,49 @@ def test_wavefunction_unbound_exit_5():
         "--solver.levels", "2", "--sigma", "-1", "--n", "0",
     ])
     assert code == 5 and "level not found" in err
+
+
+# states that hold 5.4e-3, 2.8e-6 and 1.2e-4 of their weight in the outer 5%
+# of a linear box, above the default tolerance 1e-6; each record is converged
+@pytest.mark.parametrize("argv", [
+    ["--model.kappa", "0.99", "--grid.n", "2000", "--solver.levels", "5",
+     "--sigma", "-1", "--n", "4"],
+    ["--model.kappa", "0.99", "--grid.n", "2000", "--solver.levels", "4",
+     "--sigma", "1", "--n", "1", "--branch", "-1"],
+    ["--model.kappa", "0.3", "--grid.box_half_width", "3", "--grid.n", "600",
+     "--solver.levels", "3", "--sigma", "-1", "--n", "0"],
+], ids=["kappa-0.99", "kappa-0.99-negative-branch", "box-3"])
+def test_wavefunction_of_a_state_the_box_cuts_exit_5(argv):
+    code, out, err = run_cli(["wavefunction", *argv])
+    assert code == 5 and err.startswith("level not found: the box cuts level")
+    assert out == ""
+
+
+def test_wavefunction_of_a_table_state_the_box_cuts_exit_5(tmp_path):
+    # W = x tabulated on (-2.5, 2.5): the box cuts the n_sigma 0 state
+    # (3.1e-3 of its weight in the outer 5%), though its E = m is exact
+    xs = np.linspace(-2.5, 2.5, 501)
+    table = tmp_path / "w.txt"
+    table.write_text("".join(f"{x:.12g} {x:.12g} 1.0\n" for x in xs))
+    code, _, err = run_cli([
+        "wavefunction", "--model.family", "tabulated", "--model.table_path", str(table),
+        "--grid.n", "1000", "--solver.levels", "3", "--sigma", "1", "--n", "0",
+    ])
+    assert code == 5 and "the box cuts level" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model.kappa", "0.4", "--grid.n", "500", "--solver.levels", "3",
+     "--sigma", "-1", "--n", "1"],
+    # the tan box is the domain's own walls, where the states hold up to
+    # 3.8e-4 of their weight in the outer 5%: no cut
+    ["--model.family", "tan", "--model.kappa", "0.8", "--grid.n", "1000",
+     "--solver.levels", "5", "--sigma", "1", "--n", "3", "--branch", "-1"],
+], ids=["linear", "tan"])
+def test_wavefunction_of_a_state_the_box_holds_exit_0(argv):
+    code, out, err = run_cli(["wavefunction", *argv])
+    assert code == 0, err
+    assert float(parse_csv(out)[0][1].split("=")[1]) >= 0.999
 
 
 def test_wavefunction_negative_n_exit_2():

@@ -18,7 +18,7 @@ from diracosc.dirac_solver import (
     dirac_spectrum,
     eigenvalue_count_in_window,
 )
-from diracosc.errors import DomainError, ResourceError
+from diracosc.errors import ConvergenceError, DomainError, ResourceError
 from diracosc.model import Grid, PhysicalParams, Superpotential, localization_of
 from diracosc import analytic
 
@@ -330,8 +330,9 @@ def test_each_grid_is_solved_once_per_convergence_run(monkeypatch, kappa, n, cou
     assembled once and certified once, with no fallback here: only the
     ladder's first grid takes the coarse bisection, and the others their
     predictions. The states are the base grid's certified vectors, at its
-    own values, so no separate dstein call makes them. A supercritical run
-    solves the base grid alone."""
+    own values, so no separate dstein call makes them; a base grid off the
+    ladder is solved when they are first read, so they are read here. A
+    supercritical run solves the base grid alone."""
     certified, bisected, assembled, received = [], [], [], []
     real_eigs = dirac_solver._indexed_eigenvalues
     real_predicted = dirac_solver._predicted_eigenvalues
@@ -362,6 +363,7 @@ def test_each_grid_is_solved_once_per_convergence_run(monkeypatch, kappa, n, cou
     monkeypatch.setattr(dirac_solver, "tridiagonal_eigenvectors", vecs)
     params = tan_params(kappa)
     res = converge_box_full(params, levels=count, grid=default_grid(params, n=n))
+    states = res.states
     assert res.rounds == rounds
     dims = [dim for dim, _ in certified]
     assert len(dims) == len(set(dims)) == solves == len(assembled)
@@ -369,7 +371,92 @@ def test_each_grid_is_solved_once_per_convergence_run(monkeypatch, kappa, n, cou
     assert bisected == [(2 * bisected_n + 1, dirac_solver._COARSE_TOL)]
     assert received == []
     base_vals = dict(certified)[2 * n + 1]
-    assert sorted({st.E for st in res.states}) == sorted(base_vals.tolist())
+    assert sorted({st.E for st in states}) == sorted(base_vals.tolist())
+
+
+def _base_grid_solves(monkeypatch, base):
+    """The guesses of the _lattice_eigenvalues calls on `base`, as they are
+    made."""
+    guesses = []
+    real = dirac_solver._lattice_eigenvalues
+
+    def spy(params, grid, levels, guess=None):
+        if grid == base:
+            guesses.append(guess)
+        return real(params, grid, levels, guess)
+
+    monkeypatch.setattr(dirac_solver, "_lattice_eigenvalues", spy)
+    return guesses
+
+
+def _same_states(got, want):
+    return len(got) == len(want) and all(
+        a.E == b.E and np.array_equal(a.psi1, b.psi1) and np.array_equal(a.psi2, b.psi2)
+        for a, b in zip(got, want))
+
+
+# grid.n 1000 and 300 are no rung of their ladders (249, 499, 999, 1999 and
+# 74, 149, 299, 599); at kappa 0.99 the box grows 20 -> 30 first
+@pytest.mark.parametrize(
+    "params,n,count,predicted",
+    [(linear_params(0.4), 1000, 3, True), (tan_params(0.3), 300, 2, True),
+     (linear_params(0.99), 800, 3, False)],
+    ids=["linear", "tan", "grown-box"],
+)
+def test_the_base_grid_is_solved_when_its_states_are_read(monkeypatch, params, n, count,
+                                                          predicted):
+    grid = default_grid(params, n=n)
+    dirac_solver._converge_cached.cache_clear()
+    guesses = _base_grid_solves(monkeypatch, grid)
+    res = converge_box_full(params, count, grid=grid)
+    # the records need no solve of the base grid
+    assert res.rounds >= 1 and guesses == []
+    states = res.states
+    assert res.states is states
+    # one solve for two reads, at the ladder's prediction unless the box grew
+    assert len(guesses) == 1 and (guesses[0] is not None) == predicted
+    assert isinstance(states, tuple) and len(states) == len(res.records)
+    assert all(not st.psi1.flags.writeable and not st.psi2.flags.writeable for st in states)
+    with pytest.raises(AttributeError):
+        res.states = ()
+    # a result read after its cache entry was evicted, and one from the
+    # refilled entry, hold the same records and bit-identical states
+    dirac_solver._converge_cached.cache_clear()
+    evicted = converge_box_full(params, count, grid=grid)
+    dirac_solver._converge_cached.cache_clear()
+    refilled = converge_box_full(params, count, grid=grid)
+    assert evicted is not res and refilled is not evicted
+    for other in (evicted, refilled):
+        assert other.records == res.records
+        assert _same_states(other.states, states)
+    dirac_solver._converge_cached.cache_clear()
+
+
+def test_a_box_that_grows_past_the_cap_holds_the_base_grid_states(monkeypatch):
+    # kappa 0.99 on L = 5 grows the ladder's first box 5 -> 7.5 -> 11.2 ->
+    # 16.8, and the next one's h/2 grid, 1003 rows, would pass a cap of 1000:
+    # the run reports the base grid's values, solved once, with its states
+    monkeypatch.setattr(dirac_solver, "DIM_CAP", 1000)
+    grid = Grid(half_width=5.0, n=200)
+    dirac_solver._converge_cached.cache_clear()
+    guesses = _base_grid_solves(monkeypatch, grid)
+    res = converge_box_full(linear_params(0.99), 3, grid=grid)
+    # filled by the run, so reading them solves nothing more
+    assert "states" in vars(res)
+    assert res.rounds == 0 and len(res.states) == len(res.records)
+    assert guesses == [None]
+    dirac_solver._converge_cached.cache_clear()
+
+
+def test_states_of_levels_the_base_grid_cannot_hold_are_refused():
+    # 12 levels on 8 points: the ladder's grown first grid holds 11 negative
+    # and 12 positive levels, the 8-point grid 8 and 9
+    dirac_solver._converge_cached.cache_clear()
+    res = converge_box_full(linear_params(0.4), 12, grid=Grid(half_width=20.0, n=8))
+    assert max(r.n_sigma for r in res.records if r.branch > 0) == 11
+    with pytest.raises(ConvergenceError, match="holds 8 negative and 9 positive levels"):
+        res.states
+    dirac_solver._converge_cached.cache_clear()
 
 
 # linear kappa -0.09, -0.03, +0.01 once lost levels to a moving edge state,
@@ -423,11 +510,12 @@ def test_supercritical_run_solves_the_base_grid_only(monkeypatch, params, n, cou
     monkeypatch.setattr(dirac_solver, "_indexed_eigenvalues", eigs)
     grid = default_grid(params, n=n)
     res = converge_box_full(params, levels=count, grid=grid)
+    # the run holds the base grid's states: reading them solves nothing more
+    assert all(st is not None for st in res.states)
     assert res.rounds == 0
     assert dims == [2 * n + 1]
     assert res.records
     assert all(not r.converged and r.err_est is None for r in res.records)
-    assert all(st is not None for st in res.states)
 
 
 @pytest.mark.parametrize("n", [32, 100, 200])
@@ -860,17 +948,19 @@ def test_no_lattice_grid_bisects_to_full_accuracy(monkeypatch, params, grid):
 def test_fallbacks_are_logged(caplog, monkeypatch):
     # from Grid(20, 32) the ladder starts at h = 5, where the levels move by
     # more than a prediction can bridge, so those grids fall back to the
-    # coarse bisection and say so
+    # coarse bisection and say so; the states are read, so that the base
+    # grid is solved too
     dirac_solver._converge_cached.cache_clear()
     with caplog.at_level(logging.DEBUG, logger="diracosc.dirac_solver"):
-        converge_box_full(linear_params(0.4), 3, grid=Grid(half_width=20.0, n=32))
+        assert converge_box_full(linear_params(0.4), 3, grid=Grid(half_width=20.0, n=32)).states
     misses = [r.getMessage() for r in caplog.records]
     assert misses and all(r.levelno == logging.DEBUG for r in caplog.records)
     assert all(m.startswith("lattice grid of ") and "the prediction missed" in m
                for m in misses)
     # at kappa 0.999 the box grows from L = 20 to 67.5, and no grid takes a
-    # prediction from another box: each grown box and the base grid are
-    # bisected, and every prediction on the ladder holds
+    # prediction from another box: each grown box and, once the states are
+    # read, the base grid are bisected, and every prediction on the ladder
+    # holds
     bisected = []
     real_eigs = dirac_solver._indexed_eigenvalues
 
@@ -883,7 +973,8 @@ def test_fallbacks_are_logged(caplog, monkeypatch):
         caplog.clear()
         bisected.clear()
         with caplog.at_level(logging.DEBUG, logger="diracosc.dirac_solver"):
-            converge_box_full(linear_params(kappa), 3, grid=Grid(half_width=20.0, n=2000))
+            assert converge_box_full(linear_params(kappa), 3,
+                                     grid=Grid(half_width=20.0, n=2000)).states
         assert caplog.records == []
         # the ladder's first box, each grown one, and the base grid when the
         # box grew (4001 rows); at kappa 0.4 the base grid is predicted
