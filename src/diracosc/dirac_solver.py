@@ -33,6 +33,11 @@ exactly one unpaired level (+E0 for w1 > 0 or alpha0 > 0). Output spinors
 are gauge restored on the grid points: psi1 = the mean of the two upper
 neighbours, psi2 = -i * lower.
 
+Neither kappa nor the mass enters the bonds or W at the rows, so they are
+sampled once per (superpotential, grid) and kept, read-only, in a small
+cache (_chain): a sweep of couplings and masses over the ladder's few grids
+samples W once per grid. Each matrix builds only its diagonal, kappa W +- m.
+
 Level labels
 ------------
 Lattice eigenvalues carry no quantum numbers. Each branch's eigenvalues,
@@ -65,10 +70,12 @@ Every grid's levels come from one inverse-iteration call at a guess of
 them, certified by their residuals and two Sturm counts
 (linalg._predicted_eigenvalues). The ladder's first grid, and each grown
 box's, has no prediction: its guess is a bisection stopped at absolute width
-_COARSE_TOL (1e-4). Each later rung has its levels predicted to O(h^2) by
-the rung before it. A predicted grid whose guess misses falls back to the
-coarse bisection, and a grid whose coarse guess misses too to the full index
-search, with its vectors from their own dstein call. Each fallback logs a
+_COARSE_TOL (1e-4), of the indices a first Sturm count splits at E = 0.
+Each later rung has its levels predicted to O(h^2) by the rung before it,
+and its one Sturm call both splits its spectrum and certifies the levels.
+A predicted grid whose guess misses falls back to the coarse bisection, and
+a grid whose coarse guess misses too to the full index search, with its
+vectors from their own dstein call. Each fallback logs a
 DEBUG record on this module's logger, with the grid's rows and the step that
 missed. The grids are solved one after another on the calling thread.
 
@@ -97,6 +104,7 @@ from .errors import ConvergenceError, DomainError, ResourceError
 from .linalg import (
     Tridiagonal,
     _indexed_eigenvalues,
+    _nearest_indices,
     _predicted_eigenvalues,
     sturm_count,
     tridiagonal_eigenvectors,
@@ -108,6 +116,7 @@ from .model import (
     PhysicalParams,
     SpectrumRecord,
     SpinorState,
+    Superpotential,
     eval_superpotential,
     level_labels,
     reduced_epsilon,
@@ -151,22 +160,29 @@ def default_grid(params: PhysicalParams, n: int = DEFAULT_N) -> Grid:
     return Grid(DEFAULT_L, n)
 
 
-def assemble_dirac_matrix(params: PhysicalParams, grid: Grid) -> Tridiagonal:
-    """(2N+1) x (2N+1) real symmetric lattice operator of the odd staggered
-    chain described above.
+# a convergence run solves a few grids, the ladder's and the caller's, and a
+# sweep over two families revisits them: an entry holds 4N floats, 64 KB at
+# grid.n 2000 and 1 MB at the largest grid, DIM_CAP rows
+@functools.lru_cache(maxsize=8)
+def _chain(sp: Superpotential, grid: Grid):
+    """(W at the 2N + 1 rows, the 2N bonds) of the chain on `grid`: the
+    parts of the matrix that neither kappa nor the mass enters, as read-only
+    arrays. Cached by (superpotential, grid), so that the couplings and
+    masses of a sweep over a few grids sample W once per grid; a table keys
+    by its samples. A refused grid raises again on every call.
 
-    Raises DomainError if the grid leaves the superpotential's domain.
+    Raises DomainError on a tan box other than (-pi/2, pi/2), and if the grid
+    leaves the superpotential's domain.
     """
+    require_whole_domain(sp, grid)
     n = grid.n
     h = grid.h
-    sp = params.superpotential
     # row r sits at -L + (r+1) h/2 and bond k, between rows k and k+1, a
     # quarter spacing beyond row k; W is evaluated at rows and at bonds in two
-    # calls, which halves the peak of the evaluation's temporaries
+    # calls, which halves the peak of the evaluation's temporaries. Both are
+    # made once per cached grid, not once per matrix
     x = -grid.half_width + 0.5 * h * np.arange(1, 2 * n + 2)
-    d = params.kappa * eval_superpotential(sp, x)[0]
-    d[0::2] += params.mass
-    d[1::2] -= params.mass
+    w = eval_superpotential(sp, x)[0]
     x = x[:-1] + 0.25 * h
     half_w = 0.5 * eval_superpotential(sp, x)[0]
     del x
@@ -180,6 +196,24 @@ def assemble_dirac_matrix(params: PhysicalParams, grid: Grid) -> Tridiagonal:
         half_w + sigma_s,
         -1.0 / (h * h * (half_w - sigma_s)),
     )
+    w.setflags(write=False)
+    e.setflags(write=False)
+    return w, e
+
+
+def assemble_dirac_matrix(params: PhysicalParams, grid: Grid) -> Tridiagonal:
+    """(2N+1) x (2N+1) real symmetric lattice operator of the odd staggered
+    chain described above. The bonds and W at the rows come from the cached
+    chain of the grid (_chain); each call scales W by kappa and adds +-m, so
+    its diagonal is its own and its off-diagonal the shared read-only bonds.
+
+    Raises DomainError on a tan box other than (-pi/2, pi/2), and if the grid
+    leaves the superpotential's domain.
+    """
+    w, e = _chain(params.superpotential, grid)
+    d = params.kappa * w
+    d[0::2] += params.mass
+    d[1::2] -= params.mass
     return Tridiagonal(d, e)
 
 
@@ -192,33 +226,37 @@ def _lattice_eigenvalues(params, grid, levels, guess=None):
     first), E_neg descending (closest to zero first), and the vectors as
     columns in ascending order of E. The values and vectors come from one
     certified linalg._predicted_eigenvalues call at `guess`, another grid's
-    (E_neg, E_pos), or, with no guess or when it misses, at the values a
-    range-I bisection gives to within _COARSE_TOL. When that misses too, the
-    values come from the full-accuracy index search and the vectors from one
-    dstein call at them. Each fallback logs a DEBUG record.
+    (E_neg, E_pos), whose Sturm call also splits the spectrum at E = 0; or,
+    with no guess or when it misses, from one at the values a range-I
+    bisection gives to within _COARSE_TOL, after a Sturm count has split the
+    spectrum for it. When that misses too, the values come from the
+    full-accuracy index search and the vectors from one dstein call at them.
+    Each fallback logs a DEBUG record.
     """
     t = assemble_dirac_matrix(params, grid)
     # zero modes go to the positive branch, which holds n_sigma 0
-    c0 = int(sturm_count(t, [-_zero_tol(params)])[0])
-    k_neg = np.arange(max(c0 - levels + 2, 1), c0 + 1, dtype=np.int64)
-    k_pos = np.arange(c0 + 1, min(c0 + levels, t.n) + 1, dtype=np.int64)
-    ks = np.concatenate([k_neg, k_pos])
+    split = -_zero_tol(params)
+    nearest = (levels - 1, levels)
     found = None
     if guess is not None:
         g_neg, g_pos = guess
-        found = _predicted_eigenvalues(t, ks, np.concatenate([g_neg[::-1], g_pos]))
+        found = _predicted_eigenvalues(t, nearest, np.concatenate([g_neg[::-1], g_pos]), split)
         if found is None:
             _log.debug("lattice grid of %d rows: the prediction missed; "
                        "bisecting to %g", t.n, _COARSE_TOL)
     if found is None:
+        c0 = int(sturm_count(t, [split])[0])
+        ks = _nearest_indices(t.n, c0, *nearest)
         found = _predicted_eigenvalues(t, ks, _indexed_eigenvalues(t, ks, abstol=_COARSE_TOL))
         if found is None:
             _log.debug("lattice grid of %d rows: the bisection to %g missed; "
                        "taking the full index search", t.n, _COARSE_TOL)
             vals = _indexed_eigenvalues(t, ks)
             found = vals, tridiagonal_eigenvectors(t, vals)
-    vals, vecs = found
-    return vals[: k_neg.size][::-1], vals[k_neg.size :], vecs
+        found = (*found, c0)
+    vals, vecs, c0 = found
+    k_neg = min(c0, levels - 1)
+    return vals[:k_neg][::-1], vals[k_neg:], vecs
 
 
 def _zero_tol(params: PhysicalParams) -> float:

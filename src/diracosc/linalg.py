@@ -14,7 +14,11 @@ ctypes:
 * _predicted_eigenvalues: eigenvalues and eigenvectors by sorted index from
   predictions of the eigenvalues, from one `dstein` call at the predictions
   and each vector's Rayleigh quotient, certified by the residuals and two
-  Sturm counts, or None for the caller to bisect instead.
+  Sturm counts, or None for the caller to bisect instead. Given a split
+  value, the same Sturm call also counts the eigenvalues below it, and the
+  indices are the ones nearest the split: a lattice grid whose levels are
+  predicted then takes one Sturm call, where picking its indices first
+  would take a second.
 
 Every lattice grid takes _predicted_eigenvalues. A grid after a convergence
 run's base grid has its levels predicted to O(h^2) by a coarser grid; on
@@ -34,7 +38,15 @@ susy minus root must match an explicit minus solve to 1e-12.
 The routines come from the C-API capsules of scipy's Cython module
 `cython_lapack`, loaded by itself on first use. Importing `scipy.linalg`
 would run that package's init, which costs about 26 MB of peak RSS and
-0.25 s, for three routines.
+0.25 s, for three routines. _call hands a routine raw addresses, read
+through the buffer protocol: for the 20 arguments of dlaebz that takes 10
+us where numpy's `a.ctypes.data` takes 23, and the count itself on a
+249-row lattice takes 6 us (2-core Xeon, one BLAS thread). The arrays that
+protocol refuses take `a.ctypes.data`: a read-only one (the lattice's
+cached bonds), one that is not C-contiguous (dstein's Fortran-ordered Z,
+dlaebz's AB and NAB when they hold more than one interval) and an empty
+one. Every argument array, the one-element scalars included, is still
+built anew for each call.
 
 The tests check this path against a Python reference (QL, Sturm counts and
 bisection, in tests/tridiagonal_oracle.py) to 1e-10 ||T||.
@@ -157,6 +169,17 @@ def _lapack(name: str):
     return routine
 
 
+def _address(a: np.ndarray) -> int:
+    """The address of a's first element, read through the buffer protocol,
+    which takes less than half the time of numpy's `a.ctypes.data`. The
+    protocol refuses a read-only array, one that is not C-contiguous (a
+    Fortran-ordered matrix) and an empty one; those take `a.ctypes.data`."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):
+        return a.ctypes.data
+
+
 def _call(name: str, *args: np.ndarray) -> None:
     """Call LAPACK `name` with numpy arrays as its arguments (scalars travel
     as one-element arrays). Each must be Fortran-contiguous and of its
@@ -166,7 +189,7 @@ def _call(name: str, *args: np.ndarray) -> None:
         a.dtype == dt and a.flags.f_contiguous for a, dt in zip(args, dtypes)
     ):
         raise TypeError(f"LAPACK {name} needs contiguous arrays of its argument types")
-    fn(*[a.ctypes.data for a in args])
+    fn(*[_address(a) for a in args])
 
 
 def _int(v: int) -> np.ndarray:
@@ -298,11 +321,25 @@ def tridiagonal_eigenvectors(t: Tridiagonal, lams) -> np.ndarray:
     return vecs
 
 
-def _predicted_eigenvalues(t: Tridiagonal, ks, guess):
+def _nearest_indices(n: int, c: int, below: int, above: int) -> np.ndarray:
+    """The 1-based indices of the `below` highest eigenvalues under a value
+    and the `above` lowest at or over it, as far as the n eigenvalues go,
+    where c of them lie under it."""
+    return np.arange(max(c - below + 1, 1), min(c + above, n) + 1, dtype=np.int64)
+
+
+def _predicted_eigenvalues(t: Tridiagonal, ks, guess, split=None):
     """(values, vectors) for the 1-based indices `ks` (consecutive and
     ascending) from predictions `guess` of their eigenvalues, one per index,
     or None where a prediction misses. The vectors are unit columns aligned
     with `ks`.
+
+    Given `split`, a value, ks = (below, above) names the eigenvalues
+    nearest it instead: the `below` highest under split and the `above`
+    lowest at or over it (_nearest_indices). Their indices hang on c, the
+    number of eigenvalues under split, which the certificate's Sturm call
+    reads too, so one call both picks the indices and certifies them. The
+    result is then (values, vectors, c).
 
     One dstein call (tridiagonal_eigenvectors) runs inverse iteration at the
     guesses; each vector z's Rayleigh quotient rho = z'Tz / z'z is the value
@@ -321,18 +358,22 @@ def _predicted_eigenvalues(t: Tridiagonal, ks, guess):
     guess, a number of guesses other than len(ks), indices that skip one, a
     vector that does not converge or a certificate that fails returns None,
     and the caller bisects (_indexed_eigenvalues)."""
-    ks = np.asarray(ks, dtype=np.int64)
     shifts = np.asarray(guess, dtype=float)
-    if (ks.size == 0 or shifts.shape != ks.shape or not np.all(np.isfinite(shifts))
-            or np.any(np.diff(ks) != 1)):
+    if split is None:
+        ks = np.asarray(ks, dtype=np.int64)
+        if ks.size == 0 or shifts.shape != ks.shape or np.any(np.diff(ks) != 1):
+            return None
+    elif shifts.ndim != 1 or not 0 < shifts.size <= t.n:
         return None
-    rho, res = np.empty(ks.size), np.empty(ks.size)
+    if not np.all(np.isfinite(shifts)):
+        return None
+    rho, res = np.empty(shifts.size), np.empty(shifts.size)
     for _ in range(2):
         try:
             vecs = tridiagonal_eigenvectors(t, shifts)
         except ConvergenceError:
             return None
-        for j in range(ks.size):
+        for j in range(shifts.size):
             z = vecs[:, j]
             zz = z @ z
             tz = t.matvec(z)
@@ -349,6 +390,13 @@ def _predicted_eigenvalues(t: Tridiagonal, ks, guess):
     lo, hi = rho - g, rho + g
     if np.any(hi[:-1] >= lo[1:]):
         return None
-    if tuple(sturm_count(t, [lo[0], hi[-1]])) != (ks[0] - 1, ks[-1]):
+    if split is None:
+        counts = tuple(sturm_count(t, [lo[0], hi[-1]]))
+    else:
+        below_lo, c, below_hi = (int(k) for k in sturm_count(t, [lo[0], split, hi[-1]]))
+        ks, counts = _nearest_indices(t.n, c, *ks), (below_lo, below_hi)
+        if ks.size != rho.size:
+            return None
+    if counts != (ks[0] - 1, ks[-1]):
         return None
-    return rho, vecs
+    return (rho, vecs) if split is None else (rho, vecs, c)

@@ -87,6 +87,79 @@ def test_assembly_outside_table_domain_raises():
         assemble_dirac_matrix(params, Grid(half_width=13.0, n=50))
 
 
+def _count_w_samples(monkeypatch):
+    """A list that grows by the size of each W sampling the lattice makes."""
+    sampled = []
+    real = dirac_solver.eval_superpotential
+
+    def spy(sp, x):
+        sampled.append(np.size(x))
+        return real(sp, x)
+
+    monkeypatch.setattr(dirac_solver, "eval_superpotential", spy)
+    dirac_solver._chain.cache_clear()
+    return sampled
+
+
+def test_couplings_and_masses_on_one_grid_sample_w_once(monkeypatch):
+    # neither kappa nor m enters W at the rows or the bonds: four matrices
+    # on one grid take W from its two calls, rows then bonds
+    sampled = _count_w_samples(monkeypatch)
+    grid = Grid(half_width=8.0, n=101)
+    sp = Superpotential.linear(1.0)
+    mats = [assemble_dirac_matrix(PhysicalParams(mass=m, kappa=k, superpotential=sp), grid)
+            for k in (0.3, -0.7) for m in (1.0, 0.0)]
+    assert sampled == [2 * grid.n + 1, 2 * grid.n]
+    # the bonds are the cache's read-only array, shared; the diagonal is
+    # each matrix's own
+    w, e = dirac_solver._chain(sp, grid)
+    assert not w.flags.writeable and not e.flags.writeable
+    with pytest.raises(ValueError):
+        e[0] = 0.0
+    assert all(t.e is e for t in mats)
+    assert all(t.d.flags.writeable for t in mats)
+    assert len({id(t.d) for t in mats}) == len(mats)
+    # bit for bit the matrices of a fresh assembly
+    dirac_solver._chain.cache_clear()
+    for (k, m), t in zip([(k, m) for k in (0.3, -0.7) for m in (1.0, 0.0)], mats):
+        fresh = assemble_dirac_matrix(PhysicalParams(mass=m, kappa=k, superpotential=sp), grid)
+        assert fresh.e is not t.e
+        assert fresh.d.tobytes() == t.d.tobytes() and fresh.e.tobytes() == t.e.tobytes()
+    assert len(sampled) == 4
+    dirac_solver._chain.cache_clear()
+
+
+def test_an_equal_table_shares_its_chain(monkeypatch):
+    # a table keys by its samples: one made anew from equal samples hits
+    # the cache, and one with other samples misses it
+    sampled = _count_w_samples(monkeypatch)
+    xs = np.linspace(-12.0, 12.0, 241)
+    grid = Grid(half_width=12.0, n=100)
+
+    def assemble(w, wp):
+        tab = Superpotential.tabulated(xs.copy(), w, wp)
+        return assemble_dirac_matrix(PhysicalParams(mass=1.0, kappa=0.4, superpotential=tab),
+                                     grid)
+
+    first = assemble(xs.copy(), np.ones_like(xs))
+    assert assemble(xs.copy(), np.ones_like(xs)).e is first.e
+    assert len(sampled) == 2
+    assert assemble(2.0 * xs, np.full_like(xs, 2.0)).e is not first.e
+    assert len(sampled) == 4
+    dirac_solver._chain.cache_clear()
+
+
+def test_a_refused_tan_box_raises_on_every_call():
+    # a refusal is not cached: the box rule is checked again on each call
+    params = tan_params(0.5)
+    dirac_solver._chain.cache_clear()
+    for grid in (Grid(half_width=1.0, n=50), Grid(half_width=2.0, n=50)):
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                assemble_dirac_matrix(params, grid)
+    assert dirac_solver._chain.cache_info().currsize == 0
+
+
 def test_free_particle_box_dispersion():
     # W = 0, U = 0: with D the N x (N+1) forward difference from upper to
     # lower sites, the chain reads D u = (E + m) l and -D^T l = (E - m) u, so
@@ -332,8 +405,11 @@ def test_each_grid_is_solved_once_per_convergence_run(monkeypatch, kappa, n, cou
     predictions. The states are the base grid's certified vectors, at its
     own values, so no separate dstein call makes them; a base grid off the
     ladder is solved when they are first read, so they are read here. A
-    supercritical run solves the base grid alone."""
-    certified, bisected, assembled, received = [], [], [], []
+    supercritical run solves the base grid alone. The bisected grid takes
+    two Sturm calls, one that splits its spectrum at E = 0 for the bisection
+    and the certificate; a predicted grid takes the certificate alone, which
+    splits its spectrum as well."""
+    certified, bisected, assembled, received, counted = [], [], [], [], []
     real_eigs = dirac_solver._indexed_eigenvalues
     real_predicted = dirac_solver._predicted_eigenvalues
     real_assemble = dirac_solver.assemble_dirac_matrix
@@ -343,8 +419,8 @@ def test_each_grid_is_solved_once_per_convergence_run(monkeypatch, kappa, n, cou
         bisected.append((t.n, abstol))
         return real_eigs(t, ks, abstol=abstol)
 
-    def predicted(t, ks, guess):
-        found = real_predicted(t, ks, guess)
+    def predicted(t, ks, guess, split=None):
+        found = real_predicted(t, ks, guess, split)
         certified.append((t.n, None if found is None else found[0].copy()))
         return found
 
@@ -361,6 +437,12 @@ def test_each_grid_is_solved_once_per_convergence_run(monkeypatch, kappa, n, cou
     monkeypatch.setattr(dirac_solver, "_predicted_eigenvalues", predicted)
     monkeypatch.setattr(dirac_solver, "assemble_dirac_matrix", assemble)
     monkeypatch.setattr(dirac_solver, "tridiagonal_eigenvectors", vecs)
+    for module in (linalg, dirac_solver):
+        def sturm(t, lams, _real=module.sturm_count):
+            counted.append(t.n)
+            return _real(t, lams)
+
+        monkeypatch.setattr(module, "sturm_count", sturm)
     params = tan_params(kappa)
     res = converge_box_full(params, levels=count, grid=default_grid(params, n=n))
     states = res.states
@@ -370,6 +452,8 @@ def test_each_grid_is_solved_once_per_convergence_run(monkeypatch, kappa, n, cou
     assert all(vals is not None for _, vals in certified)
     assert bisected == [(2 * bisected_n + 1, dirac_solver._COARSE_TOL)]
     assert received == []
+    assert {dim: counted.count(dim) for dim in dims} == {
+        dim: 2 if dim == 2 * bisected_n + 1 else 1 for dim in dims}
     base_vals = dict(certified)[2 * n + 1]
     assert sorted({st.E for st in states}) == sorted(base_vals.tolist())
 
@@ -691,17 +775,29 @@ def test_cap_blocks_refinement_rounds():
 
 
 def test_a_box_that_must_grow_past_the_cap_converges_nothing(monkeypatch):
-    # kappa 0.999's levels reach past L = 67.2 (the sized box of n_sigma 0-3
-    # is L 81); with the cap at 1000 rows the ladder's first grid, h = 0.8,
-    # grows 20 -> 30 -> 44.8 -> 67.2, and the next box's h/2 grid would pass
-    # it: the run reports the base grid's values unconverged, with no round
-    # and no estimate
+    # with the cap at 1000 rows, kappa 0.999's ladder's first grid, h = 0.8,
+    # grows 20 -> 30 -> 44.8 -> 67.2 (167 points), where its states clear the
+    # walls; the ladder's first pair (167 and 335 points) runs, and the cap
+    # stops round 1 (1343 rows): the records are that pair's Richardson
+    # values, unconverged, with no round and no estimate. The box that must
+    # grow past the cap is
+    # test_a_box_that_grows_past_the_cap_holds_the_base_grid_states
     monkeypatch.setattr(dirac_solver, "DIM_CAP", 1000)
+    solved = []
+    real = dirac_solver._lattice_eigenvalues
+
+    def spy(params, grid, levels, guess=None):
+        solved.append((grid.half_width, grid.n))
+        return real(params, grid, levels, guess)
+
+    monkeypatch.setattr(dirac_solver, "_lattice_eigenvalues", spy)
     dirac_solver._converge_cached.cache_clear()
     res = converge_box_full(linear_params(0.999), levels=4, grid=Grid(half_width=20.0, n=200))
     dirac_solver._converge_cached.cache_clear()
     assert res.rounds == 0 and res.base_grid == Grid(half_width=20.0, n=200)
     assert res.records and all(not r.converged and r.err_est is None for r in res.records)
+    assert [n for _, n in solved] == [49, 74, 111, 167, 335]
+    assert [L for L, _ in solved] == pytest.approx([20.0, 30.0, 44.8, 67.2, 67.2])
 
 
 def test_base_grid_whose_half_spacing_grid_passes_the_cap_raises():
@@ -742,10 +838,11 @@ def test_every_route_holds_the_same_levels(monkeypatch, case, levels):
     split = []
     real_predicted = dirac_solver._predicted_eigenvalues
 
-    def predicted(t, ks, guess):
-        c0 = int(linalg.sturm_count(t, [-dirac_solver._zero_tol(params)])[0])
-        split.append((int(np.sum(ks <= c0)), int(np.sum(ks > c0))))
-        return real_predicted(t, ks, guess)
+    def predicted(t, ks, guess, at=None):
+        # no level of these lattices lies near E = 0
+        found = real_predicted(t, ks, guess, at)
+        split.append((int(np.sum(found[0] < 0.0)), int(np.sum(found[0] > 0.0))))
+        return found
 
     monkeypatch.setattr(dirac_solver, "_predicted_eigenvalues", predicted)
     dirac_solver._converge_cached.cache_clear()
@@ -864,7 +961,8 @@ def test_predicted_levels_match_bisection(monkeypatch, params, grid, count):
     dirac_solver._converge_cached.cache_clear()
     predicted = converge_box_full(params, count, grid=grid)
     dirac_solver._converge_cached.cache_clear()
-    monkeypatch.setattr(dirac_solver, "_predicted_eigenvalues", lambda t, ks, guess: None)
+    monkeypatch.setattr(dirac_solver, "_predicted_eigenvalues",
+                        lambda t, ks, guess, split=None: None)
     bisected = converge_box_full(params, count, grid=grid)
     dirac_solver._converge_cached.cache_clear()
     assert predicted.rounds == bisected.rounds >= 1
@@ -902,7 +1000,8 @@ def test_coarse_base_grid_matches_the_full_index_search(monkeypatch, caplog, cas
     with caplog.at_level(logging.DEBUG, logger="diracosc.dirac_solver"):
         e_neg, e_pos, vecs = dirac_solver._lattice_eigenvalues(params, grid, count)
     assert caplog.records == []
-    monkeypatch.setattr(dirac_solver, "_predicted_eigenvalues", lambda t, ks, guess: None)
+    monkeypatch.setattr(dirac_solver, "_predicted_eigenvalues",
+                        lambda t, ks, guess, split=None: None)
     with caplog.at_level(logging.DEBUG, logger="diracosc.dirac_solver"):
         ref_neg, ref_pos, ref_vecs = dirac_solver._lattice_eigenvalues(params, grid, count)
     t = assemble_dirac_matrix(params, grid)
@@ -984,7 +1083,8 @@ def test_fallbacks_are_logged(caplog, monkeypatch):
 
 
 def test_a_coarse_bisection_that_misses_is_logged(monkeypatch, caplog):
-    monkeypatch.setattr(dirac_solver, "_predicted_eigenvalues", lambda t, ks, guess: None)
+    monkeypatch.setattr(dirac_solver, "_predicted_eigenvalues",
+                        lambda t, ks, guess, split=None: None)
     with caplog.at_level(logging.DEBUG, logger="diracosc.dirac_solver"):
         dirac_solver._lattice_eigenvalues(linear_params(0.4), Grid(half_width=20.0, n=500), 2)
     assert [r.getMessage() for r in caplog.records] == [

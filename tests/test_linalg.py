@@ -460,6 +460,28 @@ def test_a_span_count_off_by_one_is_refused():
     assert _predicted_eigenvalues(wide, [4, 5], [3.0, 5.0]) is None
 
 
+def test_a_split_names_the_levels_its_count_reads(monkeypatch):
+    # two eigenvalues lie under 2.0, so (1, 2) names indices 2..4, and the
+    # one Sturm call that certifies them also reads that count
+    counted = []
+    counts_below = linalg.sturm_count
+
+    def spy(t, lams):
+        counted.append(len(lams))
+        return counts_below(t, lams)
+
+    monkeypatch.setattr(linalg, "sturm_count", spy)
+    found = _predicted_eigenvalues(NEAR_PAIR, (1, 2), [1.0 + 1e-10, 3.0, 5.0], 2.0)
+    assert found is not None and found[2] == 2 and counted == [3]
+    assert np.all(np.abs(found[0] - [1.0 + 1e-10, 3.0, 5.0]) <= 1e-15)
+    # (2, 1) names indices 1..3, which these guesses are not
+    assert _predicted_eigenvalues(NEAR_PAIR, (2, 1), [1.0 + 1e-10, 3.0, 5.0], 2.0) is None
+    # past the top of the spectrum a split names the levels it holds
+    found = _predicted_eigenvalues(NEAR_PAIR, (1, 2), [3.0, 5.0], 4.0)
+    assert found is not None and found[2] == 3
+    assert _predicted_eigenvalues(NEAR_PAIR, (1, 2), [3.0, 5.0, 7.0], 4.0) is None
+
+
 def test_rayleigh_quotients_out_of_index_order_are_refused():
     # guesses swapped: each vector converges, but rho descends along ks
     assert _predicted_eigenvalues(NEAR_PAIR, [3, 4], [5.0, 3.0]) is None
@@ -490,6 +512,67 @@ def test_lapack_call_refuses_mistyped_arguments():
     good = args(np.full(2, 2.0))
     _call("dgtsv", *good)
     assert good[-1][0] == 0 and np.allclose(good[5], [1.0, 1.0], atol=1e-15)
+
+
+def _readonly(a):
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
+
+
+def test_lapack_call_takes_arrays_the_buffer_protocol_refuses():
+    """The buffer protocol gives no address for a read-only array, one that
+    is not C-contiguous or an empty one; each reaches LAPACK by numpy's
+    address instead, and solves as a writable C-ordered copy does."""
+    ro = _readonly([1.0, 2.0])
+    fortran = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+    empty = np.empty(0)
+    writable = np.array([1.0, 2.0])
+    for a in (ro, fortran, empty, writable):
+        assert linalg._address(a) == a.ctypes.data
+    # read-only d and e, as the lattice's cached bonds are
+    t = _lattice_matrix("tan", 0.3, 200)
+    frozen = Tridiagonal(_readonly(t.d), _readonly(t.e))
+    copy = Tridiagonal(t.d.copy(), t.e.copy())
+    assert frozen.e.flags.writeable is False and copy.e.flags.writeable
+    c0 = int(sturm_count(copy, [0.0])[0])
+    ks = np.arange(c0 - 1, c0 + 3)
+    assert np.array_equal(sturm_count(frozen, [-1.0, 0.0, 1.0]),
+                          sturm_count(copy, [-1.0, 0.0, 1.0]))
+    vals = _indexed_eigenvalues(frozen, ks)
+    assert vals.tobytes() == _indexed_eigenvalues(copy, ks).tobytes()
+    assert np.array_equal(tridiagonal_eigenvectors(frozen, vals),
+                          tridiagonal_eigenvectors(copy, vals))
+
+    # a Fortran-ordered (3, 2) right-hand side of dgtsv, against its columns
+    # laid out in one writable 1-D array: [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+    def dgtsv(b, nrhs):
+        n = np.array([3], dtype=np.intc)
+        info = np.array([0], dtype=np.intc)
+        _call("dgtsv", n, np.array([nrhs], dtype=np.intc), np.ones(2), np.full(3, 2.0),
+              np.ones(2), b, n.copy(), info)
+        assert info[0] == 0
+        return b
+
+    rhs = np.array([[4.0, 2.0], [8.0, 4.0], [8.0, 6.0]])
+    b2d = dgtsv(np.asfortranarray(rhs), 2)
+    b1d = dgtsv(rhs.ravel(order="F").copy(), 2)
+    assert np.array_equal(b2d.ravel(order="F"), b1d)
+    np.testing.assert_allclose(b2d[:, 0], [1.0, 2.0, 3.0], atol=1e-14)
+
+    # n = 1: the off-diagonals hold no entry, an empty array or a spare one
+    def one_by_one(off):
+        b = np.array([6.0])
+        one = np.array([1], dtype=np.intc)
+        info = np.array([0], dtype=np.intc)
+        _call("dgtsv", one, one.copy(), off.copy(), np.array([3.0]), off.copy(), b,
+              one.copy(), info)
+        assert info[0] == 0
+        return b
+
+    assert one_by_one(empty).tobytes() == one_by_one(np.zeros(1)).tobytes()
+    assert one_by_one(empty).tolist() == [2.0]
+    assert sturm_count(t, []).size == 0
 
 
 def test_lattice_solve_leaves_scipy_linalg_unimported():
