@@ -383,9 +383,10 @@ SWEEP_HEADER = ["kappa"] + SPECTRUM_HEADER + ["pr"]
 def cmd_sweep_kappa(cfg: RunConfig, kappa_list: list[float]) -> int:
     """One lattice-route row per (kappa, level view): energies, convergence
     flags (the unbound marker beyond the critical coupling), and the
-    participation ratio of each level's state on the run's base grid. Rows
-    are ordered by kappa ascending, then by their labels: n_sigma, the
-    positive branch first, sigma."""
+    participation ratio of each level's state on the run's base grid, empty
+    (noted on stderr) for a bound state the box cuts, as wavefunction's
+    rule reads it. Rows are ordered by kappa ascending, then by their labels:
+    n_sigma, the positive branch first, sigma."""
     if not kappa_list:
         raise ConfigError("sweep needs at least one kappa value")
     for k in kappa_list:
@@ -403,9 +404,13 @@ def cmd_sweep_kappa(cfg: RunConfig, kappa_list: list[float]) -> int:
             rows.append({"kappa": kappa, "route": "dirac", "converged": False})
             continue
         g = result.base_grid
-        point = [{"kappa": kappa, **_record_row(rec),
-                  "pr": localization_of(state.psi1, state.psi2, g.x, g.h)[0]}
-                 for rec, state in zip(result.records, states)]
+        point = [{"kappa": kappa, **_record_row(rec)} for rec in result.records]
+        for row, state in zip(point, states):
+            if abs(kappa) < 1.0 and dirac_solver.edge_share(params, g, state) > cfg.tolerance:
+                print(f"sweep point kappa={kappa:g}: the box cuts level (sigma={row['sigma']}, n="
+                      f"{row['n']}, branch={row['branch']}); its pr is left empty", file=sys.stderr)
+            else:
+                row["pr"] = localization_of(state.psi1, state.psi2, g.x, g.h)[0]
         rows.extend(sorted(point, key=_label_order))
     _emit(_row_columns(rows, SWEEP_HEADER), cfg)
     return EXIT_OK

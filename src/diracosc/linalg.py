@@ -4,11 +4,9 @@ ctypes:
 * _indexed_eigenvalues: eigenvalues by sorted index, from one `dstebz` call
   (Sturm-sequence bisection, after W. Kahan, "Accurate eigenvalues of a
   symmetric tri-diagonal matrix", 1966) over the index range requested, to
-  full accuracy or to a given absolute tolerance, or, for one index, over a
-  value window that its Sturm counts certify to hold that eigenvalue alone.
-* sturm_count: exact eigenvalue counts below given values, from the Sturm
-  count of `dlaebz`, which splits a lattice spectrum at E = 0 and certifies
-  windows and predicted eigenvalues.
+  full accuracy or to a given absolute tolerance.
+* sturm_count: exact eigenvalue counts below given values (`dlaebz`), which
+  split a lattice spectrum at E = 0 and certify predicted eigenvalues.
 * tridiagonal_eigenvectors: eigenvectors at given eigenvalues, from one
   `dstein` call (inverse iteration, the routine LAPACK pairs with `dstebz`).
 * _predicted_eigenvalues: eigenvalues and eigenvectors by sorted index from
@@ -28,12 +26,12 @@ it to 3e-15 relative (1 CPU). The base grid has no prediction, so
 dirac_solver bisects it to 1e-4 first and takes its values and its states
 from the same call: on a tan grid of 1001 rows with 6 levels that is 0.96 +
 0.68 ms, where the full index search and the states' own dstein call take
-2.65 + 0.48 ms (1 CPU). Certified range-`V` windows gain only 1.2-1.5x over
-the index search (21-27 ms for the 4 levels at +-1e-6 to +-1e-3). The susy
-reduced operator keeps the windows: its 1/h^2 diagonal (2/h^2 = 2.0e5 at
-tan grid.n 1000) limits a Rayleigh quotient to about eps * 2/h^2 = 4.5e-11,
-where bisection gives an eigenvalue to a few ulps of itself, and a mirrored
-susy minus root must match an explicit minus solve to 1e-12.
+2.65 + 0.48 ms (1 CPU). A susy level evaluation, at a prediction off by
+about 1e-5, takes 0.23-0.36 ms with its vector, where the index search and
+dstein take 0.87-1.7 ms (linear grid.n 2000, tan 1000, 1 CPU). Its quotient
+is in difference form (_difference_form): with the plain z'Tz, which cancels
+terms of size 2/h^2, a mirrored susy minus root at tan grid.n 2000 misses
+an explicit minus solve by up to 7e-12, where 1e-12 is required (6e-16).
 
 The routines come from the C-API capsules of scipy's Cython module
 `cython_lapack`, loaded by itself on first use. Importing `scipy.linalg`
@@ -209,20 +207,11 @@ def _lapack_offdiag(t: Tridiagonal) -> np.ndarray:
     return np.ascontiguousarray(t.e) if t.n > 1 else np.zeros(1)
 
 
-def _indexed_eigenvalues(t: Tridiagonal, ks, window=None, abstol=None) -> np.ndarray:
+def _indexed_eigenvalues(t: Tridiagonal, ks, abstol=None) -> np.ndarray:
     """Eigenvalues with 1-based indices `ks` (sorted ascending), from one
     LAPACK dstebz bisection over the index range ks[0]..ks[-1], each to a few
     ulps of itself, or, given `abstol`, each to within abstol: dstebz stops
-    bisecting an interval once it is narrower than that.
-
-    `window` = (lo, hi) may hold a prediction of a single eigenvalue k. It is
-    used only when the Sturm counts certify it, k - 1 eigenvalues below lo and
-    k below hi; dstebz then bisects (lo, hi] alone, without first locating
-    index k inside the Gershgorin bounds. On the susy reduced operators that
-    takes 0.5-0.75 of the index search's time, the counts included, and
-    agrees with it to a few ulps. A window that is not certified, or whose
-    bisection finds anything but one eigenvalue below hi, falls back to the
-    index search."""
+    bisecting an interval once it is narrower than that."""
     ks = np.asarray(ks, dtype=np.int64)
     n = t.n
     if ks.size == 0:
@@ -230,29 +219,19 @@ def _indexed_eigenvalues(t: Tridiagonal, ks, window=None, abstol=None) -> np.nda
     if not (np.all(ks >= 1) and np.all(ks <= n) and np.all(np.diff(ks) > 0)):
         raise ConfigError("eigenvalue indices must be sorted within 1..n")
     lo, hi = int(ks[0]), int(ks[-1])
-    searches = [("I", 0.0, 0.0)]
-    if window is not None and lo == hi:
-        vl, vu = map(float, window)
-        if -math.inf < vl < vu < math.inf and tuple(sturm_count(t, [vl, vu])) == (lo - 1, lo):
-            searches.insert(0, ("V", vl, vu))
-    d = np.ascontiguousarray(t.d)
-    e = _lapack_offdiag(t)
     m, info = _int(0), _int(0)
     w = np.empty(n)
-    for rng, vl, vu in searches:
-        # range "V" takes the eigenvalues in (vl, vu], range "I" those of
-        # index lo..hi; order "E" sorts them ascending. The default
-        # tolerance, eps * ||T||, is 2e-10 relative on a reduced operator
-        # with ||T|| ~ 1e7 (its 1/h^2 and W^2 near the tan walls); twice the
-        # underflow threshold asks for full relative accuracy instead
-        _call(
-            "dstebz", _char(rng), _char("E"), _int(n), _real(vl), _real(vu),
-            _int(lo), _int(hi), _real(abstol or _ABSTOL), d, e, m, _int(0), w,
-            np.empty(n, dtype=np.intc), np.empty(n, dtype=np.intc), np.empty(4 * n),
-            np.empty(3 * n, dtype=np.intc), info,
-        )
-        if rng == "I" or (info[0] == 0 and m[0] == 1 and w[0] < vu):
-            break
+    # range "I" takes the eigenvalues of index lo..hi and order "E" sorts
+    # them ascending. The default tolerance, eps * ||T||, is 2e-10 relative
+    # on a reduced operator with ||T|| ~ 1e7 (its 1/h^2 and W^2 near the tan
+    # walls); twice the underflow threshold asks for full relative accuracy
+    # instead
+    _call(
+        "dstebz", _char("I"), _char("E"), _int(n), _real(0.0), _real(0.0),
+        _int(lo), _int(hi), _real(abstol or _ABSTOL), np.ascontiguousarray(t.d),
+        _lapack_offdiag(t), m, _int(0), w, np.empty(n, dtype=np.intc),
+        np.empty(n, dtype=np.intc), np.empty(4 * n), np.empty(3 * n, dtype=np.intc), info,
+    )
     if info[0] != 0 or m[0] != hi - lo + 1:
         raise ConvergenceError(
             f"LAPACK dstebz returned {m[0]} of eigenvalues {lo}..{hi} (info {info[0]})"
@@ -328,7 +307,18 @@ def _nearest_indices(n: int, c: int, below: int, above: int) -> np.ndarray:
     return np.arange(max(c - below + 1, 1), min(c + above, n) + 1, dtype=np.int64)
 
 
-def _predicted_eigenvalues(t: Tridiagonal, ks, guess, split=None):
+def _difference_form(t: Tridiagonal, z: np.ndarray) -> float:
+    """z'Tz as sum_i r_i z_i^2 - sum_i e_i (z_i+1 - z_i)^2, r_i = d_i + e_i-1
+    + e_i the row sums: on a 3-point Laplacian plus V, r is V (plus 1/h^2 at
+    the end rows) and -e is 1/h^2, so no terms of size 2/h^2 cancel."""
+    r = t.d.copy()
+    r[:-1] += t.e
+    r[1:] += t.e
+    dz = np.diff(z)
+    return r @ (z * z) - t.e @ (dz * dz)
+
+
+def _predicted_eigenvalues(t: Tridiagonal, ks, guess, split=None, differences=False):
     """(values, vectors) for the 1-based indices `ks` (consecutive and
     ascending) from predictions `guess` of their eigenvalues, one per index,
     or None where a prediction misses. The vectors are unit columns aligned
@@ -345,7 +335,9 @@ def _predicted_eigenvalues(t: Tridiagonal, ks, guess, split=None):
     guesses; each vector z's Rayleigh quotient rho = z'Tz / z'z is the value
     and r = ||Tz - rho z|| / ||z|| its residual, taken one column at a time.
     Some eigenvalue lies within r of rho, and rho is within r^2 / gap of it
-    (Parlett, The Symmetric Eigenvalue Problem, 1980, ch. 4). A guess off by
+    (Parlett, The Symmetric Eigenvalue Problem, 1980, ch. 4). With
+    `differences`, z'Tz is taken in difference form (_difference_form), and
+    the residual and the certificate are those of that value. A guess off by
     more than about 1e-4 relative leaves r above 1e-9 max(1, |rho|); then a
     second call runs at the Rayleigh quotients, which are that much closer.
 
@@ -377,7 +369,7 @@ def _predicted_eigenvalues(t: Tridiagonal, ks, guess, split=None):
             z = vecs[:, j]
             zz = z @ z
             tz = t.matvec(z)
-            rho[j] = (z @ tz) / zz
+            rho[j] = (_difference_form(t, z) if differences else z @ tz) / zz
             tz -= rho[j] * z
             res[j] = math.sqrt((tz @ tz) / zz)
         scale = np.maximum(1.0, np.abs(rho))

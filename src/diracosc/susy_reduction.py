@@ -17,10 +17,13 @@ is nonlinear in E; solve_nonlinear_level finds each root on two nested grids
 by one search: Newton steps from a seed, with the slope from the
 Hellmann-Feynman theorem, guarded by the first sign-change bracket they find
 (a bracket widened around the seed when they leave its reach). Each
-evaluation of epsilon_n bisects a window predicted from the last one. This
-route needs no closed form, so it generalizes beyond the certified families;
-on them it must reproduce the closed-form levels, which is the cross-check
-the package leans on.
+evaluation takes epsilon_n and its eigenvector from one inverse-iteration
+call at a prediction from the last evaluation, certified by a Sturm count,
+and bisects by index only where no prediction exists or the certificate
+refuses it; W and W' are sampled once per grid. This route needs no closed
+form, so it generalizes beyond the certified families; on them it must
+reproduce the closed-form levels, which is the cross-check the package
+leans on.
 
 Everything here refuses |kappa| >= 1: the spin matrix becomes defective at
 the critical coupling and its eigenvalues go imaginary beyond, so no
@@ -38,7 +41,8 @@ import numpy as np
 from . import analytic
 from .dirac_solver import default_grid
 from .errors import BracketError, DegenerateStateError
-from .linalg import Tridiagonal, _indexed_eigenvalues, tridiagonal_eigenvectors
+from .linalg import Tridiagonal, tridiagonal_eigenvectors
+from .linalg import _indexed_eigenvalues, _predicted_eigenvalues
 from .model import (
     Family,
     Grid,
@@ -134,6 +138,16 @@ class EffectiveSuperpotential:
         return self.scale * w + self.offset, self.scale * wp
 
 
+@functools.lru_cache(maxsize=8)
+def _sampled(sp: Superpotential, grid: Grid):
+    """(W, W') at grid.x, read-only, once per (superpotential, grid), since
+    neither E nor kappa enters them; a refused grid raises on every call."""
+    w, wp = eval_superpotential(sp, grid.x)
+    w.setflags(write=False)
+    wp.setflags(write=False)
+    return w, wp
+
+
 def effective_superpotential(
     sp: Superpotential, kappa: float, E: float
 ) -> EffectiveSuperpotential:
@@ -151,8 +165,8 @@ def schrodinger_operator(
     leaves the base superpotential's domain."""
     if sigma not in (-1, 1):
         raise ValueError("sigma must be -1 or +1")
-    w, wp = weff.values(grid.x)
-    v = w**2 + sigma * wp
+    w, wp = _sampled(weff.base, grid)
+    v = (weff.scale * w + weff.offset) ** 2 + sigma * (weff.scale * wp)
     h2 = grid.h * grid.h
     d = 2.0 / h2 + v
     e = np.full(grid.n - 1, -1.0 / h2)
@@ -173,62 +187,53 @@ def squared_form_potential(
     return omk * w * w + 2.0 * E * kappa * w + sigma * math.sqrt(omk) * wp
 
 
-def _level_condition(params, sigma, n, grid, E, window=None):
-    """The reduced operator at energy E, its epsilon level n fetched by sorted
-    index, and the level condition f(E) = epsilon_n(E) - (E^2/(1-kappa^2) - m^2).
-    Near kappa = 1 the level moves faster in E than the ladder spacing (on
-    the tan family at up to 2 kappa^2 E/(1-kappa^2) per unit E), so picking
-    by value continuity can slide onto a neighbor between root-finder
-    steps; the index cannot. `window` is a prediction of epsilon_n, which
-    linalg uses only once its Sturm counts certify it."""
+def _level_condition(params, sigma, n, grid, E, guess=None):
+    """(epsilon_n, phi, f) at energy E: the reduced operator's level n, its
+    unit eigenvector and f(E) = epsilon_n(E) - (E^2/(1-kappa^2) - m^2).
+
+    Given a `guess` of epsilon_n, one certified _predicted_eigenvalues call
+    at it gives phi and epsilon_n, its energy in difference form. With no
+    guess, or one the certificate refuses, epsilon_n is fetched by its index
+    (dstebz), and phi, with a guess only, by one dstein call. Near kappa = 1
+    the level moves faster in E than the ladder spacing, so picking by value
+    continuity could slide onto a neighbor between root-finder steps; the
+    index and the certificate cannot."""
     weff = effective_superpotential(params.superpotential, params.kappa, E)
     t = schrodinger_operator(weff, sigma, grid)
-    eps = _indexed_eigenvalues(t, [n + 1], window=window)
-    return t, eps, float(eps[0]) - reduced_epsilon(E, params.mass, params.kappa)
-
-
-def _root_window(params, E):
-    """A window for epsilon_n at E when E is near a root, where f(E) = 0 puts
-    epsilon_n at E^2/(1-kappa^2) - m^2: that value +- 1e-3 of itself (or of 1)."""
-    c = reduced_epsilon(E, params.mass, params.kappa)
-    half = 1e-3 * max(abs(c), 1.0)
-    return c - half, c + half
-
-
-def _line_window(e0, eps0, slope0, E):
-    """A window for epsilon_n at E on the line c = eps0 + slope0 (E - e0),
-    widened by half its step and 1e-9 of itself."""
-    step = slope0 * (E - e0)
-    c = eps0 + step
-    half = 0.5 * abs(step) + 1e-9 * max(abs(c), 1.0)
-    return c - half, c + half
+    found = guess is not None and _predicted_eigenvalues(t, [n + 1], [guess], differences=True)
+    if found:
+        eps, phi = float(found[0][0]), found[1][:, 0]
+    else:
+        eps = float(_indexed_eigenvalues(t, [n + 1])[0])
+        phi = None if guess is None else tridiagonal_eigenvectors(t, [eps])[:, 0]
+    return eps, phi, eps - reduced_epsilon(E, params.mass, params.kappa)
 
 
 def _evaluator(params, sigma, n, grid, line=None):
     """evaluate(E) = (f(E), f'(E)) on one grid, for one root search.
 
     f is _level_condition's. f' is the Hellmann-Feynman slope (Feynman,
-    Phys. Rev. 56 (1939) 340), with phi the level's unit eigenvector from one
-    dstein call on the same operator: only its Weff^2 term depends on E,
-    through dWeff/dE = kappa/sqrt(1-kappa^2), so with
+    Phys. Rev. 56 (1939) 340), with phi the level's unit eigenvector from
+    the same call: only its Weff^2 term depends on E, through
+    dWeff/dE = kappa/sqrt(1-kappa^2), so with
     Weff = sqrt(1-kappa^2) W + kappa E/sqrt(1-kappa^2) and the E^2/(1-kappa^2)
     of the right side, f' = 2 kappa <phi|W|phi> - 2E, exact for the lattice
     operator, whose diagonal carries Weff^2 pointwise.
 
-    Each evaluation bisects epsilon_n in a _line_window on the tangent of
-    epsilon_n at the last evaluation E0, of slope eps0' = f'(E0) +
-    2 E0/(1-kappa^2). The first takes `line`, an (E0, eps0, slope) triple,
-    or with none _root_window."""
-    w = eval_superpotential(params.superpotential, grid.x)[0]
+    Each evaluation predicts epsilon_n on the tangent of epsilon_n at the
+    last evaluation E0, of slope eps0' = f'(E0) + 2 E0/(1-kappa^2). The first
+    takes `line`, an (E0, eps0, slope) triple, or with none the value a root
+    puts it at, E^2/(1-kappa^2) - m^2: on the grids a CLI session solves,
+    every prediction is certified, so a level solve makes no dstebz call."""
+    w = _sampled(params.superpotential, grid)[0]
     omk = 1.0 - params.kappa**2
     last = list(line or ())
 
     def evaluate(E):
-        window = _line_window(*last, E) if last else _root_window(params, E)
-        t, eps, f = _level_condition(params, sigma, n, grid, E, window)
-        phi = tridiagonal_eigenvectors(t, eps)[:, 0]
+        e0, eps0, slope0 = last or (E, reduced_epsilon(E, params.mass, params.kappa), 0.0)
+        eps, phi, f = _level_condition(params, sigma, n, grid, E, eps0 + slope0 * (E - e0))
         fp = 2.0 * params.kappa * float(np.dot(phi * phi, w)) - 2.0 * E
-        last[:] = E, f + reduced_epsilon(E, params.mass, params.kappa), fp + 2.0 * E / omk
+        last[:] = E, eps, fp + 2.0 * E / omk
         return f, fp
 
     return evaluate
@@ -237,13 +242,13 @@ def _evaluator(params, sigma, n, grid, line=None):
 def _seed(params, sigma, n, grid, branch):
     """(seed, delta, reach, line) of one branch's root search: Newton steps
     from seed within seed +- reach, then brackets from seed +- delta out to
-    seed +- reach (see _root), the first evaluation's window on `line` (see
-    _evaluator). Certified families start at the closed form with delta
+    seed +- reach (see _root), the first evaluation's prediction on `line`
+    (see _evaluator). Certified families start at the closed form with delta
     1e-4 max(|seed|, 1), reach 25% of it and no line, the E = 0 level
     (reach 0) only after an h^2 test. Otherwise an outward scan in steps of
-    m/4 bisects eps_n, from its third step on in a window on the line
-    through the last two steps' eps; the first step with a sign change is
-    the whole window, the one bracket tried, and its two eps give the line."""
+    m/4 predicts eps_n from its third step on, on the line through the last
+    two steps' eps; the first step with a sign change is the whole window,
+    the one bracket tried, and its two eps give the line."""
     if params.superpotential.family in (Family.LINEAR, Family.TANGENT):
         ep, em = analytic.level_energies(params, reduced_index(sigma, n))
         seed = ep if branch > 0 else em
@@ -262,19 +267,18 @@ def _seed(params, sigma, n, grid, branch):
     step = params.mass / 4.0 if params.mass > 0.0 else 0.25
     e_max = 100.0 * max(params.mass, 1.0)
     a = branch * 1e-6
-    _, eps_a, fa = _level_condition(params, sigma, n, grid, a)
+    eps_a, _, fa = _level_condition(params, sigma, n, grid, a)
     slope = None
     k = 1
     while k * step <= e_max:
         b = branch * k * step
-        # from the third step on, eps_n continues the line through the last
-        # two steps, widened as _evaluator widens its tangent
-        window = None if slope is None else _line_window(a, eps_a[0], slope, b)
-        _, eps_b, fb = _level_condition(params, sigma, n, grid, b, window)
-        slope = (eps_b[0] - eps_a[0]) / (b - a)
+        # from the third step on, eps_n continues the last two steps' line
+        guess = None if slope is None else eps_a + slope * (b - a)
+        eps_b, _, fb = _level_condition(params, sigma, n, grid, b, guess)
+        slope = (eps_b - eps_a) / (b - a)
         if fa * fb <= 0.0:
             half = 0.5 * abs(b - a)
-            return 0.5 * (a + b), half, half, (a, eps_a[0], slope)
+            return 0.5 * (a + b), half, half, (a, eps_a, slope)
         a, eps_a, fa = b, eps_b, fb
         k += 1
     raise BracketError(
@@ -366,7 +370,7 @@ def _solve_branch(params, sigma, n, grid, branch):
     """(E, err_est, converged) of one branch's root: _root on the base grid,
     then on the nested h/2 grid from the base root e1, and the extrapolation
     (4 e2 - e1)/3, which cancels the O(h^2) bias of the 3-point Laplacian.
-    Each grid's search has its own _evaluator, so its eigenvalue windows are
+    Each grid's search has its own _evaluator, so its eigenvalues are
     predicted from that grid's last evaluation; on the grids a CLI session
     solves, the two searches take 4-6 evaluations in all. The E = 0 level is
     exact by symmetry. A root missing within reach on the h/2 grid keeps e1,
@@ -398,14 +402,14 @@ def solve_nonlinear_level(
         f(E) = epsilon_n(operator at Weff(E)) - (E^2/(1-kappa^2) - m^2).
 
     epsilon_n is the n-th ascending eigenvalue of the instantiated operator,
-    fetched by sorted index at every E so the root-finder always sees the
-    same level regardless of step size. The root is found by Newton steps
-    with the Hellmann-Feynman slope of _evaluator from a seed, the closed
-    form for the certified families. Once f changes sign between two steps, each evaluation narrows
-    that bracket, and a step that would leave it is a bisection step; when
-    the steps leave the seed's reach first, a sign-change bracket widened
-    around the seed takes their place. Returns (plus,
-    minus) records with route "susy". For the certified families W is odd,
+    its index certified at every E, so the root-finder always sees the same
+    level regardless of step size. The root is found by Newton steps with
+    the Hellmann-Feynman slope of _evaluator from a seed, the closed form
+    for the certified families. Once f changes sign between two steps, each
+    evaluation narrows that bracket, and a step that would leave it is a
+    bisection step; when the steps leave the seed's reach first, a
+    sign-change bracket widened around the seed takes their place. Returns
+    (plus, minus) records with route "susy". For the certified families W is odd,
     so f is even in E: the plus root is solved and the minus record is its
     mirror -E with the same err_est. A tabulated W need not be odd, and its
     two branches are solved independently. At (sigma=-1, n=0) the minus
@@ -496,7 +500,7 @@ def reconstruct_spinor(
     phi = np.asarray(phi, dtype=float)
     if phi.shape != grid.x.shape:
         raise ValueError("phi must be sampled on the grid")
-    w, _ = eval_superpotential(params.superpotential, grid.x)
+    w = _sampled(params.superpotential, grid)[0]
     u = params.kappa * w
     m = params.mass
     dphi = _centered_derivative(phi, grid.h)
@@ -509,13 +513,14 @@ def reconstruct_spinor(
             f"reconstruction annihilated the state at E = {E:.6g} "
             f"(norm {raw:.3g}); it has no counterpart on this branch"
         )
-    return _with_residual(params, grid, w, SpinorState.from_samples(E, psi1, psi2, grid))
+    return _with_residual(params, grid, SpinorState.from_samples(E, psi1, psi2, grid))
 
 
-def _with_residual(params, grid, w, state):
+def _with_residual(params, grid, state):
     """The state carrying its first-order eigenvalue residual: the operator
     applied with centered differences (the reconstruction-side
-    discretization, independent of the solver lattice); w is W on the grid."""
+    discretization, independent of the solver lattice)."""
+    w = _sampled(params.superpotential, grid)[0]
     psi1, psi2 = state.psi1, state.psi2
     u = params.kappa * w
     m = params.mass
@@ -543,17 +548,15 @@ def susy_state(
         grid = default_grid(params, n=_DEFAULT_N)
     plus, minus = solve_nonlinear_level(params, sigma, n, grid)
     rec = plus if branch > 0 else minus
-    # the level the root solve tracked, at the solved energy
-    t, eps, _ = _level_condition(params, sigma, n, grid, rec.E, _root_window(params, rec.E))
-    phi = tridiagonal_eigenvectors(t, eps)[:, 0]
+    # the level the root solve tracked, at the solved energy and epsilon
+    phi = _level_condition(params, sigma, n, grid, rec.E, rec.epsilon)[1]
     if rec.E == 0.0 and params.mass == 0.0:
         # the one level at E = 0, (sigma=-1, n=0): phi is exp(-gamma int W dx)
         # on the lattice, gamma = sqrt(1 - kappa^2), and psi = (phi, -i beta
         # phi) with beta = -kappa/(1 + gamma) solves the first-order equation
         beta = -params.kappa / (1.0 + math.sqrt(1.0 - params.kappa**2))
         state = SpinorState.from_samples(0.0, phi, -1j * beta * phi, grid)
-        w, _ = eval_superpotential(params.superpotential, grid.x)
-        return rec, _with_residual(params, grid, w, state)
+        return rec, _with_residual(params, grid, state)
     pair = spin_eigensystem(params.kappa)
     chi = pair[0] if sigma > 0 else pair[1]
     state = reconstruct_spinor(params, rec.E, chi, phi, grid)

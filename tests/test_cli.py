@@ -386,6 +386,25 @@ def test_sweep_supercritical_rows_marked_unbound():
     _, _, rows = parse_csv(out)
     assert len(rows) >= 2
     assert all(r["converged"] == "false" for r in rows)
+    # an unbound state fills the box: its pr measures that, and is kept
+    assert err == "" and all(float(r["pr"]) > 0.0 for r in rows)
+
+
+def test_sweep_leaves_pr_empty_for_a_state_the_box_cuts():
+    # every level converges, but the caller's box cuts the states of n_sigma
+    # 2-4 (9e-6, 4e-4 and 5.4e-3 of their weight in its outer 5%), which
+    # wavefunction refuses; n_sigma 0 and 1 hold less than 1e-7 there
+    code, out, err = run_cli([
+        "sweep-kappa", "--kappas=0.99", "--grid.n", "2000", "--solver.levels", "5",
+    ])
+    assert code == 0
+    assert "kappa=0.99: the box cuts level (sigma=-1, n=4, branch=-)" in err
+    assert err.count("\n") == 12
+    _, _, rows = parse_csv(out)
+    assert all(r["converged"] == "true" for r in rows)
+    pr = {(r["branch"], int(r["n_sigma"])): r["pr"] for r in rows}
+    assert pr[("+", 4)] == pr[("-", 4)] == ""
+    assert float(pr[("+", 0)]) > 0.0 and float(pr[("-", 1)]) > 0.0
 
 
 def test_sweep_point_whose_grid_cannot_hold_its_levels_fails_alone():

@@ -260,88 +260,6 @@ def test_counts_below_takes_odd_and_even_numbers_of_lambdas(monkeypatch):
         assert sturm_count(lattice, lams).tolist() == want
 
 
-# ------------------------------------------------- certified value windows
-
-
-def _dstebz_ranges(monkeypatch):
-    """The RANGE argument of every dstebz call made from here on, in order."""
-    ranges = []
-    call = linalg._call
-
-    def spy(name, *args):
-        if name == "dstebz":
-            ranges.append(args[0][0].decode())
-        return call(name, *args)
-
-    monkeypatch.setattr(linalg, "_call", spy)
-    return ranges
-
-
-def _within_ulps(got, ref, ulps):
-    return abs(got - ref) <= ulps * np.spacing(abs(ref))
-
-
-# the reduced operators of the grids a CLI session solves on, and a lattice
-WINDOW_MATRICES = {
-    "linear-2000": lambda: _schrodinger_matrix("linear", 0.41, 2000, -1),
-    "tan-1000": lambda: _schrodinger_matrix("tan", -0.37, 1000, 1),
-    "lattice": lambda: _lattice_matrix("linear", 0.3, 250),
-}
-
-
-@pytest.mark.parametrize("case", list(WINDOW_MATRICES))
-def test_certified_window_matches_the_index_search(case, monkeypatch):
-    t = WINDOW_MATRICES[case]()
-    first = oracle.sturm_count(t, 0.0) + 1 if case == "lattice" else 1
-    ks = np.arange(first, first + 5)
-    ref = _indexed_eigenvalues(t, ks)
-    ranges = _dstebz_ranges(monkeypatch)
-    for j, k in enumerate(ks[1:-1], start=1):
-        # a window as tight as a root search's, and one out to the neighbours
-        for lo, hi in ((ref[j] - 1e-9 * abs(ref[j]), ref[j] + 1e-9 * abs(ref[j])),
-                       (0.5 * (ref[j - 1] + ref[j]), 0.5 * (ref[j] + ref[j + 1]))):
-            ranges.clear()
-            got = _indexed_eigenvalues(t, [k], window=(lo, hi))
-            assert ranges == ["V"]
-            assert _within_ulps(got[0], ref[j], 4), (k, got[0], ref[j])
-
-
-def test_uncertified_windows_fall_back_to_the_index_search(monkeypatch):
-    t = WINDOW_MATRICES["linear-2000"]()
-    ref = _indexed_eigenvalues(t, np.arange(1, 6))
-    gap = ref[2] - ref[1]
-    k = 3
-    windows = {
-        "no eigenvalue": (ref[1] + 0.1 * gap, ref[2] - 0.1 * gap),
-        "two eigenvalues": (0.5 * (ref[1] + ref[2]), 0.5 * (ref[3] + ref[4])),
-        "wrong index": (0.5 * (ref[2] + ref[3]), 0.5 * (ref[3] + ref[4])),
-        "empty": (ref[2] + 0.1 * gap, ref[2] - 0.1 * gap),
-        "a point": (ref[2], ref[2]),
-        "not finite": (-math.inf, ref[2] + 0.1 * gap),
-    }
-    # an index search's value depends on the index range it bisects
-    alone = _indexed_eigenvalues(t, [k])
-    ranges = _dstebz_ranges(monkeypatch)
-    for name, window in windows.items():
-        ranges.clear()
-        got = _indexed_eigenvalues(t, [k], window=window)
-        assert ranges == ["I"], name
-        assert got[0] == alone[0], name
-
-
-def test_window_whose_bisection_finds_two_eigenvalues_falls_back(monkeypatch):
-    # the counts certify (1.5, 3) to hold eigenvalue 2 alone, since 3 is not
-    # below 3; dstebz bisects (1.5, 3] and finds 2 and 3
-    t = Tridiagonal(d=np.array([1.0, 2.0, 3.0]), e=np.zeros(2))
-    assert sturm_count(t, [1.5, 3.0]).tolist() == [1, 2]
-    ranges = _dstebz_ranges(monkeypatch)
-    assert np.array_equal(_indexed_eigenvalues(t, [2], window=(1.5, 3.0)), [2.0])
-    assert ranges == ["V", "I"]
-    ranges.clear()
-    assert np.array_equal(_indexed_eigenvalues(t, [2], window=(1.5, 2.5)), [2.0])
-    assert ranges == ["V"]
-
-
 # ------------------------------------------------- predicted eigenvalues
 
 
@@ -485,6 +403,25 @@ def test_a_split_names_the_levels_its_count_reads(monkeypatch):
 def test_rayleigh_quotients_out_of_index_order_are_refused():
     # guesses swapped: each vector converges, but rho descends along ks
     assert _predicted_eigenvalues(NEAR_PAIR, [3, 4], [5.0, 3.0]) is None
+
+
+def test_difference_form_is_the_quadratic_form():
+    # sum_i r_i z_i^2 - sum_i e_i (z_i+1 - z_i)^2 with r the row sums expands
+    # to z'Tz on any tridiagonal, a 1x1 one included
+    rng = np.random.default_rng(5)
+    t = Tridiagonal(d=rng.normal(size=9), e=rng.normal(size=8))
+    for z in rng.normal(size=(3, 9)):
+        want = z @ t.matvec(z)
+        assert linalg._difference_form(t, z) == pytest.approx(want, rel=1e-13, abs=1e-13)
+    one = Tridiagonal(d=np.array([5.0]), e=np.zeros(0))
+    assert linalg._difference_form(one, np.array([2.0])) == 20.0
+    # with it, a prediction returns that value and the certificate's checks
+    ks = np.arange(3, 6)
+    ref = _indexed_eigenvalues(t, ks)
+    rho, vecs = _predicted_eigenvalues(t, ks, ref * (1.0 + 1e-6), differences=True)
+    assert np.all(np.abs(rho - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    assert rho[1] == linalg._difference_form(t, vecs[:, 1]) / (vecs[:, 1] @ vecs[:, 1])
+    assert _predicted_eigenvalues(t, ks + 1, ref, differences=True) is None
 
 
 def test_lapack_path_pinned_examples():

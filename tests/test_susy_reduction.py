@@ -359,43 +359,51 @@ SCAN_TABLES = {
 @pytest.mark.parametrize("kappa", [0.0, 0.3, -0.5])
 @pytest.mark.parametrize("table", list(SCAN_TABLES))
 def test_table_scan_steps_take_windows_from_the_last_two(monkeypatch, table, kappa):
-    # from its third step on, a table's outward scan bisects eps_n in a
-    # window on the line through the last two steps' eps, and takes range I
-    # only where the counts refuse that window: here at most twice a scan.
-    # The root search opens on the line through the last step's two eps, so
-    # it takes no range I at all
+    # a table's outward scan fetches eps_n by its index on its first two
+    # steps; from the third on it predicts eps_n on the line through the last
+    # two steps' eps, and here every such prediction is certified, so those
+    # steps and the root search make no dstebz call
     params = PhysicalParams(mass=1.0, kappa=kappa, superpotential=SCAN_TABLES[table])
     grid = Grid(half_width=8.0, n=400)
     labels = [(-1, 0), (-1, 1), (1, 0), (-1, 2)]
-    scanning, steps, roots = [False], [], []
-    call, seed = linalg._call, susy_reduction._seed
+    scanning, scans, roots, bisections = [False], [], [], [0]
+    call, seed, level = linalg._call, susy_reduction._seed, susy_reduction._level_condition
 
-    def spy(name, *args):
-        if name == "dstebz":
-            (steps[-1] if scanning[0] else roots).append(args[0][0].decode())
+    def count(name, *args):
+        bisections[0] += name == "dstebz"
         return call(name, *args)
+
+    def evaluation(params, sigma, n, grid, E, guess=None):
+        before = bisections[0]
+        eps, phi, f = level(params, sigma, n, grid, E, guess)
+        (scans[-1] if scanning[0] else roots).append((E, guess, eps, bisections[0] - before))
+        return eps, phi, f
 
     def scan(*args):
         scanning[0] = True
-        steps.append([])
+        scans.append([])
         try:
             return seed(*args)
         finally:
             scanning[0] = False
 
-    monkeypatch.setattr(linalg, "_call", spy)
+    monkeypatch.setattr(linalg, "_call", count)
+    monkeypatch.setattr(susy_reduction, "_level_condition", evaluation)
     monkeypatch.setattr(susy_reduction, "_seed", scan)
-    windowed = [susy_reduction._solve_level(params, sigma, n, grid) for sigma, n in labels]
-    assert len(steps) == 2 * len(labels)
-    for ranges in steps:
-        assert len(ranges) >= 5 and ranges[:2] == ["I", "I"], ranges
-        assert ranges.count("I") <= 4, ranges
-    assert roots and set(roots) == {"V"}, roots
+    predicted = [susy_reduction._solve_level(params, sigma, n, grid) for sigma, n in labels]
+    assert len(scans) == 2 * len(labels)
+    for steps in scans:
+        assert len(steps) >= 5, steps
+        assert [(guess, bisected) for _, guess, _, bisected in steps[:2]] == [(None, 1)] * 2
+        for (e1, _, eps1, _), (e2, _, eps2, _), (e3, guess, _, bisected) in zip(
+                steps, steps[1:], steps[2:]):
+            assert guess == pytest.approx(eps2 + (eps2 - eps1) / (e2 - e1) * (e3 - e2),
+                                          rel=1e-15, abs=1e-15)
+            assert bisected == 0, steps
+    assert roots and all(guess is not None and not bisected for _, guess, _, bisected in roots)
     # the same solve with every eigenvalue taken by the index search
-    indexed = susy_reduction._indexed_eigenvalues
-    monkeypatch.setattr(susy_reduction, "_indexed_eigenvalues",
-                        lambda t, ks, window=None: indexed(t, ks))
-    for (sigma, n), records in zip(labels, windowed):
+    monkeypatch.setattr(susy_reduction, "_predicted_eigenvalues", lambda *args, **kw: None)
+    for (sigma, n), records in zip(labels, predicted):
         for rec, ref in zip(records, susy_reduction._solve_level(params, sigma, n, grid)):
             assert (rec.branch, rec.sigma, rec.n, rec.converged) == (
                 ref.branch, ref.sigma, ref.n, ref.converged)
@@ -577,9 +585,43 @@ def test_level_solve_takes_at_most_ten_evaluations(params, monkeypatch):
 
 @pytest.mark.parametrize("params", CERTIFIED, ids=["lin+0.4", "lin-0.4", "tan+0.5", "tan-0.3"])
 def test_level_solve_takes_no_index_search(params, monkeypatch):
-    # on the grids a CLI session solves on, every eigenvalue window the
-    # level solve and susy_state predict is certified: no dstebz call falls
-    # back to the index search (range "I")
+    # on the grids a CLI session solves on, every prediction the level solve
+    # and susy_state make is certified: no evaluation calls dstebz at all,
+    # and each takes its value and vector from dstein and one Sturm count
+    routines = []
+    call = linalg._call
+
+    def spy(name, *args):
+        routines.append(name)
+        return call(name, *args)
+
+    monkeypatch.setattr(linalg, "_call", spy)
+    linear = params.superpotential.family is Family.LINEAR
+    grid = Grid(half_width=default_grid(params).half_width, n=2000 if linear else 1000)
+    for sigma, n in LABELS:
+        routines.clear()
+        susy_reduction._solve_level(params, sigma, n, grid)
+        susy_state(params, sigma, n, grid)
+        assert routines and set(routines) == {"dstein", "dlaebz"}, (sigma, n, routines)
+
+
+def _reduced_operator(params, sigma, grid, E):
+    weff = effective_superpotential(params.superpotential, params.kappa, E)
+    return schrodinger_operator(weff, sigma, grid)
+
+
+# the reduced operators of the grids a CLI session solves on, and a finer tan grid
+REDUCED_CASES = {
+    "linear-2000": (linear_params(0.4), 2000),
+    "tan-1000": (tan_params(0.5), 1000),
+    "tan-2001": (tan_params(-0.3), 2001),
+}
+
+
+@pytest.mark.parametrize("case", list(REDUCED_CASES))
+def test_predicted_level_matches_the_index_search(case, monkeypatch):
+    params, size = REDUCED_CASES[case]
+    grid = Grid(half_width=default_grid(params).half_width, n=size)
     ranges = []
     call = linalg._call
 
@@ -588,14 +630,54 @@ def test_level_solve_takes_no_index_search(params, monkeypatch):
             ranges.append(args[0][0].decode())
         return call(name, *args)
 
+    for E in (0.8, 2.5, 4.0):
+        for sigma in (-1, 1):
+            for n in range(4):
+                t = _reduced_operator(params, sigma, grid, E)
+                ref = float(_indexed_eigenvalues(t, [n + 1])[0])
+                # a prediction as far off as a root search's first tangent
+                monkeypatch.setattr(linalg, "_call", spy)
+                eps, phi, f = susy_reduction._level_condition(
+                    params, sigma, n, grid, E, ref * (1.0 + 1e-5))
+                monkeypatch.setattr(linalg, "_call", call)
+                assert ranges == []
+                assert abs(eps - ref) <= 1e-10 * max(1.0, abs(ref)), (E, sigma, n, eps, ref)
+                assert f == eps - reduced_epsilon(E, params.mass, params.kappa)
+                assert phi @ phi == pytest.approx(1.0, rel=1e-12)
+                assert np.linalg.norm(t.matvec(phi) - eps * phi) <= 1e-9 * max(1.0, abs(eps))
+
+
+def test_a_prediction_of_a_neighbouring_level_falls_back_to_the_index_search(monkeypatch):
+    # inverse iteration at a neighbour's value converges to the neighbour's
+    # vector, whose Sturm count reads another index: the certificate refuses
+    # it, and the level is fetched by its index, its vector by one dstein call
+    params, n, E = tan_params(0.5), 1, 2.0
+    grid = Grid(half_width=default_grid(params).half_width, n=1000)
+    t = _reduced_operator(params, 1, grid, E)
+    ref = float(_indexed_eigenvalues(t, [n + 1])[0])
+    below, above = lowest(t, n + 2)[[n - 1, n + 1]]
+    routines = []
+    call = linalg._call
+
+    def spy(name, *args):
+        routines.append(name if name != "dstebz" else "dstebz " + args[0][0].decode())
+        return call(name, *args)
+
     monkeypatch.setattr(linalg, "_call", spy)
-    linear = params.superpotential.family is Family.LINEAR
-    grid = Grid(half_width=default_grid(params).half_width, n=2000 if linear else 1000)
-    for sigma, n in LABELS:
-        ranges.clear()
-        susy_reduction._solve_level(params, sigma, n, grid)
-        susy_state(params, sigma, n, grid)
-        assert ranges and set(ranges) == {"V"}, (sigma, n, ranges)
+    for neighbour in (below, above):
+        routines.clear()
+        eps, phi, f = susy_reduction._level_condition(params, 1, n, grid, E, neighbour)
+        assert routines == ["dstein", "dlaebz", "dstebz I", "dstein"], routines
+        assert eps == ref
+        assert np.linalg.norm(t.matvec(phi) - eps * phi) <= 1e-9 * max(1.0, abs(eps))
+    # the level's own prediction is certified
+    routines.clear()
+    eps, _, _ = susy_reduction._level_condition(params, 1, n, grid, E, ref * (1.0 + 1e-5))
+    assert routines == ["dstein", "dlaebz"] and abs(eps - ref) <= 1e-10 * max(1.0, abs(ref))
+    # with no prediction only the index search runs, and no vector is made
+    routines.clear()
+    eps, phi, _ = susy_reduction._level_condition(params, 1, n, grid, E)
+    assert routines == ["dstebz I"] and eps == ref and phi is None
 
 
 def test_equivalent_solves_share_one_cached_result():
@@ -704,11 +786,11 @@ def test_reconstruct_spinor_validates_sampling():
 
 
 @pytest.mark.parametrize("mass, sigma, n", [(1.0, -1, 1), (0.0, -1, 0)])
-def test_susy_state_evaluates_w_twice(monkeypatch, mass, sigma, n):
-    # once for the reduced operator at the solved E, and once shared by the
+def test_susy_state_samples_w_once(monkeypatch, mass, sigma, n):
+    # W and W' are sampled once per grid and shared by every evaluation of
+    # the level solve, the reduced operator at the solved E, the
     # reconstruction (or the massless zero mode) and its residual
     params, grid = linear_params(0.4, mass=mass), Grid(20.0, 500)
-    solve_nonlinear_level(params, sigma, n, grid)
     real = susy_reduction.eval_superpotential
     shapes = []
 
@@ -717,5 +799,16 @@ def test_susy_state_evaluates_w_twice(monkeypatch, mass, sigma, n):
         return real(sp, x)
 
     monkeypatch.setattr(susy_reduction, "eval_superpotential", spy)
+    susy_reduction._sampled.cache_clear()
+    susy_reduction._solve_level_cached.cache_clear()
+    solve_nonlinear_level(params, sigma, n, grid)
+    assert shapes == [(500,), (1001,)]
+    shapes.clear()
     susy_state(params, sigma, n, grid)
-    assert shapes == [(500,), (500,)]
+    assert shapes == []
+    # with the samples evicted, the state samples its grid once
+    susy_reduction._sampled.cache_clear()
+    susy_state(params, sigma, n, grid)
+    assert shapes == [(500,)]
+    w, wp = susy_reduction._sampled(params.superpotential, grid)
+    assert not w.flags.writeable and not wp.flags.writeable
