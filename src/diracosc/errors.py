@@ -20,8 +20,10 @@ class ConfigError(DiracOscError, ValueError):
 
 class ConvergenceError(DiracOscError, RuntimeError):
     """A numerical routine failed: a LAPACK eigensolver reported failure or
-    returned the wrong number of eigenvalues (pathological input), or two
-    derivations of one quantity disagree beyond rounding."""
+    returned the wrong number of eigenvalues (pathological input), two
+    derivations of one quantity disagree beyond rounding (a level count
+    that falls as |E| grows), or a lattice would converge to another
+    problem's levels (tan sigma=-1 below alpha 1/2)."""
 
 
 class CriticalFieldError(DiracOscError, ValueError):
@@ -31,8 +33,8 @@ class CriticalFieldError(DiracOscError, ValueError):
 
 
 class BracketError(DiracOscError, RuntimeError):
-    """The nonlinear level solver found no sign change in its search window,
-    i.e. no such bound level exists there."""
+    """The nonlinear level solver's count never reaches n + 1 below E_max:
+    no such bound level exists."""
 
 
 class DegenerateStateError(DiracOscError, RuntimeError):

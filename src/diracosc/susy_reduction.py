@@ -14,16 +14,15 @@ where the effective superpotential absorbs the coupling and the energy,
 and epsilon = E^2/(1-kappa^2) - m^2 (model.reduced_epsilon). Because Weff
 depends on E, the level condition  epsilon_n(Weff(E)) = E^2/(1-kappa^2) - m^2
 is nonlinear in E; solve_nonlinear_level finds each root on two nested grids
-by one search: Newton steps from a seed, with the slope from the
-Hellmann-Feynman theorem, guarded by the first sign-change bracket they find
-(a bracket widened around the seed when they leave its reach). Each
-evaluation takes epsilon_n and its eigenvector from one inverse-iteration
-call at a prediction from the last evaluation, certified by a Sturm count,
-and bisects by index only where no prediction exists or the certificate
-refuses it; W and W' are sampled once per grid. This route needs no closed
-form, so it generalizes beyond the certified families; on them it must
-reproduce the closed-form levels, which is the cross-check the package
-leans on.
+by one search for every family: Newton steps with the Hellmann-Feynman slope
+from the fixed point of the condition at E = 0, inside the first sign-change
+bracket they find, or else one certified by the Sturm count of the levels
+below E^2/(1-kappa^2) - m^2, monotone in |E|. Each evaluation takes
+epsilon_n and its eigenvector from one certified inverse-iteration call at
+a prediction from the last one; W and W' are sampled once per grid. This
+route reads no closed form, so it generalizes beyond the certified
+families; on them it must reproduce the closed-form levels, which is the
+cross-check the package leans on.
 
 Everything here refuses |kappa| >= 1: the spin matrix becomes defective at
 the critical coupling and its eigenvalues go imaginary beyond, so no
@@ -38,9 +37,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import analytic
+from . import linalg
 from .dirac_solver import default_grid
-from .errors import BracketError, DegenerateStateError
+from .errors import BracketError, ConvergenceError, DegenerateStateError
 from .linalg import Tridiagonal, tridiagonal_eigenvectors
 from .linalg import _indexed_eigenvalues, _predicted_eigenvalues
 from .model import (
@@ -52,7 +51,6 @@ from .model import (
     Superpotential,
     eval_superpotential,
     reduced_epsilon,
-    reduced_index,
     require_subcritical,
     require_whole_domain,
 )
@@ -209,7 +207,7 @@ def _level_condition(params, sigma, n, grid, E, guess=None):
     return eps, phi, eps - reduced_epsilon(E, params.mass, params.kappa)
 
 
-def _evaluator(params, sigma, n, grid, line=None):
+def _evaluator(params, sigma, n, grid):
     """evaluate(E) = (f(E), f'(E)) on one grid, for one root search.
 
     f is _level_condition's. f' is the Hellmann-Feynman slope (Feynman,
@@ -221,13 +219,11 @@ def _evaluator(params, sigma, n, grid, line=None):
     operator, whose diagonal carries Weff^2 pointwise.
 
     Each evaluation predicts epsilon_n on the tangent of epsilon_n at the
-    last evaluation E0, of slope eps0' = f'(E0) + 2 E0/(1-kappa^2). The first
-    takes `line`, an (E0, eps0, slope) triple, or with none the value a root
-    puts it at, E^2/(1-kappa^2) - m^2: on the grids a CLI session solves,
-    every prediction is certified, so a level solve makes no dstebz call."""
+    last evaluation E0, of slope eps0' = f'(E0) + 2 E0/(1-kappa^2); the first
+    at the value a root puts it at, E^2/(1-kappa^2) - m^2."""
     w = _sampled(params.superpotential, grid)[0]
     omk = 1.0 - params.kappa**2
-    last = list(line or ())
+    last = []
 
     def evaluate(E):
         e0, eps0, slope0 = last or (E, reduced_epsilon(E, params.mass, params.kappa), 0.0)
@@ -239,68 +235,70 @@ def _evaluator(params, sigma, n, grid, line=None):
     return evaluate
 
 
-def _seed(params, sigma, n, grid, branch):
-    """(seed, delta, reach, line) of one branch's root search: Newton steps
-    from seed within seed +- reach, then brackets from seed +- delta out to
-    seed +- reach (see _root), the first evaluation's prediction on `line`
-    (see _evaluator). Certified families start at the closed form with delta
-    1e-4 max(|seed|, 1), reach 25% of it and no line, the E = 0 level
-    (reach 0) only after an h^2 test. Otherwise an outward scan in steps of
-    m/4 predicts eps_n from its third step on, on the line through the last
-    two steps' eps; the first step with a sign change is the whole window,
-    the one bracket tried, and its two eps give the line."""
-    if params.superpotential.family in (Family.LINEAR, Family.TANGENT):
-        ep, em = analytic.level_energies(params, reduced_index(sigma, n))
-        seed = ep if branch > 0 else em
-        if seed != 0.0:
-            return seed, 1e-4 * max(abs(seed), 1.0), 0.25 * abs(seed), None
-        # the E=0 level: the condition must already hold there up to the
-        # lattice's h^2 bias, which the nested h/2 grid divides by 4
-        f0 = _level_condition(params, sigma, n, grid, 0.0)[2]
-        f0_fine = _level_condition(params, sigma, n, grid.refined(), 0.0)[2]
-        if abs(4.0 * f0_fine - f0) <= abs(f0 - f0_fine):
-            return 0.0, 0.0, 0.0, None
-        raise BracketError(
-            f"level condition fails at the E=0 seed for (sigma={sigma}, "
-            f"n={n}): f(0) = {f0:.3g}, {f0_fine:.3g} on the h/2 grid"
-        )
-    step = params.mass / 4.0 if params.mass > 0.0 else 0.25
-    e_max = 100.0 * max(params.mass, 1.0)
-    a = branch * 1e-6
-    eps_a, _, fa = _level_condition(params, sigma, n, grid, a)
-    slope = None
-    k = 1
-    while k * step <= e_max:
-        b = branch * k * step
-        # from the third step on, eps_n continues the last two steps' line
-        guess = None if slope is None else eps_a + slope * (b - a)
-        eps_b, _, fb = _level_condition(params, sigma, n, grid, b, guess)
-        slope = (eps_b - eps_a) / (b - a)
-        if fa * fb <= 0.0:
-            half = 0.5 * abs(b - a)
-            return 0.5 * (a + b), half, half, (a, eps_a, slope)
-        a, eps_a, fa = b, eps_b, fb
-        k += 1
-    raise BracketError(
-        f"no sign change of the level condition on (0, {e_max:.3g}] for "
-        f"(sigma={sigma}, n={n}); no such bound level"
-    )
+def _count(params, sigma, grid, E):
+    """How many reduced levels lie below E^2/(1-kappa^2) - m^2 at energy E,
+    from one operator and one Sturm count: the negative eigenvalues of
+    Q(E) = A + E B - E^2 I, B = 2 kappa W and A the operator at E = 0 plus
+    m^2. For m > 0, A is positive definite and the quadratic eigenproblem is
+    hyperbolic (Duffin, J. Rat. Mech. Anal. 4 (1955) 221; Tisseur &
+    Meerbergen, SIAM Rev. 43 (2001) 235): on each branch the count is the
+    number of roots between 0 and E, <= n short of root n and > n past it."""
+    weff = effective_superpotential(params.superpotential, params.kappa, E)
+    t = schrodinger_operator(weff, sigma, grid)
+    return int(linalg.sturm_count(t, [reduced_epsilon(E, params.mass, params.kappa)])[0])
 
 
-# Newton steps _root takes from the seed before it searches for a bracket
+def _certified(params, sigma, n, grid, inner, outer):
+    """(inner, outer) when the count puts the branch's root n between them,
+    <= n at inner (nearer E = 0) and > n at outer, else None. A count that
+    falls outward breaks the hyperbolic structure: raise, not guess."""
+    below, above = (_count(params, sigma, grid, e) for e in (inner, outer))
+    if above < below:
+        raise ConvergenceError(f"the level count of (sigma={sigma}, n={n}) falls from {below} "
+                               f"at E = {inner:.6g} to {above} at E = {outer:.6g}")
+    return (inner, outer) if below <= n < above else None
+
+
+# the search looks at |E| <= E_max = _E_MAX max(m, 1)
+_E_MAX = 100.0
+
+
+def _bracket(params, sigma, n, grid, branch):
+    """_certified's bracket of the branch's root n, its outer end doubling
+    out from m/4 (1/4 at m = 0), its inner end the step before, or 0. Raises
+    BracketError when the count never reaches n + 1 below E_max = 100
+    max(m, 1), no such bound level, and ConvergenceError when it exceeds n
+    at E = 0, where A is positive definite for m > 0 but for lattice bias."""
+    if _count(params, sigma, grid, 0.0) > n:
+        raise ConvergenceError(f"the level count of (sigma={sigma}, n={n}) exceeds n at E = 0: "
+                               "the lattice's bias puts a reduced level below -m^2")
+    e_max = _E_MAX * max(params.mass, 1.0)
+    inner, outer = 0.0, branch * (params.mass / 4.0 if params.mass > 0.0 else 0.25)
+    while abs(outer) <= e_max:
+        ends = _certified(params, sigma, n, grid, inner, outer)
+        if ends:
+            return ends
+        inner, outer = outer, 2.0 * outer
+    raise BracketError(f"the level count never reaches n + 1 = {n + 1} below E_max = "
+                       f"{e_max:.3g} for (sigma={sigma}, n={n}); no such bound level")
+
+
+# Newton steps _root takes before it falls back to a certified bracket
 _NEWTON_STEPS = 6
 
 
-def _root(evaluate, seed, delta, reach, f_floor):
-    """Root of f within reach of seed, evaluate(E) = (f(E), f'(E)), or None.
+def _root(evaluate, seed, window, f_floor, bracket):
+    """Root of f, evaluate(E) = (f(E), f'(E)), or None.
 
-    Newton steps start at the seed. The first step on which f changes sign
-    hands that bracket to _safe_newton, from its end nearer the root; the
-    search stops as _safe_newton does, on |f| <= f_floor or a step of at most
-    1e-12 max(1, |E|). A step that would leave seed +- reach, a slope of 0 or
-    NaN, or _NEWTON_STEPS steps that neither stop nor change sign end the
-    Newton phase: then the bracket seed +- delta widens fourfold up to
-    exactly +-reach, and _safe_newton takes the first that changes sign."""
+    Newton steps in E^2 from the seed, E'^2 = E^2 - 2E f/f': the closed
+    forms make f linear in E^2, so one step lands near a root even from a
+    seed as far off as a tan level's. The first step on which f changes sign
+    hands that bracket to _safe_newton, which also sets the stopping rule. A
+    step that would cross 0 or leave `window`, a slope of 0 or NaN, or
+    _NEWTON_STEPS steps that neither stop nor change sign end the Newton
+    phase: then bracket() gives a certified (inner, outer) or None, and
+    _safe_newton searches it from the last step if that lies inside, else
+    from its midpoint."""
     x = seed
     fx, fpx = evaluate(x)
     for _ in range(_NEWTON_STEPS):
@@ -308,41 +306,33 @@ def _root(evaluate, seed, delta, reach, f_floor):
             return x
         if fpx == 0.0 or not math.isfinite(fpx):
             break
-        nxt = x - fx / fpx
-        if not abs(nxt - seed) <= reach:
+        u = x * x - 2.0 * x * fx / fpx
+        nxt = math.copysign(math.sqrt(u), x) if u > 0.0 else math.nan
+        if not window[0] <= nxt <= window[1]:
             break
         if abs(nxt - x) <= 1e-12 * max(1.0, abs(nxt)):
             return nxt
         fn, fpn = evaluate(nxt)
         if fx * fn <= 0.0:
+            lo, hi = (x, nxt) if fx < 0.0 else (nxt, x)
             start = (x, fx, fpx) if abs(fx) <= abs(fn) else (nxt, fn, fpn)
-            return _safe_newton(evaluate, x, nxt, fx, fn, *start, f_floor)
+            return _safe_newton(evaluate, lo, hi, *start, f_floor)
         x, fx, fpx = nxt, fn, fpn
-    while True:
-        delta = min(delta, reach)
-        a, b = seed - delta, seed + delta
-        (fa, fpa), (fb, fpb) = evaluate(a), evaluate(b)
-        if fa * fb <= 0.0:
-            start = (a, fa, fpa) if abs(fa) <= abs(fb) else (b, fb, fpb)
-            return _safe_newton(evaluate, a, b, fa, fb, *start, f_floor)
-        if delta == reach:
-            return None
-        delta *= 4.0
+    ends = bracket()
+    if ends and not min(ends) < x < max(ends):
+        x = 0.5 * sum(ends)
+        fx, fpx = evaluate(x)
+    return ends and _safe_newton(evaluate, ends[1], ends[0], x, fx, fpx, f_floor)
 
 
-def _safe_newton(evaluate, a, b, fa, fb, x, fx, fpx, f_floor, tol=1e-12):
-    """Root of f in the sign-change bracket [a, b] by Newton steps from x,
-    where evaluate(E) = (f(E), f'(E)) and (fx, fpx) is its value at x. Every
-    evaluation narrows the bracket; a step that would leave it is replaced by
-    bisection, so a bad or vanishing slope costs speed, never the root.
-    Stops when |f| is at most f_floor, the precision f carries, or when a
-    step is at most tol * max(1, |E|), which includes a Newton step that
-    rounds to nothing."""
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    lo, hi = (a, b) if fa < 0.0 else (b, a)
+def _safe_newton(evaluate, lo, hi, x, fx, fpx, f_floor, tol=1e-12):
+    """Root of f between lo, where f < 0, and hi, where f >= 0, by Newton
+    steps from x, where evaluate(E) = (f(E), f'(E)) and (fx, fpx) is its
+    value at x. Every evaluation narrows the bracket; a step that would
+    leave it is replaced by bisection, so a bad or vanishing slope costs
+    speed, never the root. Stops when |f| is at most f_floor, the precision f
+    carries, or when a step is at most tol * max(1, |E|), which includes a
+    Newton step that rounds to nothing."""
     for _ in range(120):
         if abs(fx) <= f_floor:
             return x
@@ -366,31 +356,45 @@ def _f_floor(grid):
     return 4.0 * np.finfo(float).eps * 2.0 / (grid.h * grid.h)
 
 
+def _zero_mode(params, sigma, n, grid):
+    """(0, 0, True) for the massless (sigma=-1, n=0) level, which the count
+    cannot see (A is only semidefinite): f(0) must be the lattice's h^2 bias,
+    which the h/2 grid divides by 4. Else raises BracketError."""
+    f0 = _level_condition(params, sigma, n, grid, 0.0)[2]
+    f0_fine = _level_condition(params, sigma, n, grid.refined(), 0.0)[2]
+    if abs(4.0 * f0_fine - f0) <= abs(f0 - f0_fine):
+        return 0.0, 0.0, True
+    raise BracketError(f"level condition fails at E=0 for (sigma={sigma}, n={n}): f(0) = "
+                       f"{f0:.3g}, {f0_fine:.3g} on the h/2 grid")
+
+
+def _seed(params, sigma, n, grid, branch):
+    """The fixed point of the level condition at E = 0 on the branch,
+    E^2 = (1-kappa^2)(eps_n(0) + m^2), from one index search: exact for a
+    linear W, whose eps_n does not move with E."""
+    eps0 = _level_condition(params, sigma, n, grid, 0.0)[0]
+    return branch * math.sqrt(max((1.0 - params.kappa**2) * (eps0 + params.mass**2), 0.0))
+
+
 def _solve_branch(params, sigma, n, grid, branch):
-    """(E, err_est, converged) of one branch's root: _root on the base grid,
-    then on the nested h/2 grid from the base root e1, and the extrapolation
-    (4 e2 - e1)/3, which cancels the O(h^2) bias of the 3-point Laplacian.
-    Each grid's search has its own _evaluator, so its eigenvalues are
-    predicted from that grid's last evaluation; on the grids a CLI session
-    solves, the two searches take 4-6 evaluations in all. The E = 0 level is
-    exact by symmetry. A root missing within reach on the h/2 grid keeps e1,
-    unconverged, with the base-grid window 2 reach as err_est."""
-    seed, delta, reach, line = _seed(params, sigma, n, grid, branch)
-    if reach == 0.0:
-        # the E=0 seed: f is even there, so no bracket around it can exist
-        return seed, 0.0, True
-
-    def search(g, seed, delta, reach, line=None):
-        return _root(_evaluator(params, sigma, n, g, line), seed, delta, reach, _f_floor(g))
-
-    e1 = search(grid, seed, delta, reach, line)
-    if e1 is None:
-        raise BracketError(f"no sign change within {reach:.3g} of the seed {seed:.6g} "
-                           f"for (sigma={sigma}, n={n}); no such bound level")
-    scale = max(abs(e1), 1.0)
-    e2 = search(grid.refined(), e1, 1e-4 * scale, 6.4e-3 * scale)
+    """(E, err_est, converged) of one branch's root: _root on the base grid
+    from _seed, its steps on the branch within E_max and _bracket its
+    fallback; then on the nested h/2 grid from the base root e1, its steps
+    within d = 6.4e-3 max(|e1|, 1) of e1 and the counts at e1 -+ d its
+    fallback; and the extrapolation (4 e2 - e1)/3, which cancels the O(h^2)
+    bias of the 3-point Laplacian. A root missing from e1 -+ d keeps e1,
+    unconverged, with the width of the base grid's _bracket as err_est."""
+    if params.mass == 0.0 and (sigma, n) == (-1, 0):
+        return _zero_mode(params, sigma, n, grid)
+    e1 = _root(_evaluator(params, sigma, n, grid), _seed(params, sigma, n, grid, branch),
+               sorted((0.0, branch * _E_MAX * max(params.mass, 1.0))), _f_floor(grid),
+               lambda: _bracket(params, sigma, n, grid, branch))
+    fine, d = grid.refined(), 6.4e-3 * max(abs(e1), 1.0)
+    e2 = _root(_evaluator(params, sigma, n, fine), e1, (e1 - d, e1 + d), _f_floor(fine),
+               lambda: _certified(params, sigma, n, fine, e1 - branch * d, e1 + branch * d))
     if e2 is None:
-        return e1, 2.0 * reach, False
+        lo, hi = _bracket(params, sigma, n, grid, branch)
+        return e1, abs(hi - lo), False
     return (4.0 * e2 - e1) / 3.0, abs(e2 - e1) / 3.0, True
 
 
@@ -402,27 +406,24 @@ def solve_nonlinear_level(
         f(E) = epsilon_n(operator at Weff(E)) - (E^2/(1-kappa^2) - m^2).
 
     epsilon_n is the n-th ascending eigenvalue of the instantiated operator,
-    its index certified at every E, so the root-finder always sees the same
-    level regardless of step size. The root is found by Newton steps with
-    the Hellmann-Feynman slope of _evaluator from a seed, the closed form
-    for the certified families. Once f changes sign between two steps, each
-    evaluation narrows that bracket, and a step that would leave it is a
-    bisection step; when the steps leave the seed's reach first, a
-    sign-change bracket widened around the seed takes their place. Returns
-    (plus, minus) records with route "susy". For the certified families W is odd,
-    so f is even in E: the plus root is solved and the minus record is its
-    mirror -E with the same err_est. A tabulated W need not be odd, and its
-    two branches are solved independently. At (sigma=-1, n=0) the minus
-    root is -E0, a root of f whose state the reconstruction annihilates: no
-    level, and model.level_labels leaves it out.
+    its index certified at every E. No closed form enters (_solve_branch):
+    Newton steps with the Hellmann-Feynman slope run from the fixed point of
+    the condition at E = 0, inside the first sign-change bracket they find,
+    or else one that a Sturm count certifies. Returns (plus, minus) records
+    with route "susy". For the certified families W is odd, so f is even in
+    E: the plus root is solved and the minus record is its mirror -E with
+    the same err_est; a tabulated W's branches are solved independently. At
+    (sigma=-1, n=0) the minus root is -E0, whose state the reconstruction
+    annihilates: no level, and model.level_labels leaves it out; at m = 0
+    that level is E = 0, after an h^2 test. Each root is refined on the h/2
+    grid and extrapolated; with no root near the base-grid root there, the
+    record keeps it, converged=False, its certified bracket's width err_est.
 
-    Each root is refined on a half-spacing grid and extrapolated; when no
-    root is found within reach there, the record keeps the base-grid root
-    with the width of its search window as err_est and converged=False.
-
-    Raises CriticalFieldError for |kappa| >= 1, BracketError when the search
-    window holds no sign change (no such bound level) and DomainError on a
-    tan box other than (-pi/2, pi/2).
+    Raises CriticalFieldError for |kappa| >= 1, BracketError when the count
+    never reaches n + 1 below E_max = 100 max(m, 1) (no such bound level),
+    ConvergenceError when the count falls as |E| grows or exceeds n at
+    E = 0, or for a tan sigma=-1 level with alpha = alpha0 sqrt(1-kappa^2)
+    < 1/2, and DomainError on a tan box other than (-pi/2, pi/2).
     """
     require_subcritical(params.kappa)
     if sigma not in (-1, 1):
@@ -432,6 +433,13 @@ def solve_nonlinear_level(
     if grid is None:
         grid = default_grid(params, n=_DEFAULT_N)
     require_whole_domain(params.superpotential, grid)
+    sp = params.superpotential
+    alpha = sp.alpha0 * math.sqrt(1.0 - params.kappa**2) if sp.family is Family.TANGENT else 1.0
+    if sigma == -1 and alpha < 0.5:
+        raise ConvergenceError(
+            f"tan sigma=-1 levels need alpha = alpha0 sqrt(1-kappa^2) >= 1/2, got {alpha:.4g}: "
+            "below it the Dirichlet lattice converges to the Friedrichs extension, whose "
+            "states go as cos^(1-alpha) x, not cos^alpha x (Reed & Simon II, Thm X.10)")
     # positional and with the grid resolved, so that equivalent calls share
     # one cache key
     return _solve_level_cached(params, sigma, n, grid)
@@ -448,22 +456,10 @@ def _solve_level(params, sigma, n, grid):
         minus = plus
     else:
         minus = _solve_branch(params, sigma, n, grid, -1)
-    records = []
-    for branch, (e, err, ok) in ((1, plus), (-1, minus)):
-        e = branch * abs(e)
-        records.append(
-            SpectrumRecord(
-                route="susy",
-                branch=branch,
-                sigma=sigma,
-                n=n,
-                E=e,
-                epsilon=reduced_epsilon(e, params.mass, params.kappa),
-                converged=ok,
-                err_est=err,
-            )
-        )
-    return records[0], records[1]
+    return tuple(SpectrumRecord(route="susy", branch=b, sigma=sigma, n=n, E=b * abs(e),
+                                epsilon=reduced_epsilon(e, params.mass, params.kappa),
+                                converged=ok, err_est=err)
+                 for b, (e, err, ok) in ((1, plus), (-1, minus)))
 
 
 # enough for the levels of the configuration a session is working on

@@ -617,6 +617,17 @@ def test_verify_branch_symmetry_checks_the_lattice(monkeypatch):
     assert line.startswith("PASS branch symmetry: lattice ")
 
 
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+def test_tan_alpha_below_half_exits_4_naming_the_cause(command):
+    # tan alpha0 1 at kappa 0.9 has alpha 0.436: the sigma = -1 lattice would
+    # converge to the Friedrichs extension, so the susy route refuses
+    code, out, err = run_cli([command, "--model.family", "tan", "--model.alpha0", "1",
+                              "--model.kappa", "0.9", "--grid.n", "500", "--solver.levels", "2"])
+    assert code == 4 and out == ""
+    assert err.startswith("convergence failure: tan sigma=-1 levels need alpha")
+    assert "Friedrichs extension" in err and "cos^(1-alpha) x" in err
+
+
 def test_verify_tabulated_rejected(tmp_path):
     table = write_table(tmp_path)
     code, _, err = run_cli([

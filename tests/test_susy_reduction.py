@@ -1,6 +1,7 @@
 """Reduced route: spin eigensystem, effective superpotential, energy maps,
 the energy-dependent operator, level solving, and spinor reconstruction."""
 
+import ast
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from diracosc.errors import (
     BracketError,
+    ConvergenceError,
     CriticalFieldError,
     DegenerateStateError,
     DomainError,
@@ -285,32 +287,56 @@ def test_solve_massless_zero_level():
     assert plus.converged
 
 
+SCAN_XS = np.linspace(-10.0, 10.0, 801)
+SCAN_TABLES = {
+    "W=x": Superpotential.tabulated(SCAN_XS, SCAN_XS, np.ones_like(SCAN_XS)),
+    "W=sinh(x/3)": Superpotential.tabulated(SCAN_XS, np.sinh(SCAN_XS / 3.0),
+                                            np.cosh(SCAN_XS / 3.0) / 3.0),
+}
+
+
 @pytest.mark.parametrize(
-    "sp,n", [(Superpotential.linear(1.0), 500), (Superpotential.tangent(5.0), 250)],
-    ids=["linear-500", "tan-250"],
+    "sp,n", [(Superpotential.linear(1.0), 500), (Superpotential.tangent(5.0), 250),
+             (SCAN_TABLES["W=x"], 400)],
+    ids=["linear-500", "tan-250", "table-400"],
 )
 def test_massless_zero_level_on_coarse_grids(sp, n):
     # f(0) is the lattice's h^2 bias, -4.0e-4 on linear grid.n 500: the E = 0
-    # seed holds when the nested h/2 grid divides f(0) by about 4
+    # level holds when the nested h/2 grid divides f(0) by about 4. The test
+    # runs at m = 0, (sigma -1, n 0) on every family, tables included
     params = PhysicalParams(mass=0.0, kappa=0.0, superpotential=sp)
-    plus, minus = solve_nonlinear_level(params, -1, 0, grid=default_grid(params, n=n))
+    grid = default_grid(params, n=n)
+    plus, minus = solve_nonlinear_level(params, -1, 0, grid=grid)
     assert plus.E == 0.0 and minus.E == 0.0
     assert plus.converged and minus.converged
+    if sp.family is Family.TABULATED:
+        # the massless W = x table's next level is sqrt(2) at kappa 0
+        for rec in solve_nonlinear_level(params, -1, 1, grid=grid):
+            assert rec.converged and rec.E == pytest.approx(rec.branch * math.sqrt(2.0), rel=1e-6)
 
 
-def test_massive_level_forced_to_the_zero_seed_is_refused(monkeypatch):
-    # f(0) = 1 on both grids: no h^2 bias, so no E = 0 level
-    monkeypatch.setattr(analytic, "level_energies", lambda params, k: (0.0, 0.0))
+def test_massive_level_forced_to_the_zero_seed_is_refused():
+    # the E = 0 h^2 test of the massless (sigma -1, n 0) level, forced on a
+    # massive one: f(0) = 1 on both grids, no h^2 bias, so no E = 0 level
     params = linear_params(0.3)
-    with pytest.raises(BracketError, match="E=0 seed"):
-        susy_reduction._seed(params, -1, 0, default_grid(params, n=500), 1)
+    with pytest.raises(BracketError, match="E=0"):
+        susy_reduction._zero_mode(params, -1, 0, default_grid(params, n=500))
 
 
 def test_solve_coarse_grid_cannot_bracket():
-    # lattice bias on a 25-node grid pushes the level far outside the seeded
-    # search window; the honest outcome is a refusal, not a wrong level
-    with pytest.raises(BracketError):
-        solve_nonlinear_level(linear_params(0.6), -1, 8, grid=Grid(half_width=20.0, n=25))
+    # a level that is no bound level is refused: on 2000 nodes the top
+    # reduced level sits near 4/h^2 = 1e4 above E_max^2 - m^2 = 9999, so the
+    # count never reaches n + 1 = 2000 below E_max = 100
+    with pytest.raises(BracketError, match="never reaches n \\+ 1 = 2000"):
+        solve_nonlinear_level(linear_params(0.0), -1, 1999, grid=Grid(half_width=20.0, n=2000))
+    params, grid = linear_params(0.6), Grid(half_width=20.0, n=25)
+    # lattice bias on that grid puts level 8 at 4.36 against the closed form
+    # 2.97: the count certifies the lattice's root, and the honest outcome is
+    # an unconverged record whose err_est covers the error, not a wrong level
+    plus, minus = solve_nonlinear_level(params, -1, 8, grid=grid)
+    exact, _ = analytic.level_energies(params, 8)
+    assert not plus.converged and not minus.converged
+    assert plus.err_est >= abs(plus.E - exact) > 1.0
 
 
 def test_tan_box_inside_the_domain_is_refused():
@@ -326,48 +352,49 @@ def test_tan_box_inside_the_domain_is_refused():
 
 
 def test_fine_grid_fallback_is_flagged_unconverged():
-    # on 30 nodes the fine-grid bracket around the base-grid root fails; the
-    # root kept is 9.6% below sqrt(5) and must not be reported converged
-    plus, minus = solve_nonlinear_level(
-        linear_params(0.0), 1, 1, grid=Grid(half_width=20.0, n=30))
+    # on 30 nodes the count finds no h/2 root within 6.4e-3 max(|E|, 1) of
+    # the base-grid root; the root kept is 9.6% below sqrt(5) and must not be
+    # reported converged. Its err_est is the width of the base grid's
+    # certified bracket, which holds it
+    params, grid = linear_params(0.0), Grid(half_width=20.0, n=30)
+    plus, minus = solve_nonlinear_level(params, 1, 1, grid=grid)
     assert abs(plus.E - math.sqrt(5.0)) > 0.05
     assert not plus.converged and not minus.converged
-    assert plus.err_est == pytest.approx(0.25 * math.sqrt(5.0) * 2.0, rel=1e-12)
+    inner, outer = susy_reduction._bracket(params, 1, 1, grid, 1)
+    assert inner < plus.E <= outer
+    assert plus.err_est == outer - inner == 2.0
+    assert plus.err_est >= abs(plus.E - math.sqrt(5.0))
 
 
 def test_table_fine_grid_fallback_keeps_the_scan_step():
-    # a table's root search tries only the scan step (m/4) on which f changes
-    # sign; when the h/2 grid holds no root, that step's width is err_est
+    # a table's branches each keep their base-grid root when the h/2 grid
+    # holds no root near it, with their own certified bracket's width as
+    # err_est
     xs = np.linspace(-25.0, 25.0, 2001)
     table = PhysicalParams(mass=1.0, kappa=0.4,
                            superpotential=Superpotential.tabulated(xs, xs, np.ones_like(xs)))
-    plus, minus = solve_nonlinear_level(table, 1, 2, grid=Grid(half_width=20.0, n=30))
+    grid = Grid(half_width=20.0, n=30)
+    plus, minus = solve_nonlinear_level(table, 1, 2, grid=grid)
     assert 2.0 < plus.E < 2.25 and -2.25 < minus.E < -2.0
     assert not plus.converged and not minus.converged
-    assert plus.err_est == pytest.approx(0.25, rel=1e-12)
-    assert minus.err_est == pytest.approx(0.25, rel=1e-12)
-
-
-SCAN_XS = np.linspace(-10.0, 10.0, 801)
-SCAN_TABLES = {
-    "W=x": Superpotential.tabulated(SCAN_XS, SCAN_XS, np.ones_like(SCAN_XS)),
-    "W=sinh(x/3)": Superpotential.tabulated(SCAN_XS, np.sinh(SCAN_XS / 3.0),
-                                            np.cosh(SCAN_XS / 3.0) / 3.0),
-}
+    for rec in (plus, minus):
+        inner, outer = susy_reduction._bracket(table, 1, 2, grid, rec.branch)
+        assert abs(inner) < abs(rec.E) <= abs(outer)
+        assert rec.err_est == abs(outer - inner) == 2.0
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.3, -0.5])
 @pytest.mark.parametrize("table", list(SCAN_TABLES))
 def test_table_scan_steps_take_windows_from_the_last_two(monkeypatch, table, kappa):
-    # a table's outward scan fetches eps_n by its index on its first two
-    # steps; from the third on it predicts eps_n on the line through the last
-    # two steps' eps, and here every such prediction is certified, so those
-    # steps and the root search make no dstebz call
+    # a table's level solve takes the seed of each branch from one index
+    # search at E = 0; every evaluation after it predicts eps_n, and every
+    # prediction is certified but the seed's own (eps_n(0)), which the
+    # certificate may refuse and the index search then serves
     params = PhysicalParams(mass=1.0, kappa=kappa, superpotential=SCAN_TABLES[table])
     grid = Grid(half_width=8.0, n=400)
     labels = [(-1, 0), (-1, 1), (1, 0), (-1, 2)]
-    scanning, scans, roots, bisections = [False], [], [], [0]
-    call, seed, level = linalg._call, susy_reduction._seed, susy_reduction._level_condition
+    bisections, evaluations = [0], []
+    call, level = linalg._call, susy_reduction._level_condition
 
     def count(name, *args):
         bisections[0] += name == "dstebz"
@@ -376,31 +403,19 @@ def test_table_scan_steps_take_windows_from_the_last_two(monkeypatch, table, kap
     def evaluation(params, sigma, n, grid, E, guess=None):
         before = bisections[0]
         eps, phi, f = level(params, sigma, n, grid, E, guess)
-        (scans[-1] if scanning[0] else roots).append((E, guess, eps, bisections[0] - before))
+        evaluations.append((E, guess, bisections[0] - before))
         return eps, phi, f
-
-    def scan(*args):
-        scanning[0] = True
-        scans.append([])
-        try:
-            return seed(*args)
-        finally:
-            scanning[0] = False
 
     monkeypatch.setattr(linalg, "_call", count)
     monkeypatch.setattr(susy_reduction, "_level_condition", evaluation)
-    monkeypatch.setattr(susy_reduction, "_seed", scan)
-    predicted = [susy_reduction._solve_level(params, sigma, n, grid) for sigma, n in labels]
-    assert len(scans) == 2 * len(labels)
-    for steps in scans:
-        assert len(steps) >= 5, steps
-        assert [(guess, bisected) for _, guess, _, bisected in steps[:2]] == [(None, 1)] * 2
-        for (e1, _, eps1, _), (e2, _, eps2, _), (e3, guess, _, bisected) in zip(
-                steps, steps[1:], steps[2:]):
-            assert guess == pytest.approx(eps2 + (eps2 - eps1) / (e2 - e1) * (e3 - e2),
-                                          rel=1e-15, abs=1e-15)
-            assert bisected == 0, steps
-    assert roots and all(guess is not None and not bisected for _, guess, _, bisected in roots)
+    predicted = []
+    for sigma, n in labels:
+        evaluations.clear()
+        predicted.append(susy_reduction._solve_level(params, sigma, n, grid))
+        seeds = [(E, guess, bisected) for E, guess, bisected in evaluations if guess is None]
+        assert seeds == [(0.0, None, 1)] * 2, evaluations
+        for before, (_, guess, bisected) in zip(evaluations, evaluations[1:]):
+            assert guess is None or bisected <= (before[1] is None), evaluations
     # the same solve with every eigenvalue taken by the index search
     monkeypatch.setattr(susy_reduction, "_predicted_eigenvalues", lambda *args, **kw: None)
     for (sigma, n), records in zip(labels, predicted):
@@ -463,6 +478,101 @@ def test_branch_solves_per_level(monkeypatch):
     assert minus.E == pytest.approx(-math.sqrt(3.0), rel=1e-5)
 
 
+# --------------------------------------------------- the level count
+
+
+COUNT_CASES = {
+    "lin+0.4": (linear_params(0.4), 2000),
+    "lin-0.4": (linear_params(-0.4), 2000),
+    "lin massless 0.4": (linear_params(0.4, mass=0.0), 2000),
+    "tan+0.5": (tan_params(0.5), 1000),
+    "tan-0.3": (tan_params(-0.3), 1000),
+    "tan-0.42": (tan_params(-0.42), 1000),
+    "table W=sinh(x/3)": (PhysicalParams(mass=1.0, kappa=0.3,
+                                         superpotential=SCAN_TABLES["W=sinh(x/3)"]), 400),
+}
+
+
+@pytest.mark.parametrize("case", list(COUNT_CASES))
+def test_count_grows_with_E_and_passes_each_level_at_its_root(case):
+    # the count of reduced levels below E^2/(1-kappa^2) - m^2 never falls as
+    # |E| grows, on either branch; on the certified families it passes n at
+    # the closed-form root n
+    params, size = COUNT_CASES[case]
+    grid = Grid(half_width=default_grid(params).half_width, n=size)
+    certified = params.superpotential.family is not Family.TABULATED
+    for sigma in (-1, 1):
+        for branch in (1, -1):
+            counts = [susy_reduction._count(params, sigma, grid, branch * e)
+                      for e in np.linspace(0.05, 8.0, 160)]
+            assert counts == sorted(counts) and counts[-1] >= 2, (sigma, branch, counts)
+            for k in range(3 if certified else 0):
+                n = k - (1 + sigma) // 2
+                if n < 0 or (params.mass == 0.0 and (sigma, n) == (-1, 0)):
+                    continue
+                e = analytic.level_energies(params, k)[0]
+                below, above = (susy_reduction._count(params, sigma, grid, branch * f * e)
+                                for f in (0.999, 1.001))
+                assert below == n and above == n + 1, (sigma, branch, n, below, above)
+
+
+def test_a_count_that_falls_is_refused(monkeypatch):
+    # a bracket end that contradicts the count makes the route raise, not
+    # guess: here count(E_lo) = 2 exceeds n = 1 while count(E_hi) = 1, and
+    # below, the count exceeds n at E = 0
+    params, grid = linear_params(0.0), Grid(half_width=20.0, n=30)
+
+    def falling(params, sigma, grid, E):
+        return 2 if abs(E) < 2.03 else 1
+
+    monkeypatch.setattr(susy_reduction, "_count", falling)
+    with pytest.raises(ConvergenceError, match="falls from 2"):
+        susy_reduction._certified(params, 1, 1, grid, 2.0, 2.1)
+    monkeypatch.setattr(susy_reduction, "_count", lambda params, sigma, grid, E:
+                        1 if abs(E) < 1.5 else 0)
+    with pytest.raises(ConvergenceError, match="falls from 1 at E = 1 to 0 at E = 2"):
+        susy_reduction._bracket(params, 1, 1, grid, 1)
+    monkeypatch.setattr(susy_reduction, "_count", falling)
+    # the h/2 grid of this solve holds no root near the base root 2.0224, so
+    # its fallback counts at 2.0224 -+ 0.0129, across the fall
+    susy_reduction._solve_level_cached.cache_clear()
+    with pytest.raises(ConvergenceError, match="falls from 2"):
+        solve_nonlinear_level(params, 1, 1, grid=grid)
+    monkeypatch.undo()
+    # a count above n at E = 0: the lattice's h^2 bias of the (sigma -1, n 0)
+    # level, -8.4e-5 on grid.n 1000, is below -m^2 = -1e-6
+    params = linear_params(0.4, mass=1e-3)
+    with pytest.raises(ConvergenceError, match="exceeds n at E = 0"):
+        susy_reduction._bracket(params, -1, 0, default_grid(params, n=1000), 1)
+
+
+def test_susy_route_reads_no_closed_form():
+    # the susy route is checked against the analytic one, so it must not
+    # import it
+    with open(susy_reduction.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not any("analytic" in name for name in imported), imported
+    assert not hasattr(susy_reduction, "analytic")
+
+
+def test_tan_sigma_minus_levels_below_alpha_half_are_refused():
+    # at alpha = alpha0 sqrt(1-kappa^2) < 1/2 the Dirichlet lattice converges
+    # to another self-adjoint extension; the sigma = +1 potential keeps
+    # exponent alpha + 1 and is solved
+    params = PhysicalParams(mass=1.0, kappa=0.9, superpotential=Superpotential.tangent(1.0))
+    grid = Grid(half_width=math.pi / 2, n=500)
+    with pytest.raises(ConvergenceError, match="Friedrichs extension"):
+        solve_nonlinear_level(params, -1, 1, grid)
+    plus, _ = solve_nonlinear_level(params, 1, 0, grid)
+    assert plus.converged and plus.E > 0.0
+
+
 # ------------------------------------------- Newton on the level condition
 
 
@@ -501,17 +611,16 @@ BAD_SLOPES = {"zero": lambda f, fp: (f, 0.0), "wrong sign": lambda f, fp: (f, -f
 @pytest.mark.parametrize("bad", list(BAD_SLOPES))
 @pytest.mark.parametrize("kappa", [0.4, -0.4])
 def test_bad_slope_still_finds_the_root_by_bisection(kappa, bad):
+    # inside the count-certified bracket a bad slope costs steps, not the root
     params = linear_params(kappa)
     grid = Grid(half_width=20.0, n=2000)
     floor = susy_reduction._f_floor(grid)
     calls = []
     for sigma, n in LABELS:
-        x = susy_reduction._seed(params, sigma, n, grid, 1)[0]
-        a, b = 0.75 * x, 1.25 * x
-        fa = susy_reduction._level_condition(params, sigma, n, grid, a)[2]
-        fb = susy_reduction._level_condition(params, sigma, n, grid, b)[2]
+        inner, outer = susy_reduction._bracket(params, sigma, n, grid, 1)
+        x = 0.5 * (inner + outer)
         evaluate = susy_reduction._evaluator(params, sigma, n, grid)
-        good = susy_reduction._safe_newton(evaluate, a, b, fa, fb, x, *evaluate(x), floor)
+        good = susy_reduction._safe_newton(evaluate, outer, inner, x, *evaluate(x), floor)
         evaluate = susy_reduction._evaluator(params, sigma, n, grid)
 
         def spy(E):
@@ -519,33 +628,40 @@ def test_bad_slope_still_finds_the_root_by_bisection(kappa, bad):
             return BAD_SLOPES[bad](*evaluate(E))
 
         calls.clear()
-        root = susy_reduction._safe_newton(spy, a, b, fa, fb, x, *spy(x), floor)
-        # halving a bracket of width E/2 down to 1e-12 E takes about 40 steps
+        root = susy_reduction._safe_newton(spy, outer, inner, x, *spy(x), floor)
+        # halving a bracket of width 0.5-1 down to 1e-12 E takes about 40 steps
         assert len(calls) > 30
+        assert inner < root < outer
         assert root == pytest.approx(good, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("bad", list(BAD_SLOPES))
 @pytest.mark.parametrize("kappa", [0.4, -0.4])
 def test_bad_slope_root_search_falls_back_to_the_widening_bracket(kappa, bad):
+    # Newton steps from the seed give up on a bad slope, and the search falls
+    # back to the count-certified bracket (_bracket), whose bisection stops on
+    # a step of 1e-12 max(1, |E|)
     params = linear_params(kappa)
     grid = Grid(half_width=20.0, n=2000)
     floor = susy_reduction._f_floor(grid)
+    window = (0.0, 100.0)
     for sigma, n in LABELS:
-        seed, delta, reach, line = susy_reduction._seed(params, sigma, n, grid, 1)
-        good = susy_reduction._root(susy_reduction._evaluator(params, sigma, n, grid, line),
-                                    seed, delta, reach, floor)
-        evaluate = susy_reduction._evaluator(params, sigma, n, grid, line)
-        calls = []
+        # 10% low, as on a coarse grid: the seed itself is exact to rounding
+        seed = 0.9 * susy_reduction._seed(params, sigma, n, grid, 1)
+        brackets = []
 
-        def spy(E):
-            calls.append(E)
-            return BAD_SLOPES[bad](*evaluate(E))
+        def bracket():
+            brackets.append(susy_reduction._bracket(params, sigma, n, grid, 1))
+            return brackets[-1]
 
-        root = susy_reduction._root(spy, seed, delta, reach, floor)
-        # Newton steps from the seed gave up, and the widening search ran;
-        # its bisection stops on a step of 1e-12 max(1, |E|)
-        assert seed - delta in calls and seed + delta in calls
+        good = susy_reduction._root(susy_reduction._evaluator(params, sigma, n, grid),
+                                    seed, window, floor, bracket)
+        # with the Hellmann-Feynman slope, Newton needs no bracket
+        assert brackets == []
+        evaluate = susy_reduction._evaluator(params, sigma, n, grid)
+        root = susy_reduction._root(lambda E: BAD_SLOPES[bad](*evaluate(E)),
+                                    seed, window, floor, bracket)
+        assert len(brackets) == 1 and brackets[0][0] < root < brackets[0][1]
         assert abs(root - good) <= 1e-12 * max(1.0, abs(good))
 
 
@@ -561,11 +677,11 @@ def test_certified_labels_keep_closed_form_and_flag(params):
 @pytest.mark.parametrize("params", CERTIFIED + [tan_params(-0.42)],
                          ids=["lin+0.4", "lin-0.4", "tan+0.5", "tan-0.3", "tan-0.42"])
 def test_level_solve_takes_at_most_ten_evaluations(params, monkeypatch):
-    # the grids a CLI session solves on: each grid takes the seed and 1-2
-    # Newton steps. A search that first brackets the seed takes 8, and one
-    # that stops on bracket width instead of on the Newton step 16-30. At tan
-    # -0.42, (sigma -1, n 0), f is a staircase at the root and a search that
-    # waits for f == 0 takes 15
+    # the grids a CLI session solves on: the seed's index search at E = 0,
+    # then 1-3 evaluations on each grid, Newton steps in E^2 from the seed
+    # (exact for a linear W, 4-8% off on tan) and from the base root; steps
+    # in E from a tan seed take up to 10. At tan -0.42, (sigma -1, n 0), f is
+    # a staircase at the root and a search that waits for f == 0 takes 15
     calls = []
     operator = susy_reduction.schrodinger_operator
 
@@ -580,14 +696,17 @@ def test_level_solve_takes_at_most_ten_evaluations(params, monkeypatch):
         calls.clear()
         plus, _ = susy_reduction._solve_level(params, sigma, n, grid)
         assert plus.converged
-        assert 0 < len(calls) <= 6, (sigma, n, len(calls))
+        assert 0 < len(calls) <= (4 if linear else 6), (sigma, n, len(calls))
 
 
 @pytest.mark.parametrize("params", CERTIFIED, ids=["lin+0.4", "lin-0.4", "tan+0.5", "tan-0.3"])
 def test_level_solve_takes_no_index_search(params, monkeypatch):
-    # on the grids a CLI session solves on, every prediction the level solve
-    # and susy_state make is certified: no evaluation calls dstebz at all,
-    # and each takes its value and vector from dstein and one Sturm count
+    # on the grids a CLI session solves on, a level solve makes one index
+    # search (dstebz), at E = 0 for its seed. Only the seed's own prediction,
+    # eps_n(0), may be refused and fetched by index too: on tan, where the
+    # seed is 4-8% off, at tan +0.5 (sigma 1, n 1). Every other evaluation,
+    # and susy_state's at the solved level, takes its value and vector from
+    # dstein and one Sturm count
     routines = []
     call = linalg._call
 
@@ -596,13 +715,18 @@ def test_level_solve_takes_no_index_search(params, monkeypatch):
         return call(name, *args)
 
     monkeypatch.setattr(linalg, "_call", spy)
+    susy_reduction._solve_level_cached.cache_clear()
     linear = params.superpotential.family is Family.LINEAR
     grid = Grid(half_width=default_grid(params).half_width, n=2000 if linear else 1000)
     for sigma, n in LABELS:
         routines.clear()
-        susy_reduction._solve_level(params, sigma, n, grid)
+        solve_nonlinear_level(params, sigma, n, grid)
+        assert routines[0] == "dstebz" and set(routines) == {"dstebz", "dstein", "dlaebz"}
+        assert routines.count("dstebz") <= (1 if linear else 2), (sigma, n, routines)
+        routines.clear()
         susy_state(params, sigma, n, grid)
         assert routines and set(routines) == {"dstein", "dlaebz"}, (sigma, n, routines)
+    susy_reduction._solve_level_cached.cache_clear()
 
 
 def _reduced_operator(params, sigma, grid, E):
